@@ -70,6 +70,15 @@ def _split_formulas(text: str) -> list[str]:
     return [p for p in (part.strip() for part in parts) if p]
 
 
+def _fragment_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise FormulaError(
+            f"fragment key {key!r} needs an integer, got {value!r}"
+        ) from None
+
+
 def _parse_fragment(text: str) -> FragmentSpec:
     variables = DEFAULT_FRAGMENT.variables
     depth = DEFAULT_FRAGMENT.max_depth
@@ -84,9 +93,9 @@ def _parse_fragment(text: str) -> FragmentSpec:
         if key == "vars":
             variables = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "depth":
-            depth = int(value)
+            depth = _fragment_int(key, value)
         elif key == "premises":
-            premises = int(value)
+            premises = _fragment_int(key, value)
         else:
             raise MatrixError(f"unknown fragment key {key!r}")
     return FragmentSpec(variables=variables, max_depth=depth, max_premises=premises)

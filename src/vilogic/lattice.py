@@ -26,6 +26,10 @@ Three comparison engines produce identical verdicts and witnesses:
     the conclusion's variable mask, a right step adds the variable-coverage
     test and the fresh-variable (explosive premise set) branch, and matrix
     leaves reduce to bit tests against per-valuation designation sets.
+    One run compares any number of pairs on one context: its outer loop
+    runs over conclusion classes, and one memo per class, shared by every
+    pair run on the context, holds each subtree's answers, so a tower that
+    appears in many pairs is still walked once per class.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
@@ -478,30 +482,37 @@ class _VectorContext:
         return out
 
     def target_answers(self, tree, target: int, memo: dict) -> np.ndarray:
-        """Answers of ``tree`` for conclusion class ``target`` on all premise rows."""
+        """Answers of ``tree`` for conclusion class ``target`` on all premise rows.
+
+        ``memo`` holds the answers of every (subtree, premise mask) walked
+        for this target; pass the same dict for every tree walked for it.
+        """
         tmask = int(self.rep_mask[target])
+        return self._walk(tree, self.full_mask, target, tmask, memo)
 
-        def walk(node, vmask: int) -> np.ndarray:
-            key = (node, vmask)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            tag = node[0]
-            if tag == "leaf":
-                out = self._leaf_real(node[1], vmask, target)
-            elif tag == "l":
-                out = walk(node[1], vmask & tmask)
-            elif tag == "r":
-                covered = (tmask & ~self._premise_mask(vmask)) == 0
-                out = (covered & walk(node[1], vmask)) | self.fresh_answers(
-                    node[1], vmask
-                )
-            else:
-                out = walk(node[1][0], vmask) & walk(node[1][1], vmask)
-            memo[key] = out
-            return out
-
-        return walk(tree, self.full_mask)
+    def _walk(self, node, vmask: int, target: int, tmask: int, memo: dict):
+        # A method, not a closure: a self-referencing nested function would
+        # keep the memo's arrays alive until the cyclic collector runs.
+        key = (node, vmask)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tag = node[0]
+        if tag == "leaf":
+            out = self._leaf_real(node[1], vmask, target)
+        elif tag == "l":
+            out = self._walk(node[1], vmask & tmask, target, tmask, memo)
+        elif tag == "r":
+            covered = (tmask & ~self._premise_mask(vmask)) == 0
+            out = (
+                covered & self._walk(node[1], vmask, target, tmask, memo)
+            ) | self.fresh_answers(node[1], vmask)
+        else:
+            out = self._walk(node[1][0], vmask, target, tmask, memo) & self._walk(
+                node[1][1], vmask, target, tmask, memo
+            )
+        memo[key] = out
+        return out
 
     # -- decoding ------------------------------------------------------------
 
@@ -523,63 +534,56 @@ class _VectorContext:
 # ---------------------------------------------------------------------------
 
 
-def _run_vector_engine(
-    a: LogicOracle,
-    b: LogicOracle,
+def _vector_verdicts(
+    pairs: Sequence[tuple[LogicOracle, LogicOracle]],
     fragment: FragmentSpec,
     max_witnesses: int,
-    context: _VectorContext | None = None,
-    trees: tuple | None = None,
-):
-    if trees is None or context is None:
-        table: list[FiniteMatrix] = []
-        tree_a = _oracle_tree(a, table)
-        tree_b = _oracle_tree(b, table)
-        if tree_a is None or tree_b is None:
-            raise LatticeError(
-                "the vector engine needs oracles built from matrix, left, "
-                "right, and meet constructors"
-            )
-        context = _VectorContext(a.signature, fragment, table)
-    else:
-        tree_a, tree_b = trees
-    count_ab = 0
-    count_ba = 0
-    found_ab: list[tuple[int, int]] = []
-    found_ba: list[tuple[int, int]] = []
+    extra_witnesses: Iterable[Inference] = (),
+) -> list[ComparisonVerdict]:
+    """Re-validated vector-engine verdicts for every pair, from one context.
+
+    The context covers the matrices of all pairs.  The outer loop runs over
+    conclusion classes, so a subtree is walked once per class however many
+    pairs contain it.  Per pair and class the first ``max_witnesses`` rows
+    are kept; they are then sorted and capped.
+    """
+    table: list[FiniteMatrix] = []
+    trees = [(_oracle_tree(a, table), _oracle_tree(b, table)) for a, b in pairs]
+    if any(tree is None for pair in trees for tree in pair):
+        raise LatticeError(
+            "the vector engine needs oracles built from matrix, left, "
+            "right, and meet constructors"
+        )
+    context = _VectorContext(pairs[0][0].signature, fragment, table)
+    counts = [[0, 0] for _ in pairs]
+    found: list[tuple[list, list]] = [([], []) for _ in pairs]
     for target in range(context.n_classes):
         memo: dict = {}
-        ans_a = context.target_answers(tree_a, target, memo)
-        ans_b = context.target_answers(tree_b, target, memo)
-        only_a = ans_a & ~ans_b
-        only_b = ans_b & ~ans_a
-        n_a = int(np.count_nonzero(only_a))
-        n_b = int(np.count_nonzero(only_b))
-        count_ab += n_a
-        count_ba += n_b
-        if n_a:
-            for row in np.flatnonzero(only_a)[:max_witnesses]:
-                found_ab.append((int(row), target))
-        if n_b:
-            for row in np.flatnonzero(only_b)[:max_witnesses]:
-                found_ba.append((int(row), target))
-    witnesses_ab = _decode_witnesses(context, found_ab, max_witnesses)
-    witnesses_ba = _decode_witnesses(context, found_ba, max_witnesses)
-    return witnesses_ab, witnesses_ba, (count_ab, count_ba), context
+        for (tree_a, tree_b), count, sides in zip(trees, counts, found):
+            ans_a = context.target_answers(tree_a, target, memo)
+            ans_b = context.target_answers(tree_b, target, memo)
+            for side, only in enumerate((ans_a & ~ans_b, ans_b & ~ans_a)):
+                rows = np.flatnonzero(only)
+                count[side] += len(rows)
+                sides[side].extend((int(row), target) for row in rows[:max_witnesses])
+    return [
+        _verdict(
+            a, b, fragment, "vector",
+            *(_decode_witnesses(context, side, max_witnesses) for side in sides),
+            tuple(count), len(context.formulas), extra_witnesses,
+        )
+        for (a, b), count, sides in zip(pairs, counts, found)
+    ]
 
 
 def _decode_witnesses(
     context: _VectorContext, found: list[tuple[int, int]], cap: int
 ) -> list[Inference]:
     found.sort()
-    out = []
-    for row, target in found[:cap]:
-        out.append(
-            Inference(
-                context.premise_formulas(row), context.conclusion_formula(target)
-            )
-        )
-    return out
+    return [
+        Inference(context.premise_formulas(row), context.conclusion_formula(target))
+        for row, target in found[:cap]
+    ]
 
 
 def _run_classes_engine(
@@ -618,7 +622,7 @@ def _run_classes_engine(
                 count_ba += 1
                 if len(witnesses_ba) < max_witnesses:
                     witnesses_ba.append(inference)
-    return witnesses_ab, witnesses_ba, (count_ab, count_ba)
+    return (witnesses_ab, witnesses_ba, (count_ab, count_ba)), len(formulas)
 
 
 def _run_exhaustive_engine(
@@ -644,7 +648,7 @@ def _run_exhaustive_engine(
                 count_ba += 1
                 if len(witnesses_ba) < max_witnesses:
                     witnesses_ba.append(inference)
-    return witnesses_ab, witnesses_ba, (count_ab, count_ba)
+    return (witnesses_ab, witnesses_ba, (count_ab, count_ba)), len(formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -676,47 +680,18 @@ def _relation(n_ab: int, n_ba: int) -> str:
     return "equal"
 
 
-def compare(
+def _verdict(
     a: LogicOracle,
     b: LogicOracle,
-    fragment: FragmentSpec = DEFAULT_FRAGMENT,
-    extra_witnesses: Iterable[Inference] = (),
-    engine: str = "auto",
-    max_witnesses: int = 5,
-    _context: _VectorContext | None = None,
-    _trees: tuple | None = None,
+    fragment: FragmentSpec,
+    engine: str,
+    witnesses_ab: list[Inference],
+    witnesses_ba: list[Inference],
+    counts: tuple[int, int],
+    n_formulas: int,
+    extra_witnesses: Iterable[Inference],
 ) -> ComparisonVerdict:
-    """Classify two oracles over every fragment inference plus extras.
-
-    The relation reads ``a <relation> b``; see :class:`ComparisonVerdict`.
-    ``extra_witnesses`` are checked against the real oracles and merged into
-    the classification, so a strict gap witnessed only outside the fragment
-    still shows up.  Every reported witness is re-validated with direct
-    oracle calls before the verdict is returned.
-    """
-    if a.signature != b.signature:
-        raise LatticeError("compared oracles must share a signature")
-    if engine == "auto":
-        table: list[FiniteMatrix] = []
-        known = (
-            _oracle_tree(a, table) is not None and _oracle_tree(b, table) is not None
-        )
-        engine = "vector" if known else "exhaustive"
-    if engine == "vector":
-        witnesses_ab, witnesses_ba, counts, _ = _run_vector_engine(
-            a, b, fragment, max_witnesses, _context, _trees
-        )
-    elif engine == "classes":
-        witnesses_ab, witnesses_ba, counts = _run_classes_engine(
-            a, b, fragment, max_witnesses
-        )
-    elif engine == "exhaustive":
-        witnesses_ab, witnesses_ba, counts = _run_exhaustive_engine(
-            a, b, fragment, max_witnesses
-        )
-    else:
-        raise LatticeError(f"unknown engine {engine!r}")
-
+    """Merge extras into an engine result, re-validate it, build the verdict."""
     count_ab, count_ba = counts
     for inference in extra_witnesses:
         in_a = a.entails(inference.premises, inference.conclusion)
@@ -732,9 +707,8 @@ def compare(
             count_ba += 1
 
     _revalidate(a, b, witnesses_ab, witnesses_ba)
-    n = len(enumerate_fragment(a.signature, fragment))
     raw_sets = sum(
-        math.comb(n, size) for size in range(0, fragment.max_premises + 1)
+        math.comb(n_formulas, size) for size in range(0, fragment.max_premises + 1)
     )
     return ComparisonVerdict(
         label_a=a.label,
@@ -746,8 +720,42 @@ def compare(
         engine=engine,
         disagreements=(count_ab, count_ba),
         checked_premise_sets=raw_sets,
-        checked_conclusions=n,
+        checked_conclusions=n_formulas,
     )
+
+
+def compare(
+    a: LogicOracle,
+    b: LogicOracle,
+    fragment: FragmentSpec = DEFAULT_FRAGMENT,
+    extra_witnesses: Iterable[Inference] = (),
+    engine: str = "auto",
+    max_witnesses: int = 5,
+) -> ComparisonVerdict:
+    """Classify two oracles over every fragment inference plus extras.
+
+    The relation reads ``a <relation> b``; see :class:`ComparisonVerdict`.
+    ``extra_witnesses`` are checked against the real oracles and merged into
+    the classification, so a strict gap witnessed only outside the fragment
+    still shows up.  Every reported witness is re-validated with direct
+    oracle calls before the verdict is returned.
+    """
+    if a.signature != b.signature:
+        raise LatticeError("compared oracles must share a signature")
+    if engine == "auto":
+        table: list[FiniteMatrix] = []
+        known = all(_oracle_tree(o, table) is not None for o in (a, b))
+        engine = "vector" if known else "exhaustive"
+    if engine == "vector":
+        return _vector_verdicts([(a, b)], fragment, max_witnesses, extra_witnesses)[0]
+    if engine == "classes":
+        run = _run_classes_engine
+    elif engine == "exhaustive":
+        run = _run_exhaustive_engine
+    else:
+        raise LatticeError(f"unknown engine {engine!r}")
+    result, n_formulas = run(a, b, fragment, max_witnesses)
+    return _verdict(a, b, fragment, engine, *result, n_formulas, extra_witnesses)
 
 
 def no_verdict_cycles(verdicts: Iterable[ComparisonVerdict]) -> bool:
@@ -905,8 +913,10 @@ def build_lattice(
     Requires ``partition_term`` to pass the partition axioms on every base
     algebra.  Detects whether the base has an explosive premise set; that
     choice fixes the node inventory: five towers without one, seven with,
-    plus computed meet nodes and rendered-but-uncomputed join nodes.  All
-    computed pairs are compared exhaustively on the fragment.
+    plus computed meet nodes and rendered-but-uncomputed join nodes.  Every
+    node is a matrix, left, right or meet tower, so all computed pairs go
+    through one vector-engine run on one context, and each tower is walked
+    once per conclusion class rather than once per pair.
     """
     matrices = (base,) if isinstance(base, FiniteMatrix) else tuple(base)
     if not matrices:
@@ -994,38 +1004,17 @@ def build_lattice(
         formal_edges.append((right_id, node_id))
 
     computed_ids = [n.node_id for n in nodes if n.computed]
-    table: list[FiniteMatrix] = []
-    trees = {
-        node_id: _oracle_tree(oracles[node_id], table) for node_id in computed_ids
-    }
-    context = (
-        _VectorContext(base_oracle.signature, fragment, table)
-        if all(t is not None for t in trees.values())
-        else None
+    pairs = [
+        (id_a, id_b)
+        for pos, id_a in enumerate(computed_ids)
+        for id_b in computed_ids[pos + 1:]
+    ]
+    verdicts = _vector_verdicts(
+        [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs],
+        fragment,
+        max_witnesses,
     )
-    verdicts: list[ComparisonVerdict] = []
-    pair_index: dict[tuple[str, str], int] = {}
-    for pos, id_a in enumerate(computed_ids):
-        for id_b in computed_ids[pos + 1:]:
-            if context is not None:
-                verdict = compare(
-                    oracles[id_a],
-                    oracles[id_b],
-                    fragment,
-                    max_witnesses=max_witnesses,
-                    engine="vector",
-                    _context=context,
-                    _trees=(trees[id_a], trees[id_b]),
-                )
-            else:
-                verdict = compare(
-                    oracles[id_a],
-                    oracles[id_b],
-                    fragment,
-                    max_witnesses=max_witnesses,
-                )
-            pair_index[(id_a, id_b)] = len(verdicts)
-            verdicts.append(verdict)
+    pair_index = {pair: index for index, pair in enumerate(pairs)}
     if not no_verdict_cycles(verdicts):
         raise LatticeError("pairwise verdicts form a cycle; engine inconsistency")
 
@@ -1360,6 +1349,11 @@ def reproduce_figure(
        two relations are provably equal.
     3: the full base again, with each tower cross-checked against its chain
        matrix counterpart on the whole fragment.
+
+    The extra equality claims of figures 2 and 3 (the four-step towers, and
+    in figure 3 the chain matrices) share one vector context built from the
+    union of their matrices.  They read only each verdict's relation, which
+    does not depend on how finely that context splits the formulas.
     """
     from .presets import b2_and_or_matrix, b2_matrix, pi_term, sigma_set
 
@@ -1455,38 +1449,34 @@ def reproduce_figure(
             ),
         ]
         base_oracle = MatrixOracle((base,), label="CL")
+        checks = []  # (claim label, detail prefix, oracle pair)
         for left_seq, right_seq, label in (
             ("rlrl", "lrl", "four-step towers coincide"),
             ("rlrll", "lrll", "four-step towers coincide after a left step"),
             ("rlrlr", "lrlr", "four-step towers coincide after a right step"),
             ("lrlr", "lrl", "extra right step is absorbed after four steps"),
         ):
-            verdict = compare(
+            towers = (
                 derive_sequence(base_oracle, left_seq),
                 derive_sequence(base_oracle, right_seq),
-                fragment,
             )
-            claims.append(
-                ClaimResult(
-                    label,
-                    verdict.relation == "equal",
-                    f"{left_seq} vs {right_seq}: {verdict.relation_display}",
-                )
-            )
+            checks.append((label, f"{left_seq} vs {right_seq}: ", towers))
         if figure == 3:
             for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl"):
+                name = seq or "base"
                 chain = canonical_chain_matrix(base, seq)
-                chain_oracle = MatrixOracle((chain,), label=f"chain[{seq or 'base'}]")
-                verdict = compare(
-                    derive_sequence(base_oracle, seq), chain_oracle, fragment
-                )
-                claims.append(
-                    ClaimResult(
-                        f"tower {seq or 'base'} matches its chain matrix",
-                        verdict.relation == "equal",
-                        verdict.relation_display,
-                    )
-                )
+                chain_oracle = MatrixOracle((chain,), label=f"chain[{name}]")
+                towers = (derive_sequence(base_oracle, seq), chain_oracle)
+                checks.append((f"tower {name} matches its chain matrix", "", towers))
+        verdicts = _vector_verdicts(
+            [towers for _, _, towers in checks], fragment, max_witnesses=5
+        )
+        claims.extend(
+            ClaimResult(
+                label, verdict.relation == "equal", prefix + verdict.relation_display
+            )
+            for (label, prefix, _), verdict in zip(checks, verdicts)
+        )
         return ReproductionReport(figure, tuple(claims), report, suite)
 
     raise LatticeError(f"no bundled report numbered {figure}")

@@ -37,6 +37,7 @@ from typing import Iterable, Mapping, Sequence
 from .formulas import (
     FragmentSpec,
     Formula,
+    FormulaError,
     Signature,
     enumerate_fragment,
     fresh_variable,
@@ -77,7 +78,9 @@ __all__ = [
 def check_sequence(sequence: str) -> str:
     """Validate a transform sequence: a string over the alphabet {l, r}."""
     if any(step not in "lr" for step in sequence):
-        raise ValueError(f"transform sequence may only contain 'l' and 'r': {sequence!r}")
+        raise FormulaError(
+            f"transform sequence may only contain 'l' and 'r': {sequence!r}"
+        )
     return sequence
 
 

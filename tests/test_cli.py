@@ -220,6 +220,28 @@ def test_bad_formula_exits_two(capsys):
     assert "unbalanced" in err
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("derive-info", "--base", B2, "--seq", "lx"), "'lx'"),
+        (("entails", "--base", B2, "--seq", "q", "--conclusion", "x"), "'q'"),
+        (
+            ("compare", "--base", B2, "--seq-a", "l", "--seq-b", "r",
+             "--fragment", "depth=abc"),
+            "'depth'",
+        ),
+    ],
+    ids=["derive-info-bad-seq", "entails-bad-seq", "compare-bad-depth"],
+)
+def test_bad_input_exits_two_with_one_error_line(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert needle in err
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

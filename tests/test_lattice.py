@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from vilogic.lattice import (
     no_verdict_cycles,
     reproduce_figure,
     witness_suite,
+    _oracle_tree,
+    _VectorContext,
 )
 from vilogic.matrices import MatrixOracle
 from vilogic.presets import (
@@ -192,6 +197,44 @@ def test_build_lattice_without_antitheorems_collapses_depth_two_towers():
     assert not matched
 
 
+@pytest.mark.parametrize(
+    "base, label",
+    [(b2_matrix(), "CL"), (b2_and_or_matrix(), "CL[and,or]")],
+    ids=["CL", "CL[and,or]"],
+)
+def test_build_lattice_verdicts_match_standalone_compare(base, label):
+    report = build_lattice(base, pi_term(), base_label=label)
+    oracle = MatrixOracle((base,), label=label)
+    towers = {}
+    for node in report.nodes:
+        if node.kind == "tower":
+            towers[node.node_id] = derive_sequence(oracle, node.sequence)
+        elif node.kind == "meet":
+            towers[node.node_id] = intersect(*(towers[p] for p in node.parts))
+    for (id_a, id_b), index in report.pair_index.items():
+        alone = compare(
+            towers[id_a], towers[id_b], DEFAULT_FRAGMENT,
+            engine="vector", max_witnesses=3,
+        )
+        assert report.verdicts[index].to_json() == alone.to_json(), (id_a, id_b)
+
+
+def test_target_answers_memo_is_freed_without_the_cyclic_collector():
+    table = []
+    tree = _oracle_tree(derive_sequence(CL, "rl"), table)
+    context = _VectorContext(CL.signature, TINY, table)
+    gc.disable()
+    try:
+        memo = {}
+        result = context.target_answers(tree, 0, memo)
+        assert memo[(tree, context.full_mask)] is result
+        ref = weakref.ref(result)
+        del memo, result
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_build_lattice_flags_trivial_base():
     from vilogic.matrices import FiniteAlgebra, FiniteMatrix, Signature
 
@@ -258,6 +301,14 @@ def test_reproduce_figure_two_fails_only_on_meet_strictness():
     assert not report.ok
     failing = [claim.label for claim in report.claims if not claim.passed]
     assert failing == ["three-step tower strictly below the meet of the depth-2 towers"]
+
+
+@pytest.mark.parametrize("figure", [1, 2, 3])
+def test_reproduce_figure_json_matches_pinned_reference(figure):
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+    expected = (ref / f"figure{figure}.json").read_text(encoding="utf-8")
+    payload = reproduce_figure(figure).to_json()
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == expected
 
 
 def test_reproduce_figure_rejects_unknown_figure():
