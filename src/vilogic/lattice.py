@@ -26,6 +26,14 @@ Three comparison engines produce identical verdicts and witnesses:
     the conclusion's variable mask, a right step adds the variable-coverage
     test and the fresh-variable (explosive premise set) branch, and matrix
     leaves reduce to bit tests against per-valuation designation sets.
+    Premise rows are every combination of at most ``max_premises`` classes,
+    built block by block with numpy.  Restricting the rows to a variable
+    mask keeps exactly the rows whose members all lie inside it, so each
+    row's projection is numbered by the colex rank of its kept members,
+    with no sort and no hashing.  Arrays are as narrow as the input allows:
+    class ids and variable masks in the smallest unsigned type that holds
+    them, row indices in ``int32`` while the row count fits, valuation bit
+    sets in one byte or whole ``uint64`` words.
     One run compares any number of pairs on one context: its outer loop
     runs over conclusion classes, and one memo per class, shared by every
     pair run on the context, holds each subtree's answers, so a tower that
@@ -300,6 +308,46 @@ def _designation_bools(
     return out
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Bit rows packed into one byte, or beyond one byte into whole uint64 words.
+
+    Bits past the end of a row are 0.
+    """
+    packed = np.packbits(bits, axis=1)
+    if packed.shape[1] == 1:
+        return packed
+    padded = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return padded.view(np.uint64)
+
+
+def _nonzero_rows(words: np.ndarray) -> np.ndarray:
+    """Per packed row: is any bit set?  A one-word row needs no reduction."""
+    return words[:, 0] != 0 if words.shape[1] == 1 else words.any(axis=1)
+
+
+def _next_block(rows: np.ndarray, n_classes: int, index_dtype) -> np.ndarray:
+    """Premise rows one member longer than ``rows``, in combinations order.
+
+    Each row is repeated once for every class above its last member, and
+    that class is appended.  Rows are stored column by column, so that a
+    slot is one contiguous array.
+    """
+    if rows.shape[1]:
+        first = rows[:, -1].astype(index_dtype) + 1
+    else:
+        first = np.zeros(len(rows), dtype=index_dtype)
+    counts = n_classes - first
+    grown = np.empty(
+        (int(counts.sum()), rows.shape[1] + 1), dtype=rows.dtype, order="F"
+    )
+    for j in range(rows.shape[1]):
+        grown[:, j] = np.repeat(rows[:, j], counts)
+    # Row t of group i gets class first[i] + (t - start of group i).
+    shift = first - (np.cumsum(counts, dtype=index_dtype) - counts)
+    grown[:, -1] = np.arange(len(grown), dtype=index_dtype) + np.repeat(shift, counts)
+    return grown
+
+
 class _VectorContext:
     """Shared numpy state for comparing towers over one matrix collection."""
 
@@ -323,7 +371,7 @@ class _VectorContext:
         self.des_bool = [
             _designation_bools(m, self.formulas, self.variables) for m in self.matrices
         ]
-        packed = [np.packbits(db, axis=1) for db in self.des_bool]
+        packed = [_pack_rows(db) for db in self.des_bool]
 
         keys: dict[tuple, int] = {}
         class_of = np.empty(n, dtype=np.int64)
@@ -336,31 +384,34 @@ class _VectorContext:
         for t in range(n - 1, -1, -1):
             reps[class_of[t]] = t
         self.rep_index = reps
-        self.rep_mask = self.fmask[reps]
-        self.rep_des_packed = [p[reps] for p in packed]
-        self.rep_not_packed = [
-            np.packbits(~db[reps], axis=1) for db in self.des_bool
-        ]
+        self.rep_mask = self.fmask[reps].astype(np.min_scalar_type(self.full_mask))
+        self.rep_not_packed = [_pack_rows(~db[reps]) for db in self.des_bool]
         self.all_designated = [
             frozenset(m.algebra.elements) == m.designated for m in self.matrices
         ]
+        # Per-slot tables: class ``n_classes`` marks an empty slot and reads
+        # as using no variable and as designated under every valuation.
+        self._slot_mask = np.append(self.rep_mask, self.rep_mask.dtype.type(0))
+        self._slot_des = [
+            np.vstack([p[reps], np.full((1, p.shape[1]), ~p.dtype.type(0))])
+            for p in packed
+        ]
 
-        blocks = []
-        offset = 0
-        for size in range(0, fragment.max_premises + 1):
-            if size > self.n_classes:
-                break
-            if size == 0:
-                combos = np.zeros((1, 0), dtype=np.int64)
-            else:
-                combos = np.array(
-                    list(itertools.combinations(range(self.n_classes), size)),
-                    dtype=np.int64,
-                )
-            blocks.append((offset, size, combos))
-            offset += len(combos)
+        self.max_size = min(fragment.max_premises, self.n_classes)
+        self.n_premise_rows = sum(
+            math.comb(self.n_classes, size) for size in range(self.max_size + 1)
+        )
+        self.index_dtype = (
+            np.int32 if self.n_premise_rows <= np.iinfo(np.int32).max else np.int64
+        )
+        self.class_dtype = np.min_scalar_type(self.n_classes)
+        rows = np.zeros((1, 0), dtype=self.class_dtype)
+        blocks = [(0, 0, rows)]
+        for size in range(1, self.max_size + 1):
+            offset = blocks[-1][0] + len(rows)
+            rows = _next_block(rows, self.n_classes, self.index_dtype)
+            blocks.append((offset, size, rows))
         self.blocks = blocks
-        self.n_premise_rows = offset
         self._projections: dict[int, tuple] = {}
         self._leaf_conjunctions: dict[tuple[int, int], np.ndarray] = {}
         self._fresh_cache: dict[tuple, np.ndarray] = {}
@@ -369,36 +420,58 @@ class _VectorContext:
     # -- projections --------------------------------------------------------
 
     def _projection(self, vmask: int):
-        """Dedup of premise rows restricted to formulas with vars inside vmask.
+        """Premise rows restricted to the classes whose variables lie in vmask.
 
-        Returns (slot id arrays for the distinct projected rows, inverse map
-        from full rows to distinct rows).
+        Returns ``(slots, inverse)``.  ``slots`` is a ``(max_size,
+        n_distinct)`` array: column ``i`` lists the members of distinct
+        projected row ``i`` in ascending order, padded with ``n_classes``.
+        ``inverse`` maps every premise row to its distinct projected row.
+
+        Let I be the classes inside vmask.  A row C projects to C ∩ I, a
+        subset of I with at most ``max_size`` members.  Every such subset is
+        itself a premise row, kept whole by the projection, so the distinct
+        projected rows are exactly the rows whose members all lie in I.
+        Number them by size, then by colex rank: writing the members of
+        C ∩ I as positions p_0 < p_1 < ... within I, the id is
+        ``offset[m] + sum_j comb(p_j, j + 1)`` for m = |C ∩ I|, where
+        ``offset[m]`` counts the subsets of I smaller than m.  The colex rank
+        is a bijection from the m-subsets of I onto ``range(comb(|I|, m))``,
+        so the ids are a bijection onto the distinct projected rows.  The
+        rank is built one slot at a time, without sorting: the j-th kept
+        member c adds comb(pos_I(c), j + 1), read from a ``(max_size,
+        n_classes)`` table that holds 0 for a class outside I.  A row is
+        kept whole when all ``size`` of its members were kept.
         """
         cached = self._projections.get(vmask)
         if cached is not None:
             return cached
-        base = self.n_classes + 1
-        parts = []
-        for _, size, combos in self.blocks:
-            if size == 0:
-                parts.append(np.zeros(1, dtype=np.int64))
-                continue
-            included = (self.rep_mask[combos] & ~vmask) == 0
-            encoded = np.where(included, combos + 1, 0)
-            encoded = -np.sort(-encoded, axis=1)
-            key = np.zeros(len(combos), dtype=np.int64)
-            for slot in range(size):
-                key = key * base + encoded[:, slot]
-            parts.append(key)
-        keys = np.concatenate(parts)
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        slots = []
-        remaining = distinct.copy()
-        for _ in range(self.fragment.max_premises):
-            slots.append(remaining % base)
-            remaining = remaining // base
-        slots.reverse()
-        result = (slots, inverse.astype(np.int64))
+        n = self.n_classes
+        inside = (self.rep_mask | vmask) == vmask
+        position = np.cumsum(inside) - 1
+        # The rank loop keeps ``cursor = n * kept``, so that one flat lookup
+        # ``weight[cursor + c]`` reads comb(pos_I(c), kept + 1).
+        cursor_dtype = np.min_scalar_type(n * self.max_size)
+        step = np.where(inside, n, 0).astype(cursor_dtype)
+        weight = np.zeros((self.max_size, n), dtype=self.index_dtype)
+        for j in range(self.max_size):
+            weight[j, inside] = [math.comb(int(p), j + 1) for p in position[inside]]
+        weight = weight.ravel()
+        sizes = [math.comb(int(inside.sum()), m) for m in range(self.max_size + 1)]
+        offset = np.repeat(np.cumsum([0] + sizes[:-1]), n).astype(self.index_dtype)
+        slots = np.full((self.max_size, sum(sizes)), n, dtype=self.class_dtype)
+        inverse = np.empty(self.n_premise_rows, dtype=self.index_dtype)
+        for start, size, rows in self.blocks:
+            cursor = np.zeros(len(rows), dtype=cursor_dtype)
+            rank = np.zeros(len(rows), dtype=self.index_dtype)
+            for j in range(size):
+                member = rows[:, j]
+                rank += weight.take(cursor + member)
+                cursor += step.take(member)
+            ids = offset.take(cursor) + rank
+            inverse[start:start + len(rows)] = ids
+            whole = cursor == n * size
+            slots[:size, ids[whole]] = rows[whole].T
+        result = (slots, inverse)
         self._projections[vmask] = result
         return result
 
@@ -408,31 +481,31 @@ class _VectorContext:
         if cached is not None:
             return cached
         slots, inverse = self._projection(vmask)
-        compact = np.zeros(len(slots[0]), dtype=np.int64)
+        compact = np.zeros(slots.shape[1], dtype=self.rep_mask.dtype)
         for slot in slots:
-            present = slot > 0
-            compact |= np.where(present, self.rep_mask[slot - 1], 0)
-        expanded = compact[inverse]
+            compact |= self._slot_mask[slot]
+        expanded = compact.take(inverse)
         self._premise_masks[vmask] = expanded
         return expanded
 
     def _leaf_conjunction(self, matrix_id: int, vmask: int) -> np.ndarray:
-        """Per distinct projected row: valuations designating every member."""
+        """Per distinct projected row: valuations designating every member.
+
+        Rows wider than a byte carry padding bits past the last valuation.
+        Padding stays sound: it is 0 in every class's row, in both
+        ``_slot_des`` and ``rep_not_packed``, so ``conj & rep_not`` never
+        sees it.  An all-ones ``conj`` keeps padding ones only in the empty
+        projected row, and that row is satisfiable anyway.
+        """
         key = (matrix_id, vmask)
         cached = self._leaf_conjunctions.get(key)
         if cached is not None:
             return cached
         slots, _ = self._projection(vmask)
-        words = self.rep_des_packed[matrix_id].shape[1]
-        out = np.full((len(slots[0]), words), 0xFF, dtype=np.uint8)
+        table = self._slot_des[matrix_id]
+        out = np.repeat(table[-1:], slots.shape[1], axis=0)
         for slot in slots:
-            present = slot > 0
-            rows = np.where(
-                present[:, None],
-                self.rep_des_packed[matrix_id][np.where(present, slot - 1, 0)],
-                np.uint8(0xFF),
-            )
-            out &= rows
+            out &= table[slot]
         self._leaf_conjunctions[key] = out
         return out
 
@@ -443,8 +516,8 @@ class _VectorContext:
         for matrix_id in matrix_ids:
             conj = self._leaf_conjunction(matrix_id, vmask)
             _, inverse = self._projection(vmask)
-            bad = (conj & self.rep_not_packed[matrix_id][target]).any(axis=1)
-            ok = (~bad)[inverse]
+            bad = _nonzero_rows(conj & self.rep_not_packed[matrix_id][target])
+            ok = (~bad).take(inverse)
             result = ok if result is None else (result & ok)
         return result
 
@@ -456,8 +529,8 @@ class _VectorContext:
             else:
                 conj = self._leaf_conjunction(matrix_id, vmask)
                 _, inverse = self._projection(vmask)
-                satisfiable = (conj != 0).any(axis=1)
-                ok = (~satisfiable)[inverse]
+                satisfiable = _nonzero_rows(conj)
+                ok = (~satisfiable).take(inverse)
             result = ok if result is None else (result & ok)
         return result
 
@@ -503,7 +576,7 @@ class _VectorContext:
         elif tag == "l":
             out = self._walk(node[1], vmask & tmask, target, tmask, memo)
         elif tag == "r":
-            covered = (tmask & ~self._premise_mask(vmask)) == 0
+            covered = (self._premise_mask(vmask) & tmask) == tmask
             out = (
                 covered & self._walk(node[1], vmask, target, tmask, memo)
             ) | self.fresh_answers(node[1], vmask)
@@ -534,26 +607,40 @@ class _VectorContext:
 # ---------------------------------------------------------------------------
 
 
+def _tower_trees(pairs: Sequence[tuple[LogicOracle, LogicOracle]]):
+    """The matrix table and the tree pair of every oracle pair.
+
+    None when some oracle is not built from matrix, left, right and meet
+    constructors.
+    """
+    table: list[FiniteMatrix] = []
+    trees = [(_oracle_tree(a, table), _oracle_tree(b, table)) for a, b in pairs]
+    if any(tree is None for pair in trees for tree in pair):
+        return None
+    return table, trees
+
+
 def _vector_verdicts(
     pairs: Sequence[tuple[LogicOracle, LogicOracle]],
+    towers,
     fragment: FragmentSpec,
     max_witnesses: int,
     extra_witnesses: Iterable[Inference] = (),
 ) -> list[ComparisonVerdict]:
     """Re-validated vector-engine verdicts for every pair, from one context.
 
-    The context covers the matrices of all pairs.  The outer loop runs over
-    conclusion classes, so a subtree is walked once per class however many
-    pairs contain it.  Per pair and class the first ``max_witnesses`` rows
-    are kept; they are then sorted and capped.
+    ``towers`` is ``_tower_trees(pairs)``.  The context covers the matrices
+    of all pairs.  The outer loop runs over conclusion classes, so a subtree
+    is walked once per class however many pairs contain it.  Per pair and
+    class the first ``max_witnesses`` rows are kept; they are then sorted
+    and capped.
     """
-    table: list[FiniteMatrix] = []
-    trees = [(_oracle_tree(a, table), _oracle_tree(b, table)) for a, b in pairs]
-    if any(tree is None for pair in trees for tree in pair):
+    if towers is None:
         raise LatticeError(
             "the vector engine needs oracles built from matrix, left, "
             "right, and meet constructors"
         )
+    table, trees = towers
     context = _VectorContext(pairs[0][0].signature, fragment, table)
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
@@ -742,12 +829,13 @@ def compare(
     """
     if a.signature != b.signature:
         raise LatticeError("compared oracles must share a signature")
-    if engine == "auto":
-        table: list[FiniteMatrix] = []
-        known = all(_oracle_tree(o, table) is not None for o in (a, b))
-        engine = "vector" if known else "exhaustive"
-    if engine == "vector":
-        return _vector_verdicts([(a, b)], fragment, max_witnesses, extra_witnesses)[0]
+    if engine in ("auto", "vector"):
+        towers = _tower_trees([(a, b)])
+        if engine == "vector" or towers is not None:
+            return _vector_verdicts(
+                [(a, b)], towers, fragment, max_witnesses, extra_witnesses
+            )[0]
+        engine = "exhaustive"
     if engine == "classes":
         run = _run_classes_engine
     elif engine == "exhaustive":
@@ -1009,10 +1097,9 @@ def build_lattice(
         for pos, id_a in enumerate(computed_ids)
         for id_b in computed_ids[pos + 1:]
     ]
+    oracle_pairs = [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs]
     verdicts = _vector_verdicts(
-        [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs],
-        fragment,
-        max_witnesses,
+        oracle_pairs, _tower_trees(oracle_pairs), fragment, max_witnesses
     )
     pair_index = {pair: index for index, pair in enumerate(pairs)}
     if not no_verdict_cycles(verdicts):
@@ -1468,8 +1555,9 @@ def reproduce_figure(
                 chain_oracle = MatrixOracle((chain,), label=f"chain[{name}]")
                 towers = (derive_sequence(base_oracle, seq), chain_oracle)
                 checks.append((f"tower {name} matches its chain matrix", "", towers))
+        oracle_pairs = [towers for _, _, towers in checks]
         verdicts = _vector_verdicts(
-            [towers for _, _, towers in checks], fragment, max_witnesses=5
+            oracle_pairs, _tower_trees(oracle_pairs), fragment, max_witnesses=5
         )
         claims.extend(
             ClaimResult(

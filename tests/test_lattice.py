@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vilogic.formulas import FragmentSpec, parse_formula
@@ -22,11 +24,13 @@ from vilogic.lattice import (
     _oracle_tree,
     _VectorContext,
 )
+import vilogic.lattice as lattice_module
 from vilogic.matrices import MatrixOracle
 from vilogic.presets import (
     FULL_SIGNATURE,
     b2_and_or_matrix,
     b2_matrix,
+    b3_matrix,
     pi_term,
     sigma_set,
 )
@@ -39,6 +43,7 @@ def P(text):
 
 TINY = FragmentSpec(variables=("x", "y"), max_depth=1, max_premises=2)
 CL = MatrixOracle((b2_matrix(),), label="CL")
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
 
 
 def test_inference_str_and_premise_dedup():
@@ -219,6 +224,80 @@ def test_build_lattice_verdicts_match_standalone_compare(base, label):
         assert report.verdicts[index].to_json() == alone.to_json(), (id_a, id_b)
 
 
+@pytest.mark.parametrize(
+    "matrices, fragment",
+    [
+        ((b2_matrix(),), DEFAULT_FRAGMENT),
+        ((b2_matrix(), b3_matrix()), DEFAULT_FRAGMENT),
+        # More premises than classes: rows stop at the class count.
+        ((b2_matrix(),), FragmentSpec(variables=("x",), max_depth=1, max_premises=4)),
+    ],
+    ids=["CL", "CL+B3", "CL-few-classes"],
+)
+def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
+    context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
+    n = context.n_classes
+    rows = []
+    for offset, size, block in context.blocks:
+        assert offset == len(rows)
+        expected = list(itertools.combinations(range(n), size))
+        assert block.dtype == np.min_scalar_type(n)
+        assert [tuple(row) for row in block.tolist()] == expected
+        rows.extend(expected)
+    assert len(rows) == context.n_premise_rows
+    assert rows[-1] == tuple(range(n - min(fragment.max_premises, n), n))
+
+    masks = context.rep_mask.tolist()
+    for vmask in range(context.full_mask + 1):
+        inside = {c for c in range(n) if masks[c] | vmask == vmask}
+        slots, inverse = context._projection(vmask)
+        assert inverse.dtype == np.int32
+        premise_mask = context._premise_mask(vmask).tolist()
+        id_of: dict[tuple, int] = {}
+        for row, row_id, row_mask in zip(rows, inverse.tolist(), premise_mask):
+            kept = tuple(c for c in row if c in inside)
+            # Rows share an id exactly when they keep the same members.
+            assert id_of.setdefault(kept, row_id) == row_id
+            bits = 0
+            for c in kept:
+                bits |= masks[c]
+            assert row_mask == bits
+        assert len(set(id_of.values())) == len(id_of) == slots.shape[1]
+        for kept, row_id in id_of.items():
+            decoded = tuple(c for c in slots[:, row_id].tolist() if c != n)
+            assert decoded == kept
+
+
+def test_compare_at_four_premises_matches_pinned_scale_reference():
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
+    expected = json.loads((REFS / "scale.json").read_text(encoding="utf-8"))[
+        "vars=x,y,z;depth=2;premises=4"
+    ]
+    towers = {seq: derive_sequence(CL, seq) for seq in ("lr", "rl", "rlr")}
+    towers["meet(lr,rl)"] = intersect(towers["lr"], towers["rl"])
+    for a, b in (("lr", "rl"), ("rlr", "meet(lr,rl)")):
+        verdict = compare(towers[a], towers[b], spec)
+        assert verdict.to_json() == expected[f"{a} vs {b}"], (a, b)
+
+
+def test_compare_auto_builds_each_oracle_tree_once(monkeypatch):
+    calls = []
+    original = lattice_module._oracle_tree
+
+    def counting(oracle, table):
+        calls.append(oracle)
+        return original(oracle, table)
+
+    monkeypatch.setattr(lattice_module, "_oracle_tree", counting)
+    left = derive_sequence(CL, "l")
+    meet = intersect(derive_sequence(CL, "lr"), derive_sequence(CL, "rl"))
+    verdict = compare(left, meet, TINY)
+    assert verdict.engine == "vector"
+    # One call per node: two for l (step, leaf), seven for the meet
+    # (itself, and a step, a step and a leaf on each side).
+    assert len(calls) == 2 + 7
+
+
 def test_target_answers_memo_is_freed_without_the_cyclic_collector():
     table = []
     tree = _oracle_tree(derive_sequence(CL, "rl"), table)
@@ -305,8 +384,7 @@ def test_reproduce_figure_two_fails_only_on_meet_strictness():
 
 @pytest.mark.parametrize("figure", [1, 2, 3])
 def test_reproduce_figure_json_matches_pinned_reference(figure):
-    ref = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
-    expected = (ref / f"figure{figure}.json").read_text(encoding="utf-8")
+    expected = (REFS / f"figure{figure}.json").read_text(encoding="utf-8")
     payload = reproduce_figure(figure).to_json()
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == expected
 
