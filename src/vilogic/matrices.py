@@ -1,4 +1,4 @@
-"""Finite algebras, logical matrices, and entailment by exhaustive valuation.
+"""Finite algebras, logical matrices, and entailment by designation masks.
 
 A :class:`FiniteAlgebra` interprets every connective of a signature by a
 total operation table over a finite element list.  A :class:`FiniteMatrix`
@@ -6,6 +6,18 @@ pairs an algebra with a designated subset.  Entailment from a class of
 matrices quantifies over every valuation of the variables that actually
 occur in the inference: the premises all land in the designated set only if
 the conclusion does.
+
+Entailment is decided on integer bitmasks, not one valuation at a time.
+Over the sorted variables of an inference, ``k`` of them, a matrix of ``n``
+elements has ``n ** k`` valuations, numbered in the order of
+``itertools.product(elements, repeat=k)``; bit ``i`` of a formula's
+designation mask is set when the formula is designated under valuation
+``i``.  The mask is built bottom-up from a bit-sliced value vector, one
+integer per element, holding the valuations that give the formula that
+element.  A premise set then holds exactly on the AND of its masks (the
+full mask when it is empty), and the inference fails on whatever of that
+lies outside the conclusion's mask; the lowest such bit is the first
+countermodel in valuation order.
 
 Matrices with an empty designated set designate nothing, so nothing is
 entailed by the empty premise set there; matrices designating every element
@@ -20,18 +32,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .formulas import (
-    FragmentSpec,
-    Formula,
-    NAME_RE,
-    Signature,
-    enumerate_fragment,
-    fresh_variable,
-    var,
-)
+from .formulas import FragmentSpec, Formula, Signature, enumerate_fragment
 
 __all__ = [
     "AntitheoremInfo",
@@ -115,6 +119,26 @@ class FiniteAlgebra:
     def operation(self, name: str, args: tuple[str, ...]) -> str:
         return self.tables[name][args]
 
+    @cached_property
+    def _flat_tables(self) -> dict[str, tuple[int, tuple[int, ...]]]:
+        """Per connective, its arity and its outputs as element positions.
+
+        The outputs run over argument tuples in ``itertools.product`` order,
+        so the arguments at positions ``p_1 .. p_a`` select the entry
+        ``sum(p_i * n ** (a - i))``.
+        """
+        index = self.element_index
+        return {
+            name: (
+                arity,
+                tuple(
+                    index[self.tables[name][args]]
+                    for args in itertools.product(self.elements, repeat=arity)
+                ),
+            )
+            for name, arity in self.signature.connectives
+        }
+
 
 @dataclass(frozen=True)
 class FiniteMatrix:
@@ -171,6 +195,128 @@ def _check_class(matrices: Sequence[FiniteMatrix]) -> tuple[FiniteMatrix, ...]:
     return mats
 
 
+@lru_cache(maxsize=64)
+def _variable_slices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Bit-sliced value vectors of ``k`` variables over ``n`` elements.
+
+    Entry ``[j][e]`` has bit ``i`` set when the ``i``-th valuation of
+    ``itertools.product(range(n), repeat=k)`` gives variable ``j`` the
+    ``e``-th element.  Variable ``j`` holds each element for a block of
+    ``n ** (k - 1 - j)`` consecutive valuations, and the ``n`` blocks repeat
+    ``n ** j`` times, so each slice is one block shifted into place and
+    copied by multiplying with a repunit.
+    """
+    out = []
+    for j in range(k):
+        block = n ** (k - 1 - j)
+        period = block * n
+        repunit = ((1 << period * n ** j) - 1) // ((1 << period) - 1)
+        out.append(tuple((((1 << block) - 1) << block * e) * repunit for e in range(n)))
+    return tuple(out)
+
+
+def _value_slices(
+    algebra: FiniteAlgebra,
+    formula: Formula,
+    variables: Mapping[str, Sequence[int]],
+    full: int,
+) -> Sequence[int]:
+    """The bit-sliced value vector of ``formula``, built bottom-up.
+
+    Entry ``e`` has bit ``i`` set when ``formula`` takes the ``e``-th element
+    under the ``i``-th valuation; ``variables`` maps each variable to its
+    slices and ``full`` has one bit per valuation.  A connective reads its
+    flat table at the element positions of its arguments.
+    """
+    if formula.args is None:
+        return variables[formula.head]
+    entry = algebra._flat_tables.get(formula.head)
+    if entry is None or entry[0] != len(formula.args):
+        raise MatrixError(f"formula head {formula.head!r} does not fit the algebra signature")
+    arity, table = entry
+    args = [_value_slices(algebra, a, variables, full) for a in formula.args]
+    n = len(algebra.elements)
+    out = [0] * n
+    if arity == 1:
+        for e, bits in enumerate(args[0]):
+            out[table[e]] |= bits
+    elif arity == 2:
+        right = args[1]
+        for e, left in enumerate(args[0]):
+            if left:
+                row = e * n
+                for f, bits in enumerate(right):
+                    out[table[row + f]] |= left & bits
+    else:
+        # Any other arity, a constant included: its one empty argument
+        # tuple holds under every valuation.
+        for position, parts in enumerate(itertools.product(*args)):
+            bits = full
+            for part in parts:
+                bits &= part
+            out[table[position]] |= bits
+    return out
+
+
+def _designation_masks(
+    matrices: Sequence[FiniteMatrix], formula: Formula, variables: tuple[str, ...]
+) -> tuple[int, ...]:
+    """Per matrix, the valuations of ``variables`` that designate ``formula``.
+
+    Bit ``i`` stands for the ``i``-th valuation of :func:`all_valuations`.
+    """
+    k = len(variables)
+    out = []
+    for matrix in matrices:
+        algebra = matrix.algebra
+        n = len(algebra.elements)
+        slices = dict(zip(variables, _variable_slices(n, k)))
+        values = _value_slices(algebra, formula, slices, (1 << n**k) - 1)
+        mask = 0
+        for element, bits in zip(algebra.elements, values):
+            if element in matrix.designated:
+                mask |= bits
+        out.append(mask)
+    return tuple(out)
+
+
+def _query_variables(premises: Iterable[Formula], conclusion: Formula) -> tuple[str, ...]:
+    """The sorted variables of an inference: the valuation space it is checked over."""
+    return tuple(sorted(conclusion.variables.union(*(p.variables for p in premises))))
+
+
+def _first_failure(
+    matrices: Sequence[FiniteMatrix],
+    premises: Sequence[tuple[int, ...]],
+    conclusion: tuple[int, ...],
+    k: int,
+) -> tuple[int, int] | None:
+    """First matrix with valuations designating every premise but not the conclusion.
+
+    ``premises`` and ``conclusion`` hold designation masks per matrix over
+    ``k`` variables.  Returns the matrix index and the mask of every such
+    valuation, or None when the inference holds in every matrix.
+    """
+    for index, matrix in enumerate(matrices):
+        held = (1 << len(matrix.algebra.elements) ** k) - 1
+        for masks in premises:
+            held &= masks[index]
+        failing = held & ~conclusion[index]
+        if failing:
+            return index, failing
+    return None
+
+
+def _valuation_at(algebra: FiniteAlgebra, variables: Sequence[str], index: int) -> dict[str, str]:
+    """The ``index``-th valuation of :func:`all_valuations`; the last variable varies fastest."""
+    n = len(algebra.elements)
+    values = []
+    for _ in variables:
+        index, digit = divmod(index, n)
+        values.append(algebra.elements[digit])
+    return dict(zip(variables, reversed(values)))
+
+
 def entails(
     matrices: Sequence[FiniteMatrix],
     premises: Iterable[Formula],
@@ -185,17 +331,25 @@ def find_countermodel(
     premises: Iterable[Formula],
     conclusion: Formula,
 ) -> tuple[int, dict[str, str]] | None:
-    """First (matrix index, valuation) designating the premises but not the conclusion."""
+    """First (matrix index, valuation) designating the premises but not the conclusion.
+
+    Matrices are tried in order and valuations in :func:`all_valuations`
+    order, over the sorted variables of the inference.
+    """
     mats = _check_class(matrices)
     prems = tuple(premises)
-    variables = sorted(frozenset().union(conclusion.variables, *(p.variables for p in prems)))
-    for index, matrix in enumerate(mats):
-        designated = matrix.designated
-        for valuation in all_valuations(matrix.algebra, variables):
-            if all(evaluate(matrix.algebra, p, valuation) in designated for p in prems):
-                if evaluate(matrix.algebra, conclusion, valuation) not in designated:
-                    return index, valuation
-    return None
+    variables = _query_variables(prems, conclusion)
+    failure = _first_failure(
+        mats,
+        [_designation_masks(mats, p, variables) for p in prems],
+        _designation_masks(mats, conclusion, variables),
+        len(variables),
+    )
+    if failure is None:
+        return None
+    index, failing = failure
+    first = (failing & -failing).bit_length() - 1
+    return index, _valuation_at(mats[index].algebra, variables, first)
 
 
 NONE_PROVEN = "none-proven"
@@ -267,16 +421,38 @@ class LogicOracle:
 
 
 class MatrixOracle(LogicOracle):
-    """The consequence relation induced by a finite class of matrices."""
+    """The consequence relation induced by a finite class of matrices.
+
+    A query over the sorted variables ``v_1 .. v_k`` of its formulas is
+    answered with designation masks: in a matrix of ``n`` elements, bit ``i``
+    of a formula's mask is set when the formula is designated under the
+    ``i``-th valuation of ``itertools.product(elements, repeat=k)`` (``v_k``
+    varies fastest).  The inference holds when, in every matrix, the AND of
+    the premise masks, started from the full mask of ``n ** k`` bits, has no
+    bit outside the conclusion's mask.  The oracle caches one mask per
+    matrix for each (formula, variable tuple) it has seen, and nothing else,
+    so a formula is evaluated once per valuation space however many queries
+    it appears in.
+    """
 
     def __init__(self, matrices: Sequence[FiniteMatrix], label: str = "base"):
         mats = _check_class(matrices)
         super().__init__(label, mats[0].signature)
         self.matrices = mats
+        self._masks: dict[tuple[Formula, tuple[str, ...]], tuple[int, ...]] = {}
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
-        ordered = sorted(premises, key=str)
-        return entails(self.matrices, ordered, conclusion)
+        variables = _query_variables(premises, conclusion)
+        masks = [self._formula_masks(p, variables) for p in premises]
+        conclusion_masks = self._formula_masks(conclusion, variables)
+        return _first_failure(self.matrices, masks, conclusion_masks, len(variables)) is None
+
+    def _formula_masks(self, formula: Formula, variables: tuple[str, ...]) -> tuple[int, ...]:
+        key = (formula, variables)
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = self._masks[key] = _designation_masks(self.matrices, formula, variables)
+        return masks
 
     def base_matrices(self) -> tuple[FiniteMatrix, ...]:
         return self.matrices
@@ -288,13 +464,16 @@ class MatrixOracle(LogicOracle):
         If some constraining matrix has a designated element closed under
         all operations, every premise set is satisfiable there and no
         antitheorem can exist.  Otherwise search single-variable candidate
-        sets up to depth 2; supersets of antitheorems are antitheorems, so
-        testing the full candidate set decides the bounded question.
+        sets up to depth 2 with :func:`vilogic.transforms.find_antitheorem`;
+        supersets of antitheorems are antitheorems, so testing the full
+        candidate set decides the bounded question.
         """
+        from .transforms import find_antitheorem
+
         for matrix in self.matrices:
             if matrix.constrains and self._trap_element(matrix):
                 return AntitheoremInfo(NONE_PROVEN)
-        found = self._search_antitheorem(depth=2)
+        found = find_antitheorem(self, depth=2)
         if found is not None:
             return AntitheoremInfo(WITNESS, found)
         return AntitheoremInfo(UNKNOWN)
@@ -308,19 +487,6 @@ class MatrixOracle(LogicOracle):
             ):
                 return e
         return None
-
-    def _search_antitheorem(self, depth: int, variable: str = "x") -> frozenset[Formula] | None:
-        spec = FragmentSpec(variables=(variable,), max_depth=depth, max_premises=0)
-        pool = enumerate_fragment(self.signature, spec)
-        fresh = var(fresh_variable({variable}))
-        if not self.entails(pool, fresh):
-            return None
-        witness = list(pool)
-        for candidate in list(witness):  # greedy left-to-right minimization
-            trimmed = [f for f in witness if f != candidate]
-            if trimmed and self.entails(trimmed, fresh):
-                witness = trimmed
-        return frozenset(witness)
 
 
 def is_theorem(oracle: LogicOracle, formula: Formula) -> bool:

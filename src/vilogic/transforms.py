@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .formulas import (
@@ -87,8 +88,20 @@ def check_sequence(sequence: str) -> str:
 def is_antitheorem(oracle: LogicOracle, premises: Iterable[Formula]) -> bool:
     """Fresh-variable criterion: the set entails a variable it does not contain."""
     prems = frozenset(premises)
-    fresh = fresh_variable(vars_of_set(prems))
-    return oracle.entails(prems, var(fresh))
+    return _entails_fresh(oracle, prems, vars_of_set(prems))
+
+
+def _entails_fresh(
+    oracle: LogicOracle, premises: frozenset[Formula], variables: frozenset[str]
+) -> bool:
+    """:func:`is_antitheorem` for premises whose variables are already known."""
+    return oracle.entails(premises, _variable(fresh_variable(variables)))
+
+
+@lru_cache(maxsize=None)
+def _variable(name: str) -> Formula:
+    # Fresh names are primed copies of one base name, so this stays small.
+    return var(name)
 
 
 def definitional_antitheorem_check(
@@ -191,9 +204,10 @@ class RightVIOracle(LogicOracle):
         self.base = base
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
-        if conclusion.variables <= vars_of_set(premises) and self.base.entails(premises, conclusion):
+        variables = vars_of_set(premises)
+        if conclusion.variables <= variables and self.base.entails(premises, conclusion):
             return True
-        return is_antitheorem(self.base, premises)
+        return _entails_fresh(self.base, premises, variables)
 
     def base_matrices(self) -> tuple[FiniteMatrix, ...]:
         return self.base.base_matrices()
@@ -287,21 +301,15 @@ def derive(spec: DerivedLogicSpec) -> LogicOracle:
     return derive_sequence(MatrixOracle(spec.base, label=spec.label), spec.sequence)
 
 
-def canonicalize_sequence(
-    sequence: str,
-    base_has_antitheorems: bool,
-    base_has_theorems: bool = False,
-) -> str:
+def canonicalize_sequence(sequence: str, base_has_antitheorems: bool) -> str:
     """Shortest sequence provably inducing the same derived logic.
 
     Rewrites to a fixpoint: doubled steps collapse always; with antitheorems
     the four-step alternations fold down to ``lrl``; without antitheorems
-    any sequence containing ``rl`` collapses to ``rl`` outright.  The
-    ``base_has_theorems`` flag does not change the result (theorems affect
-    which inclusions are strict, not which sequences coincide); it is
-    accepted so callers can hand over everything they know about the base.
+    any sequence containing ``rl`` collapses to ``rl`` outright.  Whether
+    the base has theorems does not matter here: theorems affect which
+    inclusions are strict, not which sequences coincide.
     """
-    del base_has_theorems
     check_sequence(sequence)
     current = sequence
     while True:

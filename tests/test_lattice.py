@@ -100,6 +100,32 @@ def test_engines_agree_on_relation_and_first_witness():
     )
 
 
+CL_B3 = MatrixOracle((b2_matrix(), b3_matrix()), label="CL+B3")
+
+
+@pytest.mark.parametrize(
+    "a, b, relation",
+    [
+        (
+            derive_sequence(CL, "rlr"),
+            intersect(derive_sequence(CL, "lr"), derive_sequence(CL, "rl")),
+            "equal",
+        ),
+        (derive_sequence(CL_B3, "l"), derive_sequence(CL_B3, "r"), "strictly-below"),
+    ],
+    ids=["CL-rlr-vs-meet(lr,rl)", "CL+B3-l-vs-r"],
+)
+def test_exhaustive_and_vector_engines_agree_beyond_tiny(a, b, relation):
+    # Counts differ by design: the exhaustive engine counts raw inferences,
+    # the vector engine class representatives.
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=1, max_premises=3)
+    exhaustive = compare(a, b, spec, engine="exhaustive")
+    vector = compare(a, b, spec, engine="vector")
+    assert exhaustive.relation == vector.relation == relation
+    assert exhaustive.witnesses_ab[:1] == vector.witnesses_ab[:1]
+    assert exhaustive.witnesses_ba[:1] == vector.witnesses_ba[:1]
+
+
 def test_exhaustive_engine_handles_opaque_oracles():
     meet = intersect(derive_sequence(CL, "l"), derive_sequence(CL, "r"))
 

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vilogic.formulas import FragmentSpec, app, parse_formula, var
+from vilogic.formulas import (
+    FragmentSpec,
+    Signature,
+    app,
+    fresh_variable,
+    parse_formula,
+    var,
+    vars_of_set,
+)
 from vilogic.matrices import (
     NONE_PROVEN,
     WITNESS,
@@ -214,3 +223,124 @@ def test_multi_matrix_oracle_intersects_consequences():
     assert oracle.entails((P("x"),), P("or(x, y)"))
     assert not oracle.entails((P("x"), P("not(x)")), P("y"))
     assert not oracle.entails((P("and(x, y)"),), P("x"))
+
+
+# ---------------------------------------------------------------------------
+# Designation masks against the per-valuation reference
+# ---------------------------------------------------------------------------
+
+
+def _constant_matrix():
+    """The weak Kleene tables plus a 0-ary connective ``t`` naming 1."""
+    algebra = wk_algebra()
+    signature = Signature(FULL_SIGNATURE.connectives + (("t", 0),))
+    tables = dict(algebra.tables, t={(): "1"})
+    return FiniteMatrix(FiniteAlgebra(signature, algebra.elements, tables), frozenset({"1"}))
+
+
+_WK = wk_algebra()
+DIFFERENTIAL_CLASSES = {
+    "B3": (b3_matrix(),),
+    "PWK": (pwk_matrix(),),
+    "CL": (b2_matrix(),),
+    "CL+B3": (b2_matrix(), b3_matrix()),
+    "constant": (_constant_matrix(),),
+    "empty": (FiniteMatrix(_WK, frozenset()),),
+    "full": (FiniteMatrix(_WK, frozenset(_WK.elements)),),
+}
+
+
+def reference_countermodel(matrices, premises, conclusion):
+    """First countermodel found by evaluating every valuation in turn."""
+    variables = sorted(vars_of_set((*premises, conclusion)))
+    for index, matrix in enumerate(matrices):
+        for valuation in all_valuations(matrix.algebra, variables):
+            if all(evaluate(matrix.algebra, p, valuation) in matrix.designated for p in premises):
+                if evaluate(matrix.algebra, conclusion, valuation) not in matrix.designated:
+                    return index, valuation
+    return None
+
+
+_CONSTANT_SIGNATURE = DIFFERENTIAL_CLASSES["constant"][0].signature
+_SHARED_ORACLES = {name: MatrixOracle(m) for name, m in DIFFERENTIAL_CLASSES.items()}
+
+
+def _mentions(formula, head):
+    return formula.head == head and formula.args is not None or any(
+        _mentions(a, head) for a in formula.args or ()
+    )
+
+
+@st.composite
+def inferences(draw):
+    """0-3 premises and a conclusion over x, y, z in and/or/not; in half of
+    the draws the constant t is a leaf too, and the conclusion may be a
+    variable fresh to the premises, as in is_antitheorem."""
+    leaves = [var("x"), var("y"), var("z")]
+    if draw(st.booleans()):
+        leaves.append(app("t"))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda a, b: app("and", a, b), children, children),
+            st.builds(lambda a, b: app("or", a, b), children, children),
+            st.builds(lambda a: app("not", a), children),
+        )
+
+    formulas = st.recursive(st.sampled_from(leaves), extend, max_leaves=5)
+    premises = tuple(draw(st.lists(formulas, max_size=3)))
+    conclusion = draw(st.one_of(formulas, st.none()))
+    if conclusion is None:
+        conclusion = var(fresh_variable(vars_of_set(premises)))
+    return premises, conclusion
+
+
+@settings(max_examples=100, deadline=None)
+@given(inferences())
+def test_masks_match_the_per_valuation_reference(inference):
+    premises, conclusion = inference
+    uses_t = any(_mentions(f, "t") for f in (*premises, conclusion))
+    for name, matrices in DIFFERENTIAL_CLASSES.items():
+        if uses_t and matrices[0].signature != _CONSTANT_SIGNATURE:
+            with pytest.raises(MatrixError):
+                find_countermodel(matrices, premises, conclusion)
+            continue
+        expected = reference_countermodel(matrices, premises, conclusion)
+        assert find_countermodel(matrices, premises, conclusion) == expected, name
+        assert entails(matrices, premises, conclusion) == (expected is None), name
+        assert MatrixOracle(matrices).entails(premises, conclusion) == (expected is None), name
+        # Again through an oracle whose mask cache is already warm.
+        assert _SHARED_ORACLES[name].entails(premises, conclusion) == (expected is None), name
+
+
+def test_masks_decide_inferences_without_variables():
+    matrices = DIFFERENTIAL_CLASSES["constant"]
+    t = app("t")
+    assert find_countermodel(matrices, (), t) is None
+    assert find_countermodel(matrices, (), app("not", t)) == (0, {})
+    assert find_countermodel(matrices, (app("not", t),), app("not", t)) is None
+    assert find_countermodel(matrices, (t,), var("x")) == (0, {"x": "0"})
+    oracle = MatrixOracle(matrices)
+    assert oracle.entails((), t)
+    assert not oracle.entails((), app("not", t))
+
+
+def test_masks_on_degenerate_designated_sets():
+    empty = DIFFERENTIAL_CLASSES["empty"]
+    full = DIFFERENTIAL_CLASSES["full"]
+    assert find_countermodel(empty, (), P("or(x, not(x))")) == (0, {"x": "0"})
+    assert find_countermodel(empty, (P("x"),), P("y")) is None
+    assert find_countermodel(full, (), P("and(x, not(x))")) is None
+    # The first failing matrix is reported, in class order.
+    assert find_countermodel(empty + full, (), P("x")) == (0, {"x": "0"})
+    assert find_countermodel(full + empty, (), P("x")) == (1, {"x": "0"})
+
+
+def test_masks_reject_formulas_outside_the_signature():
+    and_or = (b2_and_or_matrix(),)
+    with pytest.raises(MatrixError):
+        find_countermodel(and_or, (), P("not(x)"))
+    with pytest.raises(MatrixError):
+        MatrixOracle(and_or).entails((P("x"),), P("or(x, not(y))"))
+    with pytest.raises(MatrixError):
+        entails((b2_matrix(),), (app("and", var("x")),), var("x"))
