@@ -109,7 +109,7 @@ class FiniteAlgebra:
             for args, out in table.items():
                 if len(args) != arity:
                     raise MatrixError(f"table for {name!r} has an entry of wrong arity: {args}")
-                if any(a not in universe for a in args) or out not in universe:
+                if not universe.issuperset(args) or out not in universe:
                     raise MatrixError(f"table for {name!r} mentions unknown elements: {args} -> {out}")
 
     @cached_property
@@ -127,17 +127,24 @@ class FiniteAlgebra:
         so the arguments at positions ``p_1 .. p_a`` select the entry
         ``sum(p_i * n ** (a - i))``.
         """
-        index = self.element_index
-        return {
-            name: (
-                arity,
-                tuple(
-                    index[self.tables[name][args]]
-                    for args in itertools.product(self.elements, repeat=arity)
-                ),
-            )
-            for name, arity in self.signature.connectives
-        }
+        return _build_flat_tables(self, self.element_index)
+
+
+def _build_flat_tables(
+    algebra: FiniteAlgebra, index: Mapping[str, int]
+) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """:attr:`FiniteAlgebra._flat_tables` for the element positions ``index``,
+    built without caching it on the algebra."""
+    return {
+        name: (
+            arity,
+            tuple(
+                index[algebra.tables[name][args]]
+                for args in itertools.product(algebra.elements, repeat=arity)
+            ),
+        )
+        for name, arity in algebra.signature.connectives
+    }
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,15 @@ canonical renaming, which :func:`decompose` verifies before returning.
 Signatures with 0-ary connectives are rejected by the sum and the
 decomposition: a constant would need a home component below all others,
 which the plain construction does not provide.
+
+Every law check and table build works on element-index tables: numpy
+arrays of element positions read from ``FiniteAlgebra._flat_tables``, a
+k-ary table having shape ``(n,) * k``.  A check over the argument tuples
+of ``itertools.product`` is split into one C-ordered block per leading
+argument, so the first True of the first failing block (``argmax``) is the
+counterexample the product loop would meet first, and a block holds
+``O(n ** (arity - 1))`` entries for a check over ``arity`` arguments: the
+cubic partition laws never build an ``n ** 3`` array.
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .formulas import Formula, Signature, var
 from .matrices import (
@@ -37,9 +48,9 @@ from .matrices import (
     LogicOracle,
     MatrixError,
     MatrixFormatError,
+    _build_flat_tables,
     evaluate,
     format_matrix,
-    homomorphism_counterexample,
     load_matrix_file,
 )
 from .transforms import check_sequence
@@ -80,6 +91,79 @@ class InvalidSystemError(MatrixError):
         self.report = report
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Position of the first True of ``mask`` in C order, or None."""
+    flat = mask.reshape(-1)
+    if not flat.any():
+        return None
+    return tuple(int(p) for p in np.unravel_index(int(flat.argmax()), mask.shape))
+
+
+def _first_in_blocks(
+    n: int, block: Callable[[int], np.ndarray]
+) -> tuple[int, ...] | None:
+    """First failing index tuple of a check over ``itertools.product`` order.
+
+    ``block(a)`` is the C-ordered failure mask of the tuples whose leading
+    argument is ``a``; blocks are built one at a time.
+    """
+    for a in range(n):
+        hit = _first(block(a))
+        if hit is not None:
+            return (a, *hit)
+    return None
+
+
+def _index_tables(algebra: FiniteAlgebra) -> dict[str, np.ndarray]:
+    """Each connective's table as an ``(n,) * arity`` array of element positions."""
+    n = len(algebra.elements)
+    return {
+        name: np.array(flat, dtype=np.intp).reshape((n,) * arity)
+        for name, (arity, flat) in algebra._flat_tables.items()
+    }
+
+
+def _evaluate_indices(
+    algebra: FiniteAlgebra,
+    tables: Mapping[str, np.ndarray],
+    formula: Formula,
+    valuation: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """:func:`evaluate` on arrays of element positions, broadcast together.
+
+    Heads are checked in the same pre-order as :func:`evaluate`, so a
+    formula outside the signature raises the same error.
+    """
+    if formula.is_variable:
+        return valuation[formula.head]
+    arity = algebra.signature.arity(formula.head)
+    if arity is None or arity != len(formula.args):
+        raise MatrixError(f"formula head {formula.head!r} does not fit the algebra signature")
+    args = tuple(_evaluate_indices(algebra, tables, a, valuation) for a in formula.args)
+    return tables[formula.head][args]
+
+
+def _join_index(lattice: "FiniteSemilattice") -> np.ndarray:
+    """The join table as index positions: ``[p, q]`` is the join's position."""
+    position = {i: p for p, i in enumerate(lattice.indices)}
+    return np.array(
+        [[position[lattice.join_table[(i, j)]] for j in lattice.indices] for i in lattice.indices],
+        dtype=np.intp,
+    )
+
+
+def _component_tables(algebra: FiniteAlgebra) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """Element positions and flat index tables of a system's component.
+
+    Built per call rather than read from the algebra's cached
+    ``element_index`` and ``_flat_tables``: components live as long as
+    their system, and a cache on each one would grow every system kept.
+    """
+    position = {e: p for p, e in enumerate(algebra.elements)}
+    tables = _build_flat_tables(algebra, position)
+    return position, {name: np.array(flat, dtype=np.intp) for name, (_, flat) in tables.items()}
+
+
 @dataclass(frozen=True)
 class FiniteSemilattice:
     """A finite join semilattice given by its total join table."""
@@ -99,17 +183,19 @@ class FiniteSemilattice:
         for i, j in itertools.product(self.indices, repeat=2):
             if (i, j) not in self.join_table:
                 raise SemilatticeError(f"missing join entry for ({i}, {j})")
-        for i in self.indices:
-            if self.join_table[(i, i)] != i:
-                raise SemilatticeError(f"join not idempotent at {i}")
-        for i, j in itertools.product(self.indices, repeat=2):
-            if self.join_table[(i, j)] != self.join_table[(j, i)]:
-                raise SemilatticeError(f"join not commutative at ({i}, {j})")
-        for i, j, k in itertools.product(self.indices, repeat=3):
-            left = self.join_table[(self.join_table[(i, j)], k)]
-            right = self.join_table[(i, self.join_table[(j, k)])]
-            if left != right:
-                raise SemilatticeError(f"join not associative at ({i}, {j}, {k})")
+        join = _join_index(self)
+        positions = np.arange(len(self.indices))
+        hit = _first(join[positions, positions] != positions)
+        if hit is not None:
+            raise SemilatticeError(f"join not idempotent at {self.indices[hit[0]]}")
+        hit = _first(join != join.T)
+        if hit is not None:
+            i, j = (self.indices[p] for p in hit)
+            raise SemilatticeError(f"join not commutative at ({i}, {j})")
+        hit = _first_in_blocks(len(self.indices), lambda i: join[join[i]] != join[i][join])
+        if hit is not None:
+            i, j, k = (self.indices[p] for p in hit)
+            raise SemilatticeError(f"join not associative at ({i}, {j}, {k})")
 
     def join(self, i: str, j: str) -> str:
         return self.join_table[(i, j)]
@@ -179,7 +265,12 @@ class SystemReport:
 
 
 def validate_system(system: DirectSystem) -> SystemReport:
-    """Check every structural requirement; report all violations found."""
+    """Check every structural requirement; report all violations found.
+
+    The hom laws and the composition of homs are checked on index arrays;
+    designation is compared only along homs that are total maps into their
+    target component.
+    """
     report = SystemReport()
     lattice = system.semilattice
     indices = lattice.indices
@@ -201,16 +292,19 @@ def validate_system(system: DirectSystem) -> SystemReport:
             else:
                 seen[e] = i
 
-    ordered_pairs = [(i, j) for i in indices for j in indices if i != j and lattice.leq(i, j)]
+    known = set(indices)
+    strictly_below = _strictly_below(lattice)
+    ordered_pairs = [(indices[p], indices[q]) for p, q in zip(*np.nonzero(strictly_below))]
+    ordered_set = set(ordered_pairs)
     for key in system.homs:
         i, j = key
-        if i not in set(indices) or j not in set(indices):
+        if i not in known or j not in known:
             report.add("order", f"hom given for unknown index pair ({i}, {j})")
         elif i == j:
             ident = {e: e for e in system.components[i].algebra.elements}
             if dict(system.homs[key]) != ident:
                 report.add("identity", f"explicit hom at ({i}, {i}) is not the identity")
-        elif key not in ordered_pairs:
+        elif key not in ordered_set:
             report.add("order", f"hom given for unrelated pair ({i}, {j})")
     for i, j in ordered_pairs:
         if (i, j) not in system.homs:
@@ -219,38 +313,29 @@ def validate_system(system: DirectSystem) -> SystemReport:
     if not report.ok:
         return report
 
+    partial: dict[tuple[str, str], tuple[str, str]] = {}
     for i, j in ordered_pairs:
         mapping = system.homs[(i, j)]
-        source = system.components[i].algebra
-        target = system.components[j].algebra
-        if set(mapping) != set(source.elements):
-            report.add("hom-domain", f"hom {i}->{j} is not total on component {i}")
-            continue
-        if any(v not in set(target.elements) for v in mapping.values()):
-            report.add("hom-codomain", f"hom {i}->{j} leaves component {j}")
-            continue
-        failure = homomorphism_counterexample(source, target, mapping)
-        if failure is not None:
-            name, args = failure
+        if set(mapping) != set(system.components[i].algebra.elements):
+            partial[(i, j)] = ("hom-domain", f"hom {i}->{j} is not total on component {i}")
+        elif not set(mapping.values()) <= set(system.components[j].algebra.elements):
+            partial[(i, j)] = ("hom-codomain", f"hom {i}->{j} leaves component {j}")
+    # Designation and the hom laws are only checked along homs that are maps
+    # between the components; a partial one is already reported.
+    total_pairs = [pair for pair in ordered_pairs if pair not in partial]
+    failures = _hom_failures(system, total_pairs)
+    for i, j in ordered_pairs:
+        if (i, j) in partial:
+            report.add(*partial[(i, j)])
+        elif (i, j) in failures:
+            name, args = failures[(i, j)]
             report.add("hom-property", f"hom {i}->{j} fails to commute with {name} at {args}")
 
-    for i, j, k in itertools.product(indices, repeat=3):
-        if i == j or j == k:
-            continue
-        if lattice.leq(i, j) and lattice.leq(j, k):
-            left = system.hom(i, k)
-            via = system.hom(j, k)
-            first = system.hom(i, j)
-            for e in system.components[i].algebra.elements:
-                if e in first and first[e] in via and left.get(e) != via[first[e]]:
-                    report.add(
-                        "composition",
-                        f"hom {i}->{k} disagrees with {j}-composite at element {e!r}",
-                    )
-                    break
+    for i, j, k, e in _composition_violations(system, strictly_below):
+        report.add("composition", f"hom {i}->{k} disagrees with {j}-composite at element {e!r}")
 
     if system.kind == "l":
-        for i, j in ordered_pairs:
+        for i, j in total_pairs:
             mapping = system.homs[(i, j)]
             for e in system.components[i].designated:
                 if mapping[e] not in system.components[j].designated:
@@ -266,7 +351,7 @@ def validate_system(system: DirectSystem) -> SystemReport:
                     "r-subsemilattice",
                     f"indices with designated elements are not join-closed at ({i}, {j})",
                 )
-        for i, j in ordered_pairs:
+        for i, j in total_pairs:
             if not system.components[j].designated:
                 continue
             mapping = system.homs[(i, j)]
@@ -282,6 +367,142 @@ def validate_system(system: DirectSystem) -> SystemReport:
     return report
 
 
+def _strictly_below(lattice: FiniteSemilattice) -> np.ndarray:
+    """``[p, q]`` is True when index ``p`` lies strictly below index ``q``."""
+    join = _join_index(lattice)
+    positions = np.arange(len(lattice.indices))
+    return (join == positions[None, :]) & (positions[:, None] != positions[None, :])
+
+
+def _stacked_tables(flats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat tables one after another, and where each starts."""
+    starts = np.cumsum([0] + [len(flat) for flat in flats[:-1]])
+    return np.concatenate(flats), starts
+
+
+def _apply(
+    stacked: tuple[np.ndarray, np.ndarray],
+    sizes: np.ndarray,
+    component: np.ndarray,
+    args: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Local position of the operation applied in ``component`` to ``args``.
+
+    All arrays are local element positions (and component numbers) that
+    broadcast together; the table is read from :func:`_stacked_tables`.
+    """
+    table, starts = stacked
+    entry = 0
+    for arg in args:
+        entry = entry * sizes[component] + arg
+    return table[starts[component] + entry]
+
+
+def _hom_failures(
+    system: DirectSystem, pairs: Sequence[tuple[str, str]]
+) -> dict[tuple[str, str], tuple[str, tuple[str, ...]]]:
+    """Per hom that fails to commute, its first (connective, argument tuple).
+
+    The homs of ``pairs`` must be maps between their components.  They are
+    checked on index tables, all homs out of one component at once, so a
+    block holds (targets) x ``m ** k`` entries for a k-ary connective over
+    an m-element source; the failure is the one
+    :func:`homomorphism_counterexample` names.
+    """
+    if not pairs:
+        return {}
+    indices = system.semilattice.indices
+    position = {i: p for p, i in enumerate(indices)}
+    algebras = [system.components[i].algebra for i in indices]
+    positions, tables = zip(*map(_component_tables, algebras))
+    sizes = np.array([len(a.elements) for a in algebras])
+    connectives = system.signature.connectives
+    stacked = {name: _stacked_tables([t[name] for t in tables]) for name, _ in connectives}
+    targets_of: dict[int, list[int]] = {}
+    for i, j in pairs:
+        targets_of.setdefault(position[i], []).append(position[j])
+
+    failures = {}
+    for p, targets in targets_of.items():
+        i = indices[p]
+        source = algebras[p]
+        size = len(source.elements)
+        # images[t, a]: local position of the image of a under the hom into targets[t].
+        images = np.array(
+            [
+                [positions[q][system.homs[(i, indices[q])][a]] for a in source.elements]
+                for q in targets
+            ],
+            dtype=np.intp,
+        )
+        pending = np.ones(len(targets), dtype=bool)
+        for name, arity in connectives:
+            local = tables[p][name].reshape((size,) * arity)
+            component = np.array(targets).reshape((len(targets),) + (1,) * arity)
+            grids = np.ix_(*(np.arange(size),) * arity)
+            pushed = _apply(stacked[name], sizes, component, [images[:, g] for g in grids])
+            bad = (images[:, local] != pushed).reshape(len(targets), -1) & pending[:, None]
+            failing = bad.any(axis=1)
+            for t in np.nonzero(failing)[0]:
+                at = np.unravel_index(int(bad[t].argmax()), local.shape)
+                failures[(i, indices[targets[t]])] = (name, tuple(source.elements[x] for x in at))
+            pending &= ~failing
+    return failures
+
+
+def _composition_violations(
+    system: DirectSystem, strictly_below: np.ndarray
+) -> list[tuple[str, str, str, str]]:
+    """``(i, j, k, e)`` per triple ``i < j < k`` whose homs fail to compose.
+
+    ``e`` is the first element of component ``i`` that both ``i->j`` and
+    ``j->k`` map and where ``i->k`` disagrees with the composite (or is
+    undefined); triples come in ``itertools.product`` order.  Every element
+    name, hom key and hom image gets an id, and each hom becomes one row of
+    an id-to-id array whose last column and last row stand for "undefined",
+    so partial homs compose exactly as the name lookups they replace.
+    """
+    indices = system.semilattice.indices
+    count = len(indices)
+    ids: dict[str, int] = {}
+    members = [
+        [ids.setdefault(e, len(ids)) for e in system.components[i].algebra.elements]
+        for i in indices
+    ]
+    pairs = list(zip(*np.nonzero(strictly_below)))
+    entries = [
+        [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
+         for a, b in system.homs[(indices[p], indices[q])].items()]
+        for p, q in pairs
+    ]
+    undefined = len(ids)
+    maps = np.full((len(pairs) + 1, undefined + 1), undefined, dtype=np.min_scalar_type(undefined))
+    for row, items in enumerate(entries):
+        if items:
+            keys, images = zip(*items)
+            maps[row, list(keys)] = images
+    row_of = np.full((count, count), len(pairs), dtype=np.intp)
+    for row, (p, q) in enumerate(pairs):
+        row_of[p, q] = row
+
+    found = []
+    for p in range(count):
+        middles = np.nonzero(strictly_below[p])[0]
+        if not len(middles):
+            continue
+        elements = np.array(members[p], dtype=np.intp)
+        first = maps[row_of[p, middles][:, None], elements[None, :]]  # (j, e)
+        via = maps[row_of[middles][:, :, None], first[:, None, :]]  # (j, k, e)
+        direct = maps[row_of[p][:, None], elements[None, :]]  # (k, e)
+        # An undefined first step leaves via undefined too (last column).
+        bad = (via != undefined) & (direct[None, :, :] != via) & strictly_below[middles][:, :, None]
+        source = system.components[indices[p]].algebra.elements
+        for m, k in zip(*np.nonzero(bad.any(axis=2))):
+            e = source[int(bad[m, k].argmax())]
+            found.append((indices[p], indices[middles[m]], indices[k], e))
+    return found
+
+
 def _reject_constants(signature: Signature, what: str):
     for name, arity in signature.connectives:
         if arity == 0:
@@ -293,7 +514,9 @@ def plonka_sum(system: DirectSystem) -> FiniteMatrix | FiniteAlgebra:
 
     Elements are tagged ``"i.a"``.  Returns a matrix whose designated set is
     the union of the component filters, or a bare algebra for ``algebraic``
-    systems.
+    systems.  The tables are computed on index arrays: the target component
+    of each argument tuple from the join-index table, the pushed arguments
+    from one index map per hom, and the value from that component's table.
     """
     report = validate_system(system)
     if not report.ok:
@@ -301,31 +524,48 @@ def plonka_sum(system: DirectSystem) -> FiniteMatrix | FiniteAlgebra:
     signature = system.signature
     _reject_constants(signature, "the sum construction")
     lattice = system.semilattice
+    indices = lattice.indices
+    join = _join_index(lattice)
+    leq = join == np.arange(len(indices))[None, :]
 
-    tag = {}
-    component_of = {}
-    elements = []
-    for i in lattice.indices:
-        for a in system.components[i].algebra.elements:
-            tag[(i, a)] = f"{i}.{a}"
-            component_of[f"{i}.{a}"] = (i, a)
-            elements.append(f"{i}.{a}")
+    algebras = [system.components[i].algebra for i in indices]
+    positions, flats = zip(*map(_component_tables, algebras))
+    sizes = np.array([len(a.elements) for a in algebras])
+    offsets = np.cumsum(sizes) - sizes
+    elements = [f"{i}.{a}" for i, algebra in zip(indices, algebras) for a in algebra.elements]
+    component_of = np.repeat(np.arange(len(indices)), sizes)
+    # pushed[g, q]: local position in component q of sum element g pushed
+    # along the hom into q, filled where g's component lies below q.
+    pushed = np.zeros((len(elements), len(indices)), dtype=np.intp)
+    for p, i in enumerate(indices):
+        rows = slice(offsets[p], offsets[p] + sizes[p])
+        for q in np.nonzero(leq[p])[0]:
+            if q == p:
+                pushed[rows, q] = np.arange(sizes[p])
+                continue
+            mapping = system.homs[(i, indices[q])]
+            pushed[rows, q] = [positions[q][mapping[a]] for a in algebras[p].elements]
 
     tables: dict[str, dict[tuple[str, ...], str]] = {}
     for name, arity in signature.connectives:
-        table: dict[tuple[str, ...], str] = {}
-        for combo in itertools.product(elements, repeat=arity):
-            pieces = [component_of[c] for c in combo]
-            target = lattice.join_all(i for i, _ in pieces)
-            pushed = tuple(system.hom(i, target)[a] for i, a in pieces)
-            value = system.components[target].algebra.tables[name][pushed]
-            table[combo] = tag[(target, value)]
-        tables[name] = table
+        args = np.ix_(*(np.arange(len(elements)),) * arity)
+        target = component_of[args[0]]
+        for arg in args[1:]:
+            target = join[target, component_of[arg]]
+        stacked = _stacked_tables([flat[name] for flat in flats])
+        local = _apply(stacked, sizes, target, [pushed[arg, target] for arg in args])
+        values = offsets[target] + local
+        tables[name] = dict(
+            zip(
+                itertools.product(elements, repeat=arity),
+                map(elements.__getitem__, values.reshape(-1).tolist()),
+            )
+        )
     algebra = FiniteAlgebra(signature, tuple(elements), tables)
     if system.kind == "algebraic":
         return algebra
     designated = frozenset(
-        tag[(i, a)] for i in lattice.indices for a in system.components[i].designated
+        f"{i}.{a}" for i in indices for a in system.components[i].designated
     )
     return FiniteMatrix(algebra, designated)
 
@@ -379,12 +619,12 @@ def partition_variables(term: Formula) -> tuple[str, str]:
     return order[0], order[1]
 
 
-def _product_table(algebra: FiniteAlgebra, term: Formula):
+def _product_table(algebra: FiniteAlgebra, term: Formula) -> np.ndarray:
+    """``[a, b]`` is the position of ``a*b``, evaluated bottom-up on index tables."""
     left, right = partition_variables(term)
-    table = {}
-    for a, b in itertools.product(algebra.elements, repeat=2):
-        table[(a, b)] = evaluate(algebra, term, {left: a, right: b})
-    return table
+    positions = np.arange(len(algebra.elements))
+    valuation = {left: positions[:, None], right: positions[None, :]}
+    return _evaluate_indices(algebra, _index_tables(algebra), term, valuation)
 
 
 def check_partition_function(
@@ -399,6 +639,14 @@ def check_partition_function(
     their scope and are skipped).  In mode ``l`` the oracle must accept
     ``x`` entails ``x*y``; in mode ``r`` it must accept ``x, y`` entails
     ``x*y`` and ``x*y`` entails ``x``.
+
+    The product ``a*b`` is one ``(n, n)`` index table and the axioms are
+    checked on index tables.  Each counterexample is the first failure in
+    ``itertools.product`` order over the axiom's arguments: P2 and P3 run
+    over ``(a, b, c)``, P4 and P5 over the connective's arguments and then
+    ``b``.  Each check takes one block per leading argument, so for a
+    k-ary connective no temporary holds more than ``n ** k`` entries, and
+    P2 and P3 hold ``n ** 2``.
     """
     if mode not in ("algebraic", "l", "r"):
         raise MatrixError(f"unknown partition check mode {mode!r}")
@@ -407,57 +655,47 @@ def check_partition_function(
     dot = _product_table(algebra, term)
     report = PartitionReport(term=term, mode=mode)
     elements = algebra.elements
+    n = len(elements)
+    positions = np.arange(n)
 
-    bad = next((a for a in elements if dot[(a, a)] != a), None)
-    report.results.append(AxiomResult("P1 idempotence", bad is None, None if bad is None else (bad,)))
-
-    bad3 = next(
-        (
-            (a, b, c)
-            for a, b, c in itertools.product(elements, repeat=3)
-            if dot[(a, dot[(b, c)])] != dot[(dot[(a, b)], c)]
-        ),
-        None,
+    bad = _first(dot[positions, positions] != positions)
+    report.results.append(
+        AxiomResult("P1 idempotence", bad is None, None if bad is None else (elements[bad[0]],))
     )
+
+    def triple(hit):
+        return None if hit is None else tuple(elements[p] for p in hit)
+
+    bad3 = triple(_first_in_blocks(n, lambda a: dot[a][dot] != dot[dot[a]]))
     report.results.append(AxiomResult("P2 associativity", bad3 is None, bad3))
 
-    bad3 = next(
-        (
-            (a, b, c)
-            for a, b, c in itertools.product(elements, repeat=3)
-            if dot[(a, dot[(b, c)])] != dot[(a, dot[(c, b)])]
-        ),
-        None,
-    )
+    bad3 = triple(_first_in_blocks(n, lambda a: dot[a][dot] != dot[a][dot.T]))
     report.results.append(AxiomResult("P3 right commutation", bad3 is None, bad3))
 
+    tables = _index_tables(algebra)
     for name, arity in algebra.signature.connectives:
         if arity == 0:
             continue
-        table = algebra.tables[name]
-        failure = None
-        for args in itertools.product(elements, repeat=arity):
-            for b in elements:
-                pushed = tuple(dot[(a, b)] for a in args)
-                if dot[(table[args], b)] != table[pushed]:
-                    failure = (name, args, b)
-                    break
-            if failure:
-                break
-        report.results.append(AxiomResult(f"P4 distribution over {name}", failure is None, failure))
+        table = tables[name]
+        # Open grids over (args[1:], b); the leading argument is fixed per block.
+        *rest, b = np.ix_(*(positions,) * arity)
 
-        failure = None
-        for args in itertools.product(elements, repeat=arity):
-            for b in elements:
-                folded = b
-                for a in args:
-                    folded = dot[(folded, a)]
-                if dot[(b, table[args])] != folded:
-                    failure = (name, args, b)
-                    break
-            if failure:
-                break
-        report.results.append(AxiomResult(f"P5 absorption over {name}", failure is None, failure))
+        def distribution(a):
+            pushed = (dot[a, b], *(dot[r, b] for r in rest))
+            return dot[table[(a, *rest)], b] != table[pushed]
+
+        def absorption(a):
+            folded = dot[b, a]
+            for r in rest:
+                folded = dot[folded, r]
+            return dot[b, table[(a, *rest)]] != folded
+
+        for label, block in (("P4 distribution", distribution), ("P5 absorption", absorption)):
+            hit = _first_in_blocks(n, block)
+            failure = None
+            if hit is not None:
+                failure = (name, tuple(elements[p] for p in hit[:-1]), elements[hit[-1]])
+            report.results.append(AxiomResult(f"{label} over {name}", failure is None, failure))
 
     if mode == "l":
         left, right = partition_variables(term)
@@ -484,6 +722,14 @@ def decompose(algebra: FiniteAlgebra, term: Formula) -> DirectSystem:
     their smallest element's position in the input element order.  The
     result always sums back to an algebra identical to the input up to the
     ``"i.a"`` renaming; this is verified before returning.
+
+    Everything runs on index tables: the product is an ``(n, n)`` array,
+    the component order one boolean matrix from which antisymmetry,
+    transitivity, joins and the anchored homs are read.  Each error names
+    the first failure in ``itertools.product`` order, as a loop over the
+    elements or components would meet it.  Triple checks take one block
+    per leading argument, so no temporary holds more than ``n ** 2``
+    entries, and table checks of a k-ary connective ``n ** k``.
     """
     _reject_constants(algebra.signature, "decomposition")
     report = check_partition_function(algebra, term)
@@ -493,73 +739,92 @@ def decompose(algebra: FiniteAlgebra, term: Formula) -> DirectSystem:
         )
     dot = _product_table(algebra, term)
     elements = algebra.elements
+    n = len(elements)
+    positions = np.arange(n)
+    absorbs = dot == positions[:, None]  # a*b = a
+    related = absorbs & absorbs.T
 
-    def related(a: str, b: str) -> bool:
-        return dot[(a, b)] == a and dot[(b, a)] == b
+    hit = _first_in_blocks(n, lambda a: related[a][:, None] & related & ~related[a])
+    if hit is not None:
+        a, b, c = (elements[p] for p in hit)
+        raise DecompositionError(f"component relation is not transitive at ({a}, {b}, {c})")
 
-    for a, b, c in itertools.product(elements, repeat=3):
-        if related(a, b) and related(b, c) and not related(a, c):
-            raise DecompositionError(f"component relation is not transitive at ({a}, {b}, {c})")
+    # The relation is reflexive (P1) and now an equivalence: a class is
+    # named by its first member, in order of that member.
+    first_member = related.argmax(axis=1)
+    anchors = np.nonzero(first_member == positions)[0]
+    class_of = np.searchsorted(anchors, first_member)
+    count = len(anchors)
+    names = [str(c) for c in range(count)]
+    membership = class_of[None, :] == np.arange(count)[:, None]
+    member_positions = [np.nonzero(row)[0] for row in membership]
+    members = {
+        name: [elements[p] for p in own] for name, own in zip(names, member_positions)
+    }
 
-    classes: list[list[str]] = []
-    for e in elements:
-        for cls in classes:
-            if related(cls[0], e):
-                cls.append(e)
-                break
-        else:
-            classes.append([e])
-    index_of_element = {}
-    names = [str(k) for k in range(len(classes))]
-    for name, cls in zip(names, classes):
-        for e in cls:
-            index_of_element[e] = name
-    members = dict(zip(names, classes))
+    # below[i, j]: some b in class j absorbs some a in class i (b*a = b).
+    below = membership @ absorbs.T @ membership.T
+    hit = _first(np.triu(below & below.T, 1))
+    if hit is not None:
+        i, j = (names[c] for c in hit)
+        raise DecompositionError(f"component order is not antisymmetric at ({i}, {j})")
+    hit = _first_in_blocks(count, lambda i: below[i][:, None] & below & ~below[i])
+    if hit is not None:
+        i, j, k = (names[c] for c in hit)
+        raise DecompositionError(f"component order is not transitive at ({i}, {j}, {k})")
 
-    def below(i: str, j: str) -> bool:
-        return any(dot[(b, a)] == b for a in members[i] for b in members[j])
-
-    for i, j in itertools.combinations(names, 2):
-        if below(i, j) and below(j, i):
-            raise DecompositionError(f"component order is not antisymmetric at ({i}, {j})")
-    for i, j, k in itertools.product(names, repeat=3):
-        if below(i, j) and below(j, k) and not below(i, k):
-            raise DecompositionError(f"component order is not transitive at ({i}, {j}, {k})")
-
-    join_table: dict[tuple[str, str], str] = {}
-    for i, j in itertools.product(names, repeat=2):
-        uppers = [k for k in names if below(i, k) and below(j, k)]
-        least = [u for u in uppers if all(below(u, other) for other in uppers)]
-        if len(least) != 1:
-            raise DecompositionError(f"components have no unique join at ({i}, {j})")
-        join_table[(i, j)] = least[0]
+    join = np.empty((count, count), dtype=np.intp)
+    for i in range(count):
+        uppers = below[i] & below  # [j, u]: u lies above i and j
+        least = uppers & ~(uppers @ ~below.T)  # ... and below every such upper bound
+        hit = _first(least.sum(axis=1) != 1)
+        if hit is not None:
+            j = names[hit[0]]
+            raise DecompositionError(f"components have no unique join at ({names[i]}, {j})")
+        join[i] = least.argmax(axis=1)
+    join_table = {
+        (names[i], names[j]): names[join[i, j]]
+        for i in range(count)
+        for j in range(count)
+    }
     lattice = FiniteSemilattice(tuple(names), join_table)
 
+    tables = _index_tables(algebra)
     for name, arity in algebra.signature.connectives:
-        for cls_name in names:
-            for args in itertools.product(members[cls_name], repeat=arity):
-                out = algebra.tables[name][args]
-                if index_of_element[out] != cls_name:
-                    raise DecompositionError(
-                        f"component {cls_name} is not closed under {name} at {args}"
-                    )
+        for c, own in enumerate(member_positions):
+            hit = _first(class_of[tables[name][np.ix_(*(own,) * arity)]] != c)
+            if hit is not None:
+                args = tuple(elements[own[p]] for p in hit)
+                raise DecompositionError(
+                    f"component {names[c]} is not closed under {name} at {args}"
+                )
 
-    homs: dict[tuple[str, str], dict[str, str]] = {}
-    for i, j in itertools.product(names, repeat=2):
-        if i == j or not lattice.leq(i, j):
-            continue
-        anchor = members[j][0]
-        mapping = {e: dot[(e, anchor)] for e in members[i]}
-        for b in members[j][1:]:
-            for e in members[i]:
-                if dot[(e, b)] != mapping[e]:
-                    raise DecompositionError(
-                        f"hom {i}->{j} depends on the anchor choice at element {e!r}"
-                    )
-        for e, image in mapping.items():
-            if index_of_element[image] != j:
-                raise DecompositionError(f"hom {i}->{j} leaves component {j} at {e!r}")
-        homs[(i, j)] = mapping
+    # The hom i->j is x -> x*b with b the anchor (first member) of class j;
+    # every other member of class j must give the same image, inside class j.
+    strictly = (join == np.arange(count)[None, :]) & ~np.eye(count, dtype=bool)
+    image = dot[:, anchors]  # [e, j]: e*anchor_j
+    varies = dot != image[:, class_of]  # [e, b]: e*b differs from e*anchor(class of b)
+    leaves = class_of[image] != np.arange(count)[None, :]
+    broken = strictly & ((membership @ varies @ membership.T) | (membership @ leaves))
+    hit = _first(broken)
+    if hit is not None:
+        i, j = hit
+        source = member_positions[i]
+        at = _first(varies[np.ix_(source, member_positions[j])].T)
+        if at is not None:
+            raise DecompositionError(
+                f"hom {names[i]}->{names[j]} depends on the anchor choice at element "
+                f"{elements[source[at[1]]]!r}"
+            )
+        at = _first(leaves[source, j])
+        raise DecompositionError(
+            f"hom {names[i]}->{names[j]} leaves component {names[j]} at {elements[source[at[0]]]!r}"
+        )
+    images = image.tolist()
+    homs: dict[tuple[str, str], dict[str, str]] = {
+        (names[i], names[j]): {elements[e]: elements[images[e][j]] for e in member_positions[i]}
+        for i, j in zip(*np.nonzero(strictly))
+    }
 
     component_matrices = {
         cls_name: FiniteMatrix(_subalgebra(algebra, members[cls_name]), frozenset())
@@ -568,15 +833,20 @@ def decompose(algebra: FiniteAlgebra, term: Formula) -> DirectSystem:
     system = DirectSystem(lattice, component_matrices, homs, kind="algebraic")
     system_report = validate_system(system)
     if not system_report.ok:
-        raise DecompositionError("decomposition produced an invalid system:\n" + system_report.render())
+        raise DecompositionError(
+            "decomposition produced an invalid system:\n" + system_report.render()
+        )
 
     rebuilt = plonka_sum(system)
     renaming = decomposition_renaming(system)
+    renamed = np.array([rebuilt.element_index[renaming[e]] for e in elements], dtype=np.intp)
+    rebuilt_tables = _index_tables(rebuilt)
     for name, arity in algebra.signature.connectives:
-        for args in itertools.product(algebra.elements, repeat=arity):
-            tagged = tuple(renaming[a] for a in args)
-            if renaming[algebra.tables[name][args]] != rebuilt.tables[name][tagged]:
-                raise DecompositionError(f"sum of the decomposition disagrees at {name}{args}")
+        tagged = np.ix_(*(renamed,) * arity)
+        hit = _first(rebuilt_tables[name][tagged] != renamed[tables[name]])
+        if hit is not None:
+            args = tuple(elements[p] for p in hit)
+            raise DecompositionError(f"sum of the decomposition disagrees at {name}{args}")
     return system
 
 
@@ -590,14 +860,14 @@ def decomposition_renaming(system: DirectSystem) -> dict[str, str]:
 
 
 def _subalgebra(algebra: FiniteAlgebra, keep: Sequence[str]) -> FiniteAlgebra:
-    keep_set = set(keep)
-    tables = {}
-    for name, arity in algebra.signature.connectives:
-        tables[name] = {
-            args: out
-            for args, out in algebra.tables[name].items()
-            if set(args) <= keep_set and out in keep_set
+    """The restriction of ``algebra`` to ``keep``, which must be closed."""
+    tables = {
+        name: {
+            args: algebra.tables[name][args]
+            for args in itertools.product(keep, repeat=arity)
         }
+        for name, arity in algebra.signature.connectives
+    }
     return FiniteAlgebra(algebra.signature, tuple(keep), tables)
 
 
@@ -613,14 +883,35 @@ class RegularIdentityReport:
 def check_regular_identity(
     left: Formula, right: Formula, algebra: FiniteAlgebra
 ) -> RegularIdentityReport:
-    """Evaluate an identity: regular means both sides use the same variables."""
+    """Evaluate an identity: regular means both sides use the same variables.
+
+    Both sides are evaluated on index tables over the valuations of the
+    sorted variables, one block per value of the first variable, so a
+    block holds ``n ** (k - 1)`` entries for k variables.  The
+    counterexample is the first failing valuation in
+    ``itertools.product`` order.
+    """
     regular = left.variables == right.variables
     names = sorted(left.variables | right.variables)
-    for values in itertools.product(algebra.elements, repeat=len(names)):
-        valuation = dict(zip(names, values))
-        if evaluate(algebra, left, valuation) != evaluate(algebra, right, valuation):
-            return RegularIdentityReport(left, right, regular, False, valuation)
-    return RegularIdentityReport(left, right, regular, True, None)
+    if not names:
+        holds = evaluate(algebra, left, {}) == evaluate(algebra, right, {})
+        return RegularIdentityReport(left, right, regular, holds, None if holds else {})
+    elements = algebra.elements
+    tables = _index_tables(algebra)
+    rest = np.ix_(*(np.arange(len(elements)),) * (len(names) - 1))
+    shape = (len(elements),) * len(rest)
+
+    def differs(a):
+        valuation = dict(zip(names, (a, *rest)))
+        lhs = _evaluate_indices(algebra, tables, left, valuation)
+        rhs = _evaluate_indices(algebra, tables, right, valuation)
+        return np.broadcast_to(lhs != rhs, shape)
+
+    hit = _first_in_blocks(len(elements), differs)
+    if hit is None:
+        return RegularIdentityReport(left, right, regular, True, None)
+    valuation = {v: elements[p] for v, p in zip(names, hit)}
+    return RegularIdentityReport(left, right, regular, False, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from vilogic.cli import main
-from vilogic.matrices import load_matrix_file
+from vilogic.matrices import format_matrix, load_matrix_file
+from vilogic.plonka import trivial_matrix
 from vilogic.presets import data_dir
 
 B2 = str(data_dir() / "b2.mat")
@@ -246,3 +247,40 @@ def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def _partial_hom_system(tmp_path, kind):
+    """b2.mat below a designated one-element top.mat, with a hom 0 -> 1 that
+    leaves element 1 unmapped."""
+    (tmp_path / "b2.mat").write_text(format_matrix(load_matrix_file(B2)), encoding="utf-8")
+    top = trivial_matrix(load_matrix_file(B2).signature, "n", True)
+    (tmp_path / "top.mat").write_text(format_matrix(top), encoding="utf-8")
+    path = tmp_path / f"partial_{kind}.dsys"
+    path.write_text(
+        f"kind: {kind}\n"
+        "semilattice: 0,0->0  0,1->1  1,0->1  1,1->1\n"
+        "component 0: b2.mat\n"
+        "component 1: top.mat\n"
+        "hom 0 1: 0->n\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["l", "r"])
+def test_validate_system_reports_partial_hom(capsys, tmp_path, kind):
+    code, out, err = run(capsys, "validate-system", "--system", _partial_hom_system(tmp_path, kind))
+    assert code == 1
+    assert out == "[hom-domain] hom 0->1 is not total on component 0\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("kind", ["l", "r"])
+def test_sum_refuses_partial_hom_with_one_error(capsys, tmp_path, kind):
+    code, out, err = run(capsys, "sum", "--system", _partial_hom_system(tmp_path, kind))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: invalid direct system:\n"
+        "[hom-domain] hom 0->1 is not total on component 0\n"
+    )

@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
+import tracemalloc
 
-from vilogic.formulas import parse_formula
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vilogic.formulas import FragmentSpec, enumerate_fragment, parse_formula
 from vilogic.matrices import (
     FiniteAlgebra,
     FiniteMatrix,
+    MatrixError,
     MatrixOracle,
     Signature,
     evaluate,
     format_matrix,
+    homomorphism_counterexample,
 )
 from vilogic.plonka import (
+    AxiomResult,
     DecompositionError,
     DirectSystem,
     FiniteSemilattice,
+    InvalidSystemError,
+    PartitionReport,
+    RegularIdentityReport,
     SemilatticeError,
+    SystemReport,
     canonical_chain_matrix,
     chain_extension_system,
     check_partition_function,
@@ -32,7 +44,10 @@ from vilogic.plonka import (
     validate_system,
 )
 from vilogic.presets import (
+    AND_OR_SIGNATURE,
     FULL_SIGNATURE,
+    b2_algebra,
+    b2_and_or_matrix,
     b2_matrix,
     b3_matrix,
     pi_term,
@@ -341,3 +356,728 @@ def test_format_matrix_of_chain_is_stable():
     chain = canonical_chain_matrix(b2_matrix(), "rl")
     text = format_matrix(chain)
     assert "designated: 1, m" in text or "designated: m, 1" in text
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the name-keyed loops the index-table code
+# replaced, kept verbatim apart from the reference_ prefix.  The one change
+# is in reference_validate_system, which skips the designation checks for
+# homs already reported as not total or leaving their target, as the real
+# one does (the loops used to raise KeyError there).
+# ---------------------------------------------------------------------------
+
+
+def reference_semilattice_error(indices, join_table):
+    """The SemilatticeError message FiniteSemilattice should raise, or None."""
+    if not indices:
+        return "a semilattice needs at least one index"
+    if len(set(indices)) != len(indices):
+        return "duplicate semilattice indices"
+    universe = set(indices)
+    for pair, out in join_table.items():
+        if len(pair) != 2 or set(pair) - universe or out not in universe:
+            return f"bad join entry {pair} -> {out}"
+    for i, j in itertools.product(indices, repeat=2):
+        if (i, j) not in join_table:
+            return f"missing join entry for ({i}, {j})"
+    for i in indices:
+        if join_table[(i, i)] != i:
+            return f"join not idempotent at {i}"
+    for i, j in itertools.product(indices, repeat=2):
+        if join_table[(i, j)] != join_table[(j, i)]:
+            return f"join not commutative at ({i}, {j})"
+    for i, j, k in itertools.product(indices, repeat=3):
+        left = join_table[(join_table[(i, j)], k)]
+        right = join_table[(i, join_table[(j, k)])]
+        if left != right:
+            return f"join not associative at ({i}, {j}, {k})"
+    return None
+
+
+def reference_validate_system(system):
+    report = SystemReport()
+    lattice = system.semilattice
+    indices = lattice.indices
+    if set(system.components) != set(indices):
+        report.add("components", "component keys do not match the semilattice indices")
+        return report
+
+    signature = system.signature
+    for i in indices:
+        if system.components[i].signature != signature:
+            report.add("signature", f"component {i} uses a different signature")
+    if not report.ok:
+        return report
+    seen = {}
+    for i in indices:
+        for e in system.components[i].algebra.elements:
+            if e in seen:
+                report.add("disjoint", f"element {e!r} appears in components {seen[e]} and {i}")
+            else:
+                seen[e] = i
+
+    ordered_pairs = [(i, j) for i in indices for j in indices if i != j and lattice.leq(i, j)]
+    for key in system.homs:
+        i, j = key
+        if i not in set(indices) or j not in set(indices):
+            report.add("order", f"hom given for unknown index pair ({i}, {j})")
+        elif i == j:
+            ident = {e: e for e in system.components[i].algebra.elements}
+            if dict(system.homs[key]) != ident:
+                report.add("identity", f"explicit hom at ({i}, {i}) is not the identity")
+        elif key not in ordered_pairs:
+            report.add("order", f"hom given for unrelated pair ({i}, {j})")
+    for i, j in ordered_pairs:
+        if (i, j) not in system.homs:
+            report.add("missing-hom", f"no homomorphism for {i} <= {j}")
+
+    if not report.ok:
+        return report
+
+    partial = set()
+    for i, j in ordered_pairs:
+        mapping = system.homs[(i, j)]
+        source = system.components[i].algebra
+        target = system.components[j].algebra
+        if set(mapping) != set(source.elements):
+            report.add("hom-domain", f"hom {i}->{j} is not total on component {i}")
+            partial.add((i, j))
+            continue
+        if any(v not in set(target.elements) for v in mapping.values()):
+            report.add("hom-codomain", f"hom {i}->{j} leaves component {j}")
+            partial.add((i, j))
+            continue
+        failure = homomorphism_counterexample(source, target, mapping)
+        if failure is not None:
+            name, args = failure
+            report.add("hom-property", f"hom {i}->{j} fails to commute with {name} at {args}")
+
+    for i, j, k in itertools.product(indices, repeat=3):
+        if i == j or j == k:
+            continue
+        if lattice.leq(i, j) and lattice.leq(j, k):
+            left = system.hom(i, k)
+            via = system.hom(j, k)
+            first = system.hom(i, j)
+            for e in system.components[i].algebra.elements:
+                if e in first and first[e] in via and left.get(e) != via[first[e]]:
+                    report.add(
+                        "composition",
+                        f"hom {i}->{k} disagrees with {j}-composite at element {e!r}",
+                    )
+                    break
+
+    if system.kind == "l":
+        for i, j in ordered_pairs:
+            if (i, j) in partial:
+                continue
+            mapping = system.homs[(i, j)]
+            for e in system.components[i].designated:
+                if mapping[e] not in system.components[j].designated:
+                    report.add(
+                        "l-designated",
+                        f"hom {i}->{j} sends designated {e!r} outside the designated set",
+                    )
+    elif system.kind == "r":
+        nonempty = [i for i in indices if system.components[i].designated]
+        for i, j in itertools.product(nonempty, repeat=2):
+            if lattice.join(i, j) not in nonempty:
+                report.add(
+                    "r-subsemilattice",
+                    f"indices with designated elements are not join-closed at ({i}, {j})",
+                )
+        for i, j in ordered_pairs:
+            if (i, j) in partial or not system.components[j].designated:
+                continue
+            mapping = system.homs[(i, j)]
+            pulled = {e for e in system.components[i].algebra.elements
+                      if mapping[e] in system.components[j].designated}
+            if pulled != set(system.components[i].designated):
+                report.add(
+                    "r-reflection",
+                    f"hom {i}->{j} does not reflect designation exactly "
+                    f"(preimage {sorted(pulled)} vs designated "
+                    f"{sorted(system.components[i].designated)})",
+                )
+    return report
+
+
+def reference_plonka_sum(system):
+    report = reference_validate_system(system)
+    if not report.ok:
+        raise InvalidSystemError(report)
+    signature = system.signature
+    for name, arity in signature.connectives:
+        if arity == 0:
+            raise MatrixError(f"the sum construction does not support 0-ary connective {name!r}")
+    lattice = system.semilattice
+
+    tag = {}
+    component_of = {}
+    elements = []
+    for i in lattice.indices:
+        for a in system.components[i].algebra.elements:
+            tag[(i, a)] = f"{i}.{a}"
+            component_of[f"{i}.{a}"] = (i, a)
+            elements.append(f"{i}.{a}")
+
+    tables = {}
+    for name, arity in signature.connectives:
+        table = {}
+        for combo in itertools.product(elements, repeat=arity):
+            pieces = [component_of[c] for c in combo]
+            target = lattice.join_all(i for i, _ in pieces)
+            pushed = tuple(system.hom(i, target)[a] for i, a in pieces)
+            value = system.components[target].algebra.tables[name][pushed]
+            table[combo] = tag[(target, value)]
+        tables[name] = table
+    algebra = FiniteAlgebra(signature, tuple(elements), tables)
+    if system.kind == "algebraic":
+        return algebra
+    designated = frozenset(
+        tag[(i, a)] for i in lattice.indices for a in system.components[i].designated
+    )
+    return FiniteMatrix(algebra, designated)
+
+
+def reference_product_table(algebra, term):
+    left, right = partition_variables(term)
+    table = {}
+    for a, b in itertools.product(algebra.elements, repeat=2):
+        table[(a, b)] = evaluate(algebra, term, {left: a, right: b})
+    return table
+
+
+def reference_check_partition_function(algebra, term):
+    """The five equational axioms (mode ``algebraic``)."""
+    dot = reference_product_table(algebra, term)
+    report = PartitionReport(term=term, mode="algebraic")
+    elements = algebra.elements
+
+    bad = next((a for a in elements if dot[(a, a)] != a), None)
+    report.results.append(AxiomResult("P1 idempotence", bad is None, None if bad is None else (bad,)))
+
+    bad3 = next(
+        (
+            (a, b, c)
+            for a, b, c in itertools.product(elements, repeat=3)
+            if dot[(a, dot[(b, c)])] != dot[(dot[(a, b)], c)]
+        ),
+        None,
+    )
+    report.results.append(AxiomResult("P2 associativity", bad3 is None, bad3))
+
+    bad3 = next(
+        (
+            (a, b, c)
+            for a, b, c in itertools.product(elements, repeat=3)
+            if dot[(a, dot[(b, c)])] != dot[(a, dot[(c, b)])]
+        ),
+        None,
+    )
+    report.results.append(AxiomResult("P3 right commutation", bad3 is None, bad3))
+
+    for name, arity in algebra.signature.connectives:
+        if arity == 0:
+            continue
+        table = algebra.tables[name]
+        failure = None
+        for args in itertools.product(elements, repeat=arity):
+            for b in elements:
+                pushed = tuple(dot[(a, b)] for a in args)
+                if dot[(table[args], b)] != table[pushed]:
+                    failure = (name, args, b)
+                    break
+            if failure:
+                break
+        report.results.append(AxiomResult(f"P4 distribution over {name}", failure is None, failure))
+
+        failure = None
+        for args in itertools.product(elements, repeat=arity):
+            for b in elements:
+                folded = b
+                for a in args:
+                    folded = dot[(folded, a)]
+                if dot[(b, table[args])] != folded:
+                    failure = (name, args, b)
+                    break
+            if failure:
+                break
+        report.results.append(AxiomResult(f"P5 absorption over {name}", failure is None, failure))
+    return report
+
+
+def reference_subalgebra(algebra, keep):
+    keep_set = set(keep)
+    tables = {}
+    for name, arity in algebra.signature.connectives:
+        tables[name] = {
+            args: out
+            for args, out in algebra.tables[name].items()
+            if set(args) <= keep_set and out in keep_set
+        }
+    return FiniteAlgebra(algebra.signature, tuple(keep), tables)
+
+
+def reference_decompose(algebra, term):
+    for name, arity in algebra.signature.connectives:
+        if arity == 0:
+            raise MatrixError(f"decomposition does not support 0-ary connective {name!r}")
+    report = reference_check_partition_function(algebra, term)
+    if not report.passed:
+        raise DecompositionError(
+            "term fails the partition axioms:\n" + report.render()
+        )
+    dot = reference_product_table(algebra, term)
+    elements = algebra.elements
+
+    def related(a, b):
+        return dot[(a, b)] == a and dot[(b, a)] == b
+
+    for a, b, c in itertools.product(elements, repeat=3):
+        if related(a, b) and related(b, c) and not related(a, c):
+            raise DecompositionError(f"component relation is not transitive at ({a}, {b}, {c})")
+
+    classes = []
+    for e in elements:
+        for cls in classes:
+            if related(cls[0], e):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    index_of_element = {}
+    names = [str(k) for k in range(len(classes))]
+    for name, cls in zip(names, classes):
+        for e in cls:
+            index_of_element[e] = name
+    members = dict(zip(names, classes))
+
+    def below(i, j):
+        return any(dot[(b, a)] == b for a in members[i] for b in members[j])
+
+    for i, j in itertools.combinations(names, 2):
+        if below(i, j) and below(j, i):
+            raise DecompositionError(f"component order is not antisymmetric at ({i}, {j})")
+    for i, j, k in itertools.product(names, repeat=3):
+        if below(i, j) and below(j, k) and not below(i, k):
+            raise DecompositionError(f"component order is not transitive at ({i}, {j}, {k})")
+
+    join_table = {}
+    for i, j in itertools.product(names, repeat=2):
+        uppers = [k for k in names if below(i, k) and below(j, k)]
+        least = [u for u in uppers if all(below(u, other) for other in uppers)]
+        if len(least) != 1:
+            raise DecompositionError(f"components have no unique join at ({i}, {j})")
+        join_table[(i, j)] = least[0]
+    lattice = FiniteSemilattice(tuple(names), join_table)
+
+    for name, arity in algebra.signature.connectives:
+        for cls_name in names:
+            for args in itertools.product(members[cls_name], repeat=arity):
+                out = algebra.tables[name][args]
+                if index_of_element[out] != cls_name:
+                    raise DecompositionError(
+                        f"component {cls_name} is not closed under {name} at {args}"
+                    )
+
+    homs = {}
+    for i, j in itertools.product(names, repeat=2):
+        if i == j or not lattice.leq(i, j):
+            continue
+        anchor = members[j][0]
+        mapping = {e: dot[(e, anchor)] for e in members[i]}
+        for b in members[j][1:]:
+            for e in members[i]:
+                if dot[(e, b)] != mapping[e]:
+                    raise DecompositionError(
+                        f"hom {i}->{j} depends on the anchor choice at element {e!r}"
+                    )
+        for e, image in mapping.items():
+            if index_of_element[image] != j:
+                raise DecompositionError(f"hom {i}->{j} leaves component {j} at {e!r}")
+        homs[(i, j)] = mapping
+
+    component_matrices = {
+        cls_name: FiniteMatrix(reference_subalgebra(algebra, members[cls_name]), frozenset())
+        for cls_name in names
+    }
+    system = DirectSystem(lattice, component_matrices, homs, kind="algebraic")
+    system_report = reference_validate_system(system)
+    if not system_report.ok:
+        raise DecompositionError("decomposition produced an invalid system:\n" + system_report.render())
+
+    rebuilt = reference_plonka_sum(system)
+    renaming = decomposition_renaming(system)
+    for name, arity in algebra.signature.connectives:
+        for args in itertools.product(algebra.elements, repeat=arity):
+            tagged = tuple(renaming[a] for a in args)
+            if renaming[algebra.tables[name][args]] != rebuilt.tables[name][tagged]:
+                raise DecompositionError(f"sum of the decomposition disagrees at {name}{args}")
+    return system
+
+
+def reference_check_regular_identity(left, right, algebra):
+    regular = left.variables == right.variables
+    names = sorted(left.variables | right.variables)
+    for values in itertools.product(algebra.elements, repeat=len(names)):
+        valuation = dict(zip(names, values))
+        if evaluate(algebra, left, valuation) != evaluate(algebra, right, valuation):
+            return RegularIdentityReport(left, right, regular, False, valuation)
+    return RegularIdentityReport(left, right, regular, True, None)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the reference
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and message of the MatrixError it raised."""
+    try:
+        return fn(*args)
+    except MatrixError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rows(report):
+    return [(r.name, r.passed, r.counterexample) for r in report.results]
+
+
+TWO_VARIABLE_TERMS = tuple(
+    f
+    for f in enumerate_fragment(FULL_SIGNATURE, FragmentSpec(("x", "y"), 2, 0))
+    if f.variables == {"x", "y"}
+)
+IDENTITY_SIDES = enumerate_fragment(FULL_SIGNATURE, FragmentSpec(("x", "y", "z"), 1, 0))
+
+
+@st.composite
+def random_algebras(draw, max_size=6):
+    """An algebra with uniformly random tables over and/or/not or and/or."""
+    signature = draw(st.sampled_from([FULL_SIGNATURE, AND_OR_SIGNATURE]))
+    size = draw(st.integers(1, max_size))
+    elements = tuple(draw(st.permutations([f"e{k}" for k in range(size)])))
+    tables = {}
+    for name, arity in signature.connectives:
+        outputs = draw(st.lists(st.sampled_from(elements), min_size=size**arity, max_size=size**arity))
+        tables[name] = dict(zip(itertools.product(elements, repeat=arity), outputs))
+    return FiniteAlgebra(signature, elements, tables)
+
+
+def _union_closed(masks):
+    family = set(masks)
+    while True:
+        closure = family | {s | t for s in family for t in family}
+        if closure == family:
+            return sorted(family, key=lambda s: (bin(s).count("1"), s))
+        family = closure
+
+
+@st.composite
+def sum_algebras(draw):
+    """The sum of copies of a small algebra below one-element components, in
+    a random element order, sometimes with one table entry changed."""
+    base = draw(st.sampled_from([b2_algebra(), b2_and_or_matrix().algebra, wk_algebra()]))
+    masks = _union_closed(draw(st.lists(st.integers(1, 7), min_size=1, max_size=4)))
+    copies = draw(st.integers(0, len(masks)))
+    system = _copies_below_points(base, masks, masks[:copies])
+    total = plonka_sum(system)
+    elements = tuple(draw(st.permutations(total.elements)))
+    tables = {name: dict(table) for name, table in total.tables.items()}
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(tables)))
+        args = draw(st.sampled_from(sorted(tables[name])))
+        tables[name][args] = draw(st.sampled_from(elements))
+    return FiniteAlgebra(total.signature, elements, tables)
+
+
+def _copies_below_points(base, masks, copied, kind="algebraic"):
+    """Copies of ``base`` at the indices ``copied`` (a down-set of the
+    union-closed ``masks``), one-element components at the others;
+    homs are renamings between copies and constant maps into points."""
+    names = {s: f"s{s}" for s in masks}
+    components = {}
+    for s in masks:
+        n = names[s]
+        if s in copied:
+            ren = {e: f"{n}_{e}" for e in base.elements}
+            tables = {
+                op: {tuple(ren[a] for a in args): ren[v] for args, v in table.items()}
+                for op, table in base.tables.items()
+            }
+            algebra = FiniteAlgebra(base.signature, tuple(ren[e] for e in base.elements), tables)
+        else:
+            e = f"{n}_t"
+            algebra = FiniteAlgebra(
+                base.signature, (e,),
+                {op: {(e,) * arity: e} for op, arity in base.signature.connectives},
+            )
+        components[n] = FiniteMatrix(algebra, frozenset())
+    homs = {}
+    for s in masks:
+        for t in masks:
+            if s != t and s | t == t:
+                source, target = names[s], names[t]
+                if t in copied:
+                    homs[(source, target)] = {f"{source}_{e}": f"{target}_{e}" for e in base.elements}
+                else:
+                    homs[(source, target)] = {
+                        e: f"{target}_t" for e in components[source].algebra.elements
+                    }
+    join = {(names[s], names[t]): names[s | t] for s in masks for t in masks}
+    lattice = FiniteSemilattice(tuple(names[s] for s in masks), join)
+    return DirectSystem(lattice, components, homs, kind=kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(random_algebras(), sum_algebras()),
+    st.one_of(st.just(pi_term()), st.sampled_from(TWO_VARIABLE_TERMS)),
+)
+def test_partition_check_and_decompose_match_reference(algebra, term):
+    new = _outcome(check_partition_function, algebra, term)
+    old = _outcome(reference_check_partition_function, algebra, term)
+    if isinstance(new, PartitionReport):
+        assert _rows(new) == _rows(old)
+        assert new.render() == old.render()
+    else:
+        assert new == old
+    assert _outcome(decompose, algebra, term) == _outcome(reference_decompose, algebra, term)
+
+
+@st.composite
+def join_tables(draw):
+    """A join table on 1-7 indices: a real semilattice with a few entries
+    changed, a random commutative idempotent table, or a random table."""
+    masks = _union_closed(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    indices = tuple(draw(st.permutations([f"i{s}" for s in masks])))
+    shape = draw(st.sampled_from(["semilattice", "commutative", "random"]))
+    if shape == "semilattice":
+        table = {(f"i{s}", f"i{t}"): f"i{s | t}" for s in masks for t in masks}
+    else:
+        table = {}
+        for i, j in itertools.combinations_with_replacement(indices, 2):
+            table[(i, j)] = i if i == j and shape == "commutative" else draw(st.sampled_from(indices))
+            if shape == "commutative":
+                table[(j, i)] = table[(i, j)]
+        for i, j in itertools.product(indices, repeat=2):
+            table.setdefault((i, j), draw(st.sampled_from(indices)))
+    for _ in range(draw(st.integers(0, 2))):
+        pair = draw(st.sampled_from(sorted(table)))
+        table[pair] = draw(st.sampled_from(indices))
+    if draw(st.integers(0, 9)) == 0:
+        table[(indices[0], indices[-1])] = "stranger"
+    if draw(st.integers(0, 9)) == 0:
+        del table[draw(st.sampled_from(sorted(table)))]
+    return indices, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_tables())
+def test_semilattice_laws_match_reference(case):
+    indices, table = case
+    expected = reference_semilattice_error(indices, table)
+    if expected is None:
+        FiniteSemilattice(indices, table)
+    else:
+        with pytest.raises(SemilatticeError) as excinfo:
+            FiniteSemilattice(indices, table)
+        assert str(excinfo.value) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(random_algebras(), sum_algebras()),
+    st.sampled_from(IDENTITY_SIDES),
+    st.sampled_from(IDENTITY_SIDES),
+)
+def test_regular_identity_matches_reference(algebra, left, right):
+    new = _outcome(check_regular_identity, left, right, algebra)
+    assert new == _outcome(reference_check_regular_identity, left, right, algebra)
+
+
+@st.composite
+def damaged_systems(draw):
+    """Copies-below-points systems of any kind with random designation and a
+    few homs, components or elements damaged."""
+    base = draw(st.sampled_from([b2_algebra(), b2_and_or_matrix().algebra, wk_algebra()]))
+    masks = _union_closed(draw(st.lists(st.integers(1, 7), min_size=2, max_size=4)))
+    copies = draw(st.integers(0, len(masks)))
+    kind = draw(st.sampled_from(["algebraic", "l", "r"]))
+    system = _copies_below_points(base, masks, masks[:copies], kind)
+    components = {
+        i: FiniteMatrix(m.algebra, frozenset(draw(st.sets(st.sampled_from(m.algebra.elements)))))
+        for i, m in system.components.items()
+    }
+    homs = {pair: dict(mapping) for pair, mapping in system.homs.items()}
+    indices = system.semilattice.indices
+    every = sorted({e for m in components.values() for e in m.algebra.elements})
+    damages = ["drop-key", "junk-image", "move-image", "junk-key", "rewire", "stray-hom", "drop-hom"]
+    for _ in range(draw(st.integers(0, 3))):
+        damage = draw(st.sampled_from(damages))
+        if damage == "stray-hom" or not homs:
+            pair = (draw(st.sampled_from(indices)), draw(st.sampled_from(indices)))
+        else:
+            pair = draw(st.sampled_from(sorted(homs)))
+        if damage in ("stray-hom", "rewire"):
+            images = components[pair[1]].algebra.elements
+            homs[pair] = {e: draw(st.sampled_from(images)) for e in components[pair[0]].algebra.elements}
+            continue
+        if pair not in homs:
+            continue
+        mapping = homs[pair]
+        if damage == "drop-hom":
+            del homs[pair]
+        elif damage == "junk-key":
+            mapping[draw(st.sampled_from(every + ["junk"]))] = draw(st.sampled_from(every + ["junk"]))
+        elif mapping and damage == "drop-key":
+            del mapping[draw(st.sampled_from(sorted(mapping)))]
+        elif mapping:
+            key = draw(st.sampled_from(sorted(mapping)))
+            images = components[pair[1]].algebra.elements
+            mapping[key] = "junk" if damage == "junk-image" else draw(st.sampled_from(images))
+    if draw(st.integers(0, 4)) == 0:
+        # Two one-element components sharing their element name.
+        points = [i for i in indices if len(components[i].algebra.elements) == 1]
+        for i in points[:2]:
+            old = components[i].algebra.elements[0]
+            algebra = components[i].algebra
+            tables = {op: {("shared",) * arity: "shared"} for op, arity in algebra.signature.connectives}
+            components[i] = FiniteMatrix(
+                FiniteAlgebra(algebra.signature, ("shared",), tables),
+                frozenset({"shared"}) if old in components[i].designated else frozenset(),
+            )
+            for mapping in homs.values():
+                for key, image in list(mapping.items()):
+                    if image == old:
+                        mapping[key] = "shared"
+                    if key == old:
+                        mapping["shared"] = mapping.pop(key)
+    return DirectSystem(system.semilattice, components, homs, kind=kind)
+
+
+@st.composite
+def random_map_systems(draw):
+    """Random algebras of 1-3 elements over a union-closed family, joined by
+    random total maps: most maps fail to be homs or to compose."""
+    masks = _union_closed(draw(st.lists(st.integers(1, 7), min_size=1, max_size=4)))
+    signature = draw(st.sampled_from([FULL_SIGNATURE, AND_OR_SIGNATURE]))
+    components = {}
+    for s in masks:
+        size = draw(st.integers(1, 3))
+        elements = tuple(f"s{s}_{k}" for k in range(size))
+        tables = {
+            name: {
+                args: draw(st.sampled_from(elements))
+                for args in itertools.product(elements, repeat=arity)
+            }
+            for name, arity in signature.connectives
+        }
+        designated = frozenset(draw(st.sets(st.sampled_from(elements))))
+        components[f"s{s}"] = FiniteMatrix(FiniteAlgebra(signature, elements, tables), designated)
+    homs = {
+        (f"s{s}", f"s{t}"): {
+            e: draw(st.sampled_from(components[f"s{t}"].algebra.elements))
+            for e in components[f"s{s}"].algebra.elements
+        }
+        for s in masks
+        for t in masks
+        if s != t and s | t == t
+    }
+    join = {(f"s{s}", f"s{t}"): f"s{s | t}" for s in masks for t in masks}
+    lattice = FiniteSemilattice(tuple(f"s{s}" for s in masks), join)
+    kind = draw(st.sampled_from(["algebraic", "l", "r"]))
+    return DirectSystem(lattice, components, homs, kind=kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(damaged_systems(), random_map_systems()))
+def test_validate_and_sum_match_reference(system):
+    assert validate_system(system).render() == reference_validate_system(system).render()
+    assert _outcome(plonka_sum, system) == _outcome(reference_plonka_sum, system)
+
+
+@pytest.mark.parametrize(
+    "pair, key, image, codes",
+    [
+        (("s1", "s3"), "s1_1", "junk", ["hom-codomain"]),
+        (("s3", "s7"), "s3_0", None, ["hom-domain"]),
+        (("s1", "s7"), "s1_0", None, ["hom-domain", "composition"]),
+        (("s1", "s3"), "s1_0", "s3_1", ["hom-property", "composition"]),
+    ],
+    ids=["image-outside-middle", "middle-step-undefined", "direct-undefined", "wrong-image"],
+)
+def test_composition_of_partial_homs_matches_reference(pair, key, image, codes):
+    """On the chain s1 < s3 < s7 of Boolean copies, a composite is compared
+    only where both steps are defined; an undefined direct hom disagrees."""
+    system = _copies_below_points(b2_algebra(), [1, 3, 7], [1, 3, 7])
+    if image is None:
+        del system.homs[pair][key]
+    else:
+        system.homs[pair][key] = image
+    report = validate_system(system)
+    assert [v.code for v in report.violations] == codes
+    assert report.render() == reference_validate_system(system).render()
+
+
+# ---------------------------------------------------------------------------
+# Scale and memory
+# ---------------------------------------------------------------------------
+
+
+def _cube_system(copies, tower):
+    """Boolean copies on the first ``copies`` of the 31 nonempty subsets of a
+    five-element set (ordered by size, so a down-set), one-element
+    components at the other subsets and on a chain of ``tower`` sets above
+    them all.  The sum has ``31 + tower + copies`` elements."""
+    cube = sorted(range(1, 32), key=lambda s: (bin(s).count("1"), s))
+    masks = cube + [(1 << (6 + k)) - 1 for k in range(tower)]
+    return _copies_below_points(b2_algebra(), masks, cube[:copies])
+
+
+def test_round_trip_at_48_elements_recovers_partition_and_tables():
+    system = _cube_system(copies=17, tower=0)
+    assert validate_system(system).ok
+    total = plonka_sum(system)
+    assert len(total.elements) == 48
+    report = check_partition_function(total, pi_term())
+    assert report.passed, report.render()
+
+    parts = decompose(total, pi_term())
+    assert len(parts.semilattice.indices) == 31
+    expected = {
+        frozenset(f"{i}.{e}" for e in m.algebra.elements) for i, m in system.components.items()
+    }
+    assert {frozenset(m.algebra.elements) for m in parts.components.values()} == expected
+    renaming = decomposition_renaming(parts)
+    resum = plonka_sum(parts)
+    for name, table in total.tables.items():
+        for args, value in table.items():
+            assert resum.tables[name][tuple(renaming[a] for a in args)] == renaming[value]
+    # Component order: class i lies below class j exactly when the masks nest.
+    mask_of = {
+        name: int(m.algebra.elements[0].split(".")[0][1:]) for name, m in parts.components.items()
+    }
+    for i, j in itertools.product(parts.semilattice.indices, repeat=2):
+        assert parts.semilattice.leq(i, j) == (mask_of[i] | mask_of[j] == mask_of[j])
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_peaks_at_64_elements_stay_at_block_size():
+    """No n**3 temporaries: an intp array of 64**3 entries alone is 2 MB."""
+    system = _cube_system(copies=21, tower=12)
+    assert len(plonka_sum(system).elements) == 64
+    # A fresh sum for each call, so cached tables count where they are built.
+    partition_peak = _traced_peak(check_partition_function, plonka_sum(system), pi_term())
+    decompose_peak = _traced_peak(decompose, plonka_sum(system), pi_term())
+    assert partition_peak <= 0.5 * 2**20, partition_peak
+    assert decompose_peak <= 2 * 2**20, decompose_peak
