@@ -34,10 +34,17 @@ Three comparison engines produce identical verdicts and witnesses:
     class ids and variable masks in the smallest unsigned type that holds
     them, row indices in ``int32`` while the row count fits, valuation bit
     sets in one byte or whole ``uint64`` words.
-    One run compares any number of pairs on one context: its outer loop
-    runs over conclusion classes, and one memo per class, shared by every
-    pair run on the context, holds each subtree's answers, so a tower that
-    appears in many pairs is still walked once per class.
+    One run compares any number of pairs on one context.  Its outer loop
+    runs over chunks of conclusion classes: classes with one variable mask,
+    at most 8 to a chunk.  A left step meets the premise mask with the
+    conclusion's mask, so every class of a chunk walks a tower through the
+    same masks, and one walk carries one answer bit per class in a byte per
+    premise row.  A leaf builds the chunk's bits on the distinct projected
+    rows and expands them once; the right step's coverage test and
+    fresh-variable branch do not depend on the class and act on all bits.
+    One memo per chunk, shared by every pair run on the context, holds
+    each subtree's answers, so a tower that appears in many pairs is still
+    walked once per chunk.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
@@ -321,8 +328,24 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def _nonzero_rows(words: np.ndarray) -> np.ndarray:
-    """Per packed row: is any bit set?  A one-word row needs no reduction."""
-    return words[:, 0] != 0 if words.shape[1] == 1 else words.any(axis=1)
+    """Per packed row: is any bit set?
+
+    Tested word column by word column: over the few words of a row that is
+    several times faster than ``any(axis=1)``.
+    """
+    out = words[:, 0] != 0
+    for column in words.T[1:]:
+        out |= column != 0
+    return out
+
+
+def _appended_classes(rows: np.ndarray, n_classes: int, index_dtype):
+    """Per row: the first class ``_next_block`` appends to it, and how many."""
+    if rows.shape[1]:
+        first = rows[:, -1].astype(index_dtype) + 1
+    else:
+        first = np.zeros(len(rows), dtype=index_dtype)
+    return first, n_classes - first
 
 
 def _next_block(rows: np.ndarray, n_classes: int, index_dtype) -> np.ndarray:
@@ -332,11 +355,7 @@ def _next_block(rows: np.ndarray, n_classes: int, index_dtype) -> np.ndarray:
     that class is appended.  Rows are stored column by column, so that a
     slot is one contiguous array.
     """
-    if rows.shape[1]:
-        first = rows[:, -1].astype(index_dtype) + 1
-    else:
-        first = np.zeros(len(rows), dtype=index_dtype)
-    counts = n_classes - first
+    first, counts = _appended_classes(rows, n_classes, index_dtype)
     grown = np.empty(
         (int(counts.sum()), rows.shape[1] + 1), dtype=rows.dtype, order="F"
     )
@@ -346,6 +365,11 @@ def _next_block(rows: np.ndarray, n_classes: int, index_dtype) -> np.ndarray:
     shift = first - (np.cumsum(counts, dtype=index_dtype) - counts)
     grown[:, -1] = np.arange(len(grown), dtype=index_dtype) + np.repeat(shift, counts)
     return grown
+
+
+def _byte_mask(bools: np.ndarray) -> np.ndarray:
+    """0xFF where ``bools`` is True, 0x00 elsewhere: one answer for every bit."""
+    return bools.view(np.uint8) * np.uint8(0xFF)
 
 
 class _VectorContext:
@@ -437,10 +461,19 @@ class _VectorContext:
         ``offset[m]`` counts the subsets of I smaller than m.  The colex rank
         is a bijection from the m-subsets of I onto ``range(comb(|I|, m))``,
         so the ids are a bijection onto the distinct projected rows.  The
-        rank is built one slot at a time, without sorting: the j-th kept
-        member c adds comb(pos_I(c), j + 1), read from a ``(max_size,
-        n_classes)`` table that holds 0 for a class outside I.  A row is
-        kept whole when all ``size`` of its members were kept.
+        rank is built without sorting: the j-th kept member c adds
+        comb(pos_I(c), j + 1), read from a ``(max_size, n_classes)`` table
+        that holds 0 for a class outside I.  A row is kept whole when all
+        ``size`` of its members were kept.
+
+        Block s is derived from block s - 1, not rebuilt slot by slot.  A
+        row of block s is its prefix row in block s - 1 plus one class c
+        above the prefix's last member (``_next_block``).  The members kept
+        from the prefix come first in the row, so the row's kept count and
+        colex rank are the prefix's, plus, when c lies in I, one for the
+        count and c's weight at the prefix's kept count for the rank.  So
+        the cursor and rank of block s are block s - 1's repeated with
+        ``_next_block``'s counts, plus one lookup each for c.
         """
         cached = self._projections.get(vmask)
         if cached is not None:
@@ -460,13 +493,18 @@ class _VectorContext:
         offset = np.repeat(np.cumsum([0] + sizes[:-1]), n).astype(self.index_dtype)
         slots = np.full((self.max_size, sum(sizes)), n, dtype=self.class_dtype)
         inverse = np.empty(self.n_premise_rows, dtype=self.index_dtype)
+        cursor = np.zeros(1, dtype=cursor_dtype)
+        rank = np.zeros(1, dtype=self.index_dtype)
+        prefixes = None
         for start, size, rows in self.blocks:
-            cursor = np.zeros(len(rows), dtype=cursor_dtype)
-            rank = np.zeros(len(rows), dtype=self.index_dtype)
-            for j in range(size):
-                member = rows[:, j]
+            if size:
+                _, counts = _appended_classes(prefixes, n, self.index_dtype)
+                cursor = np.repeat(cursor, counts)
+                rank = np.repeat(rank, counts)
+                member = rows[:, -1]
                 rank += weight.take(cursor + member)
                 cursor += step.take(member)
+            prefixes = rows
             ids = offset.take(cursor) + rank
             inverse[start:start + len(rows)] = ids
             whole = cursor == n * size
@@ -511,31 +549,53 @@ class _VectorContext:
 
     # -- tree evaluation -----------------------------------------------------
 
-    def _leaf_real(self, matrix_ids: tuple[int, ...], vmask: int, target: int):
-        result = None
+    def _leaf_real(
+        self, matrix_ids: tuple[int, ...], vmask: int, chunk: tuple[int, ...]
+    ) -> np.ndarray:
+        """Bit i of each premise row: the leaf's answer for class ``chunk[i]``.
+
+        The bits are built and ANDed across the leaf's matrices on the
+        distinct projected rows, then expanded to every premise row once.
+        """
+        out = None
         for matrix_id in matrix_ids:
-            conj = self._leaf_conjunction(matrix_id, vmask)
-            _, inverse = self._projection(vmask)
-            bad = _nonzero_rows(conj & self.rep_not_packed[matrix_id][target])
-            ok = (~bad).take(inverse)
-            result = ok if result is None else (result & ok)
-        return result
+            held = self._held_bits(matrix_id, vmask, chunk)
+            out = held if out is None else out & held
+        _, inverse = self._projection(vmask)
+        return out.take(inverse)
+
+    def _held_bits(
+        self, matrix_id: int, vmask: int, chunk: tuple[int, ...]
+    ) -> np.ndarray:
+        """Per distinct projected row, bit i: does the row entail class
+        ``chunk[i]`` in one matrix?  It does when every valuation that
+        designates all the row's members designates the class too."""
+        conj = self._leaf_conjunction(matrix_id, vmask)
+        rep_not = self.rep_not_packed[matrix_id]
+        fails = np.zeros(len(conj), dtype=np.uint8)
+        for bit, target in enumerate(chunk):
+            bad = _nonzero_rows(conj & rep_not[target])
+            fails |= bad.view(np.uint8) << np.uint8(bit)
+        return ~fails
 
     def _leaf_fresh(self, matrix_ids: tuple[int, ...], vmask: int):
-        result = None
+        ok = None
         for matrix_id in matrix_ids:
-            if self.all_designated[matrix_id]:
-                ok = np.ones(self.n_premise_rows, dtype=bool)
-            else:
+            if not self.all_designated[matrix_id]:
                 conj = self._leaf_conjunction(matrix_id, vmask)
-                _, inverse = self._projection(vmask)
-                satisfiable = _nonzero_rows(conj)
-                ok = (~satisfiable).take(inverse)
-            result = ok if result is None else (result & ok)
-        return result
+                unsatisfiable = ~_nonzero_rows(conj)
+                ok = unsatisfiable if ok is None else ok & unsatisfiable
+        if ok is None:
+            return np.full(self.n_premise_rows, 0xFF, dtype=np.uint8)
+        _, inverse = self._projection(vmask)
+        return _byte_mask(ok).take(inverse)
 
     def fresh_answers(self, tree, vmask: int) -> np.ndarray:
-        """Answers for a conclusion variable foreign to the whole fragment."""
+        """Answers for a conclusion variable foreign to the whole fragment.
+
+        One byte per premise row, 0xFF or 0x00, so it serves every class of
+        a chunk at once.
+        """
         key = (tree, vmask)
         cached = self._fresh_cache.get(key)
         if cached is not None:
@@ -554,16 +614,36 @@ class _VectorContext:
         self._fresh_cache[key] = out
         return out
 
-    def target_answers(self, tree, target: int, memo: dict) -> np.ndarray:
-        """Answers of ``tree`` for conclusion class ``target`` on all premise rows.
+    def chunks(self) -> list[tuple[int, ...]]:
+        """Conclusion classes grouped by variable mask, at most 8 per group.
 
-        ``memo`` holds the answers of every (subtree, premise mask) walked
-        for this target; pass the same dict for every tree walked for it.
+        Classes ascend within a group.  Groups of one mask follow each
+        other, and masks come in the order of their first class.
         """
-        tmask = int(self.rep_mask[target])
-        return self._walk(tree, self.full_mask, target, tmask, memo)
+        by_mask: dict[int, list[int]] = {}
+        for target, tmask in enumerate(self.rep_mask.tolist()):
+            by_mask.setdefault(tmask, []).append(target)
+        return [
+            tuple(targets[i:i + 8])
+            for targets in by_mask.values()
+            for i in range(0, len(targets), 8)
+        ]
 
-    def _walk(self, node, vmask: int, target: int, tmask: int, memo: dict):
+    def chunk_answers(self, tree, chunk: tuple[int, ...], memo: dict) -> np.ndarray:
+        """Answers of ``tree`` for a chunk of conclusion classes.
+
+        One ``uint8`` per premise row; bit i answers class ``chunk[i]``, and
+        bits past the chunk's length are meaningless.  ``chunk`` comes from
+        :meth:`chunks`, so its classes share one variable mask.  ``memo``
+        holds the answers of every (subtree, premise mask) walked for this
+        chunk; pass the same dict for every tree walked for it.
+        """
+        tmask = int(self.rep_mask[chunk[0]])
+        return self._walk(tree, self.full_mask, chunk, tmask, memo)
+
+    def _walk(
+        self, node, vmask: int, chunk: tuple[int, ...], tmask: int, memo: dict
+    ) -> np.ndarray:
         # A method, not a closure: a self-referencing nested function would
         # keep the memo's arrays alive until the cyclic collector runs.
         key = (node, vmask)
@@ -572,17 +652,16 @@ class _VectorContext:
             return hit
         tag = node[0]
         if tag == "leaf":
-            out = self._leaf_real(node[1], vmask, target)
+            out = self._leaf_real(node[1], vmask, chunk)
         elif tag == "l":
-            out = self._walk(node[1], vmask & tmask, target, tmask, memo)
+            out = self._walk(node[1], vmask & tmask, chunk, tmask, memo)
         elif tag == "r":
-            covered = (self._premise_mask(vmask) & tmask) == tmask
-            out = (
-                covered & self._walk(node[1], vmask, target, tmask, memo)
-            ) | self.fresh_answers(node[1], vmask)
+            out = _byte_mask((self._premise_mask(vmask) & tmask) == tmask)
+            out &= self._walk(node[1], vmask, chunk, tmask, memo)
+            out |= self.fresh_answers(node[1], vmask)
         else:
-            out = self._walk(node[1][0], vmask, target, tmask, memo) & self._walk(
-                node[1][1], vmask, target, tmask, memo
+            out = self._walk(node[1][0], vmask, chunk, tmask, memo) & self._walk(
+                node[1][1], vmask, chunk, tmask, memo
             )
         memo[key] = out
         return out
@@ -630,10 +709,10 @@ def _vector_verdicts(
     """Re-validated vector-engine verdicts for every pair, from one context.
 
     ``towers`` is ``_tower_trees(pairs)``.  The context covers the matrices
-    of all pairs.  The outer loop runs over conclusion classes, so a subtree
-    is walked once per class however many pairs contain it.  Per pair and
-    class the first ``max_witnesses`` rows are kept; they are then sorted
-    and capped.
+    of all pairs.  The outer loop runs over chunks of conclusion classes,
+    so a subtree is walked once per chunk however many pairs contain it.
+    Witnesses are still chosen per class: per pair and class the first
+    ``max_witnesses`` rows are kept; they are then sorted and capped.
     """
     if towers is None:
         raise LatticeError(
@@ -644,15 +723,17 @@ def _vector_verdicts(
     context = _VectorContext(pairs[0][0].signature, fragment, table)
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
-    for target in range(context.n_classes):
+    for chunk in context.chunks():
         memo: dict = {}
+        in_chunk = np.uint8((1 << len(chunk)) - 1)
         for (tree_a, tree_b), count, sides in zip(trees, counts, found):
-            ans_a = context.target_answers(tree_a, target, memo)
-            ans_b = context.target_answers(tree_b, target, memo)
-            for side, only in enumerate((ans_a & ~ans_b, ans_b & ~ans_a)):
-                rows = np.flatnonzero(only)
-                count[side] += len(rows)
-                sides[side].extend((int(row), target) for row in rows[:max_witnesses])
+            ans_a = context.chunk_answers(tree_a, chunk, memo)
+            ans_b = context.chunk_answers(tree_b, chunk, memo)
+            for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
+                tally = _tally(mine & (other ^ in_chunk), chunk, max_witnesses)
+                for target, n_rows, first in tally:
+                    count[side] += n_rows
+                    sides[side].extend((row, target) for row in first)
     return [
         _verdict(
             a, b, fragment, "vector",
@@ -661,6 +742,20 @@ def _vector_verdicts(
         )
         for (a, b), count, sides in zip(pairs, counts, found)
     ]
+
+
+def _tally(only: np.ndarray, chunk: tuple[int, ...], cap: int):
+    """Per class of ``chunk``: how many rows have its bit set in ``only``,
+    and the first ``cap`` of them."""
+    if not only.any():
+        return []
+    out = []
+    for bit, target in enumerate(chunk):
+        # A 0/1 byte is a valid bool, and nonzero is fastest on bools.
+        hit = (only >> np.uint8(bit)) & np.uint8(1)
+        rows = np.flatnonzero(hit.view(bool))
+        out.append((target, len(rows), rows[:cap].tolist()))
+    return out
 
 
 def _decode_witnesses(
@@ -811,6 +906,11 @@ def _verdict(
     )
 
 
+def _check_max_witnesses(max_witnesses: int) -> None:
+    if max_witnesses < 0:
+        raise LatticeError(f"max_witnesses must be at least 0, got {max_witnesses}")
+
+
 def compare(
     a: LogicOracle,
     b: LogicOracle,
@@ -827,6 +927,7 @@ def compare(
     still shows up.  Every reported witness is re-validated with direct
     oracle calls before the verdict is returned.
     """
+    _check_max_witnesses(max_witnesses)
     if a.signature != b.signature:
         raise LatticeError("compared oracles must share a signature")
     if engine in ("auto", "vector"):
@@ -1004,8 +1105,9 @@ def build_lattice(
     plus computed meet nodes and rendered-but-uncomputed join nodes.  Every
     node is a matrix, left, right or meet tower, so all computed pairs go
     through one vector-engine run on one context, and each tower is walked
-    once per conclusion class rather than once per pair.
+    once per chunk of conclusion classes rather than once per pair.
     """
+    _check_max_witnesses(max_witnesses)
     matrices = (base,) if isinstance(base, FiniteMatrix) else tuple(base)
     if not matrices:
         raise LatticeError("need at least one base matrix")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilogic.formulas import FragmentSpec, parse_formula
+from vilogic.formulas import FragmentSpec, Signature, parse_formula
 from vilogic.lattice import (
     DEFAULT_FRAGMENT,
     Inference,
@@ -25,7 +25,8 @@ from vilogic.lattice import (
     _VectorContext,
 )
 import vilogic.lattice as lattice_module
-from vilogic.matrices import MatrixOracle
+from vilogic.matrices import FiniteAlgebra, FiniteMatrix, MatrixOracle
+from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
     FULL_SIGNATURE,
     b2_and_or_matrix,
@@ -101,6 +102,54 @@ def test_engines_agree_on_relation_and_first_witness():
 
 
 CL_B3 = MatrixOracle((b2_matrix(), b3_matrix()), label="CL+B3")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FragmentSpec(variables=("x", "y"), max_depth=1, max_premises=3),
+        # 12 classes use both variables: a full chunk of 8 and one of 4.
+        FragmentSpec(variables=("x", "y"), max_depth=2, max_premises=2),
+    ],
+    ids=["depth-1", "depth-2"],
+)
+def test_vector_and_class_engines_count_alike_with_meet_towers(spec):
+    # The class engine queries the real oracles once per class pattern, so
+    # it checks the vector engine's counts, not only its first witnesses.
+    towers = {seq: derive_sequence(CL_B3, seq) for seq in ("l", "r", "lr", "rl", "rlr")}
+    towers["meet(l,r)"] = intersect(towers["l"], towers["r"])
+    towers["meet(lr,rl)"] = intersect(towers["lr"], towers["rl"])
+    pairs = [
+        ("l", "r"),
+        ("rlr", "meet(lr,rl)"),
+        ("meet(l,r)", "lr"),
+        ("meet(lr,rl)", "l"),
+        ("r", "meet(l,r)"),
+    ]
+    separated = 0
+    for a, b in pairs:
+        classes = compare(towers[a], towers[b], spec, engine="classes")
+        vector = compare(towers[a], towers[b], spec, engine="vector")
+        assert classes.disagreements == vector.disagreements, (a, b)
+        assert classes.relation == vector.relation, (a, b)
+        separated += any(vector.disagreements)
+    assert separated
+
+
+def test_compare_rejects_negative_max_witnesses():
+    left = derive_sequence(CL, "l")
+    right = derive_sequence(CL, "r")
+    with pytest.raises(LatticeError, match="max_witnesses"):
+        compare(left, right, TINY, max_witnesses=-1)
+    for engine in ("exhaustive", "classes"):
+        with pytest.raises(LatticeError, match="max_witnesses"):
+            compare(left, right, TINY, engine=engine, max_witnesses=-1)
+    assert compare(left, right, TINY, max_witnesses=0).witnesses_ab == ()
+
+
+def test_build_lattice_rejects_negative_max_witnesses():
+    with pytest.raises(LatticeError, match="max_witnesses"):
+        build_lattice(b2_matrix(), pi_term(), fragment=TINY, max_witnesses=-1)
 
 
 @pytest.mark.parametrize(
@@ -294,6 +343,148 @@ def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
             assert decoded == kept
 
 
+# The per-class tower walk the vector engine ran before it walked chunks of
+# classes: one bool per premise row, one walk per conclusion class.
+
+
+def _reference_leaf_real(context, matrix_ids, vmask, target):
+    result = None
+    for matrix_id in matrix_ids:
+        conj = context._leaf_conjunction(matrix_id, vmask)
+        _, inverse = context._projection(vmask)
+        not_target = context.rep_not_packed[matrix_id][target]
+        bad = (conj & not_target).any(axis=1)
+        ok = (~bad).take(inverse)
+        result = ok if result is None else (result & ok)
+    return result
+
+
+def _reference_fresh(context, tree, vmask):
+    tag = tree[0]
+    if tag == "l":
+        return _reference_fresh(context, tree[1], 0)
+    if tag == "r":
+        return _reference_fresh(context, tree[1], vmask)
+    if tag == "meet":
+        return _reference_fresh(context, tree[1][0], vmask) & _reference_fresh(
+            context, tree[1][1], vmask
+        )
+    result = None
+    for matrix_id in tree[1]:
+        if context.all_designated[matrix_id]:
+            ok = np.ones(context.n_premise_rows, dtype=bool)
+        else:
+            conj = context._leaf_conjunction(matrix_id, vmask)
+            _, inverse = context._projection(vmask)
+            ok = (~conj.any(axis=1)).take(inverse)
+        result = ok if result is None else (result & ok)
+    return result
+
+
+def _reference_walk(context, node, vmask, target, tmask, memo):
+    key = (node, vmask)
+    if key in memo:
+        return memo[key]
+    tag = node[0]
+    if tag == "leaf":
+        out = _reference_leaf_real(context, node[1], vmask, target)
+    elif tag == "l":
+        out = _reference_walk(context, node[1], vmask & tmask, target, tmask, memo)
+    elif tag == "r":
+        covered = (context._premise_mask(vmask) & tmask) == tmask
+        out = (
+            covered & _reference_walk(context, node[1], vmask, target, tmask, memo)
+        ) | _reference_fresh(context, node[1], vmask)
+    else:
+        out = _reference_walk(
+            context, node[1][0], vmask, target, tmask, memo
+        ) & _reference_walk(context, node[1][1], vmask, target, tmask, memo)
+    memo[key] = out
+    return out
+
+
+def _boolean_ring_matrix():
+    """Two elements, ``and`` as conjunction, ``or`` as exclusive or, ``not``
+    as the identity.  Over x, y at depth 2 the formulas using both variables
+    name exactly the 8 polynomials ax + by + cxy, so one mask holds exactly
+    8 classes."""
+    tables = {
+        "and": {(a, b): str(int(a) & int(b)) for a in "01" for b in "01"},
+        "or": {(a, b): str(int(a) ^ int(b)) for a in "01" for b in "01"},
+        "not": {("0",): "0", ("1",): "1"},
+    }
+    algebra = FiniteAlgebra(FULL_SIGNATURE, ("0", "1"), tables)
+    return FiniteMatrix(algebra, frozenset({"1"}))
+
+
+def _constant_matrix():
+    """CL plus a 0-ary connective ``t`` naming 1: its classes have mask 0."""
+    algebra = b2_matrix().algebra
+    signature = Signature(FULL_SIGNATURE.connectives + (("t", 0),))
+    tables = dict(algebra.tables, t={(): "1"})
+    return FiniteMatrix(
+        FiniteAlgebra(signature, algebra.elements, tables), frozenset({"1"})
+    )
+
+
+XY2 = FragmentSpec(variables=("x", "y"), max_depth=2, max_premises=2)
+XYZ1 = FragmentSpec(variables=("x", "y", "z"), max_depth=1, max_premises=2)
+CHUNK_CASES = {
+    # name: (matrices, fragment, mask group sizes)
+    "CL": ((b2_matrix(),), XY2, [4, 4, 12]),
+    "CL+B3": ((b2_matrix(), b3_matrix()), XY2, [4, 4, 12]),
+    "chain-5": ((canonical_chain_matrix(b2_matrix(), "lrl"),), XYZ1, [2] * 6),
+    "constant": ((_constant_matrix(),), TINY, [1, 2, 2, 2]),
+    "ring": ((_boolean_ring_matrix(),), XY2, [2, 2, 8]),
+    "CL[and,or]": ((b2_and_or_matrix(),), XY2, [1, 1, 4]),
+}
+
+
+@pytest.mark.parametrize("name", list(CHUNK_CASES))
+def test_chunked_walk_matches_the_per_class_walk(name):
+    matrices, fragment, group_sizes = CHUNK_CASES[name]
+    base = MatrixOracle(matrices, label=name)
+    oracles = [
+        derive_sequence(base, "".join(seq))
+        for length in range(4)
+        for seq in itertools.product("lr", repeat=length)
+    ]
+    oracles.append(intersect(derive_sequence(base, "lr"), derive_sequence(base, "rl")))
+    table = []
+    trees = [_oracle_tree(oracle, table) for oracle in oracles]
+    context = _VectorContext(base.signature, fragment, table)
+    masks = context.rep_mask.tolist()
+
+    chunks = context.chunks()
+    assert sorted(c for chunk in chunks for c in chunk) == list(range(context.n_classes))
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for chunk in chunks:
+        assert 1 <= len(chunk) <= 8 and list(chunk) == sorted(chunk)
+        assert len({masks[c] for c in chunk}) == 1
+        groups.setdefault(masks[chunk[0]], []).append(chunk)
+    assert sorted(sum(map(len, g)) for g in groups.values()) == group_sizes
+    for group in groups.values():
+        # Only a group's last chunk may be short.
+        assert all(len(chunk) == 8 for chunk in group[:-1])
+    if name == "chain-5":
+        assert context.rep_not_packed[0].shape[1] > 1
+    if name == "constant":
+        assert 0 in groups
+
+    for chunk in chunks:
+        tmask = masks[chunk[0]]
+        memo = {}
+        for tree in trees:
+            bits = context.chunk_answers(tree, chunk, memo)
+            assert bits.dtype == np.uint8 and bits.shape == (context.n_premise_rows,)
+            for bit, target in enumerate(chunk):
+                expected = _reference_walk(
+                    context, tree, context.full_mask, target, tmask, {}
+                )
+                got = (bits >> bit) & 1 == 1
+                assert np.array_equal(got, expected), (tree, target)
+
+
 def test_compare_at_four_premises_matches_pinned_scale_reference():
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
     expected = json.loads((REFS / "scale.json").read_text(encoding="utf-8"))[
@@ -331,7 +522,7 @@ def test_target_answers_memo_is_freed_without_the_cyclic_collector():
     gc.disable()
     try:
         memo = {}
-        result = context.target_answers(tree, 0, memo)
+        result = context.chunk_answers(tree, context.chunks()[0], memo)
         assert memo[(tree, context.full_mask)] is result
         ref = weakref.ref(result)
         del memo, result
