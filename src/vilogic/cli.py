@@ -83,6 +83,7 @@ def _parse_fragment(text: str) -> FragmentSpec:
     variables = DEFAULT_FRAGMENT.variables
     depth = DEFAULT_FRAGMENT.max_depth
     premises = DEFAULT_FRAGMENT.max_premises
+    seen: set[str] = set()
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -90,6 +91,9 @@ def _parse_fragment(text: str) -> FragmentSpec:
         key, _, value = chunk.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise MatrixError(f"fragment key {key!r} given more than once")
+        seen.add(key)
         if key == "vars":
             variables = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "depth":

@@ -372,8 +372,32 @@ def _byte_mask(bools: np.ndarray) -> np.ndarray:
     return bools.view(np.uint8) * np.uint8(0xFF)
 
 
+@dataclass
+class _MaskState:
+    """What the walk caches for one premise variable mask, all built on
+    first use: the projection ``(slots, inverse)``, the expanded premise
+    mask, the leaf conjunction per matrix id and the fresh answers per
+    subtree.  :meth:`_VectorContext.retire` drops all of it at once."""
+
+    projection: tuple | None = None
+    premise_mask: np.ndarray | None = None
+    conjunctions: dict[int, np.ndarray] = field(default_factory=dict)
+    fresh: dict[tuple, np.ndarray] = field(default_factory=dict)
+
+
 class _VectorContext:
-    """Shared numpy state for comparing towers over one matrix collection."""
+    """Shared numpy state for comparing towers over one matrix collection.
+
+    Every array built for one premise variable mask lives in that mask's
+    :class:`_MaskState`.  A chunk of conclusion classes with mask t reads
+    only three masks: the full mask, where every walk starts; t, because a
+    left step meets the premise mask with t and a right step keeps it, so
+    from the full mask the walk only reaches t; and 0, because the fresh
+    answers after a left step are read at mask 0.  :meth:`chunks` puts all
+    chunks of one mask next to each other, so once the last chunk of mask
+    t is walked no later chunk reads t's state again, unless t is the full
+    mask or 0, and :meth:`retire` may drop it.
+    """
 
     def __init__(
         self,
@@ -436,10 +460,23 @@ class _VectorContext:
             rows = _next_block(rows, self.n_classes, self.index_dtype)
             blocks.append((offset, size, rows))
         self.blocks = blocks
-        self._projections: dict[int, tuple] = {}
-        self._leaf_conjunctions: dict[tuple[int, int], np.ndarray] = {}
-        self._fresh_cache: dict[tuple, np.ndarray] = {}
-        self._premise_masks: dict[int, np.ndarray] = {}
+        self._masks: dict[int, _MaskState] = {}
+
+    # -- per-mask state -----------------------------------------------------
+
+    def _state(self, vmask: int) -> _MaskState:
+        state = self._masks.get(vmask)
+        if state is None:
+            state = self._masks[vmask] = _MaskState()
+        return state
+
+    def retire(self, vmask: int) -> None:
+        """Drop mask ``vmask``'s state once its last chunk is walked.
+
+        The full mask and 0 stay, because every later chunk may read them.
+        """
+        if vmask not in (self.full_mask, 0):
+            self._masks.pop(vmask, None)
 
     # -- projections --------------------------------------------------------
 
@@ -475,9 +512,9 @@ class _VectorContext:
         the cursor and rank of block s are block s - 1's repeated with
         ``_next_block``'s counts, plus one lookup each for c.
         """
-        cached = self._projections.get(vmask)
-        if cached is not None:
-            return cached
+        state = self._state(vmask)
+        if state.projection is not None:
+            return state.projection
         n = self.n_classes
         inside = (self.rep_mask | vmask) == vmask
         position = np.cumsum(inside) - 1
@@ -509,22 +546,20 @@ class _VectorContext:
             inverse[start:start + len(rows)] = ids
             whole = cursor == n * size
             slots[:size, ids[whole]] = rows[whole].T
-        result = (slots, inverse)
-        self._projections[vmask] = result
-        return result
+        state.projection = (slots, inverse)
+        return state.projection
 
     def _premise_mask(self, vmask: int) -> np.ndarray:
         """Variable mask of each projected premise row, expanded to full rows."""
-        cached = self._premise_masks.get(vmask)
-        if cached is not None:
-            return cached
+        state = self._state(vmask)
+        if state.premise_mask is not None:
+            return state.premise_mask
         slots, inverse = self._projection(vmask)
         compact = np.zeros(slots.shape[1], dtype=self.rep_mask.dtype)
         for slot in slots:
             compact |= self._slot_mask[slot]
-        expanded = compact.take(inverse)
-        self._premise_masks[vmask] = expanded
-        return expanded
+        state.premise_mask = compact.take(inverse)
+        return state.premise_mask
 
     def _leaf_conjunction(self, matrix_id: int, vmask: int) -> np.ndarray:
         """Per distinct projected row: valuations designating every member.
@@ -535,8 +570,8 @@ class _VectorContext:
         sees it.  An all-ones ``conj`` keeps padding ones only in the empty
         projected row, and that row is satisfiable anyway.
         """
-        key = (matrix_id, vmask)
-        cached = self._leaf_conjunctions.get(key)
+        conjunctions = self._state(vmask).conjunctions
+        cached = conjunctions.get(matrix_id)
         if cached is not None:
             return cached
         slots, _ = self._projection(vmask)
@@ -544,7 +579,7 @@ class _VectorContext:
         out = np.repeat(table[-1:], slots.shape[1], axis=0)
         for slot in slots:
             out &= table[slot]
-        self._leaf_conjunctions[key] = out
+        conjunctions[matrix_id] = out
         return out
 
     # -- tree evaluation -----------------------------------------------------
@@ -596,8 +631,8 @@ class _VectorContext:
         One byte per premise row, 0xFF or 0x00, so it serves every class of
         a chunk at once.
         """
-        key = (tree, vmask)
-        cached = self._fresh_cache.get(key)
+        fresh = self._state(vmask).fresh
+        cached = fresh.get(tree)
         if cached is not None:
             return cached
         tag = tree[0]
@@ -611,14 +646,16 @@ class _VectorContext:
             out = self.fresh_answers(tree[1][0], vmask) & self.fresh_answers(
                 tree[1][1], vmask
             )
-        self._fresh_cache[key] = out
+        fresh[tree] = out
         return out
 
     def chunks(self) -> list[tuple[int, ...]]:
         """Conclusion classes grouped by variable mask, at most 8 per group.
 
         Classes ascend within a group.  Groups of one mask follow each
-        other, and masks come in the order of their first class.
+        other, and masks come in the order of their first class.  So a
+        mask's chunks are walked in one stretch, after which only the full
+        mask and 0 of its state are read again (see the class docstring).
         """
         by_mask: dict[int, list[int]] = {}
         for target, tmask in enumerate(self.rep_mask.tolist()):
@@ -638,8 +675,11 @@ class _VectorContext:
         holds the answers of every (subtree, premise mask) walked for this
         chunk; pass the same dict for every tree walked for it.
         """
-        tmask = int(self.rep_mask[chunk[0]])
-        return self._walk(tree, self.full_mask, chunk, tmask, memo)
+        return self._walk(tree, self.full_mask, chunk, self.chunk_mask(chunk), memo)
+
+    def chunk_mask(self, chunk: tuple[int, ...]) -> int:
+        """The variable mask that every class of ``chunk`` shares."""
+        return int(self.rep_mask[chunk[0]])
 
     def _walk(
         self, node, vmask: int, chunk: tuple[int, ...], tmask: int, memo: dict
@@ -711,6 +751,7 @@ def _vector_verdicts(
     ``towers`` is ``_tower_trees(pairs)``.  The context covers the matrices
     of all pairs.  The outer loop runs over chunks of conclusion classes,
     so a subtree is walked once per chunk however many pairs contain it.
+    After the last chunk of a mask, that mask's state is retired.
     Witnesses are still chosen per class: per pair and class the first
     ``max_witnesses`` rows are kept; they are then sorted and capped.
     """
@@ -723,17 +764,19 @@ def _vector_verdicts(
     context = _VectorContext(pairs[0][0].signature, fragment, table)
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
-    for chunk in context.chunks():
-        memo: dict = {}
-        in_chunk = np.uint8((1 << len(chunk)) - 1)
-        for (tree_a, tree_b), count, sides in zip(trees, counts, found):
-            ans_a = context.chunk_answers(tree_a, chunk, memo)
-            ans_b = context.chunk_answers(tree_b, chunk, memo)
-            for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
-                tally = _tally(mine & (other ^ in_chunk), chunk, max_witnesses)
-                for target, n_rows, first in tally:
-                    count[side] += n_rows
-                    sides[side].extend((row, target) for row in first)
+    for tmask, group in itertools.groupby(context.chunks(), context.chunk_mask):
+        for chunk in group:
+            memo: dict = {}
+            in_chunk = np.uint8((1 << len(chunk)) - 1)
+            for (tree_a, tree_b), count, sides in zip(trees, counts, found):
+                ans_a = context.chunk_answers(tree_a, chunk, memo)
+                ans_b = context.chunk_answers(tree_b, chunk, memo)
+                for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
+                    tally = _tally(mine & (other ^ in_chunk), chunk, max_witnesses)
+                    for target, n_rows, first in tally:
+                        count[side] += n_rows
+                        sides[side].extend((row, target) for row in first)
+        context.retire(tmask)
     return [
         _verdict(
             a, b, fragment, "vector",

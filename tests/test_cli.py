@@ -231,8 +231,24 @@ def test_bad_formula_exits_two(capsys):
              "--fragment", "depth=abc"),
             "'depth'",
         ),
+        (
+            ("compare", "--base", B2, "--seq-a", "l", "--seq-b", "r",
+             "--fragment", "vars=x,y;depth=1;premises=2;premises=3"),
+            "'premises' given more than once",
+        ),
+        (
+            ("reproduce", "--figure", "1",
+             "--fragment", "vars=x,y;depth=1;vars=x"),
+            "'vars' given more than once",
+        ),
     ],
-    ids=["derive-info-bad-seq", "entails-bad-seq", "compare-bad-depth"],
+    ids=[
+        "derive-info-bad-seq",
+        "entails-bad-seq",
+        "compare-bad-depth",
+        "compare-repeated-key",
+        "reproduce-repeated-key",
+    ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, argv, needle):
     code, out, err = run(capsys, *argv)

@@ -485,6 +485,75 @@ def test_chunked_walk_matches_the_per_class_walk(name):
                 assert np.array_equal(got, expected), (tree, target)
 
 
+@pytest.mark.parametrize(
+    "base, fragment",
+    [
+        (CL_B3, DEFAULT_FRAGMENT),
+        # Classes of mask 0, walked last: their state must outlive the walk.
+        (MatrixOracle((_constant_matrix(),), label="constant"), TINY),
+    ],
+    ids=["CL+B3", "constant"],
+)
+def test_vector_walk_projects_each_mask_once_and_retires_it(
+    monkeypatch, base, fragment
+):
+    # A chunk of mask t reads only the full mask, t and 0, so once the walk
+    # has left t nothing may keep t's arrays alive or build them again.
+    oracles = [
+        derive_sequence(base, "".join(seq))
+        for length in range(4)
+        for seq in itertools.product("lr", repeat=length)
+    ]
+    meet = intersect(derive_sequence(base, "lr"), derive_sequence(base, "rl"))
+    pairs = [(oracle, meet) for oracle in oracles]
+    arrays: dict[tuple, weakref.ref] = {}
+    builds: dict[int, int] = {}
+    walked: list[int] = []
+    contexts: list[_VectorContext] = []
+
+    def tracked(name, key_of, array_of):
+        original = getattr(_VectorContext, name)
+
+        def wrapper(self, *args):
+            result = original(self, *args)
+            key = (name,) + key_of(*args)
+            seen = arrays.get(key)
+            if seen is None or seen() is not array_of(result):
+                if name == "_projection":
+                    builds[key[1]] = builds.get(key[1], 0) + 1
+                arrays[key] = weakref.ref(array_of(result))
+            return result
+
+        monkeypatch.setattr(_VectorContext, name, wrapper)
+
+    tracked("_projection", lambda vmask: (vmask,), lambda r: r[1])
+    tracked("_premise_mask", lambda vmask: (vmask,), lambda r: r)
+    tracked("_leaf_conjunction", lambda m, vmask: (vmask, m), lambda r: r)
+    original_answers = _VectorContext.chunk_answers
+
+    def chunk_answers(self, tree, chunk, memo):
+        result = original_answers(self, tree, chunk, memo)
+        tmask = int(self.rep_mask[chunk[0]])
+        if not walked or walked[-1] != tmask:
+            walked.append(tmask)
+            contexts.append(self)
+        alive = {key[1] for key, ref in arrays.items() if ref() is not None}
+        assert alive <= {0, self.full_mask, tmask}, (tmask, alive)
+        return result
+
+    monkeypatch.setattr(_VectorContext, "chunk_answers", chunk_answers)
+    verdicts = lattice_module._vector_verdicts(
+        pairs, lattice_module._tower_trees(pairs), fragment, 3
+    )
+    assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
+    # Every conclusion mask is walked in one stretch, every mask is
+    # projected once, and afterwards only the full mask and 0 hold state.
+    context = contexts[0]
+    assert sorted(walked) == sorted(set(context.rep_mask.tolist()))
+    assert builds == {vmask: 1 for vmask in range(context.full_mask + 1)}
+    assert set(context._masks) == {0, context.full_mask}
+
+
 def test_compare_at_four_premises_matches_pinned_scale_reference():
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
     expected = json.loads((REFS / "scale.json").read_text(encoding="utf-8"))[
