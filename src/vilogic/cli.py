@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .formulas import Formula, FormulaError, FragmentSpec, parse_formula
+from .formulas import FormulaError, FragmentSpec, parse_formula
 from .lattice import (
     DEFAULT_FRAGMENT,
     Inference,
@@ -30,6 +30,7 @@ from .matrices import (
     LogicOracle,
     MatrixError,
     MatrixOracle,
+    WITNESS,
     find_countermodel,
     format_matrix,
     load_matrix_file,
@@ -166,7 +167,7 @@ def _cmd_derive_info(args) -> int:
     sequence = "" if args.seq.strip() == "base" else args.seq.strip()
     oracle = derive_sequence(base, sequence)
     base_info = base.antitheorem_info
-    canonical = canonicalize_sequence(sequence, base_info.status == "witness")
+    canonical = canonicalize_sequence(sequence, base_info.status == WITNESS)
     print(f"sequence: {sequence or 'base'}")
     print(f"canonical equivalent: {canonical or 'base'}")
     print(f"base antitheorems: {base_info.status}")
@@ -257,9 +258,7 @@ def _cmd_compare(args) -> int:
             parse_formula(p, a.signature) for p in _split_formulas(left)
         )
         extras.append(Inference(premises, parse_formula(right.strip(), a.signature)))
-    verdict = compare(
-        a, b, fragment, extra_witnesses=extras, engine=args.engine
-    )
+    verdict = compare(a, b, fragment, extra_witnesses=extras)
     if args.json:
         print(json.dumps(verdict.to_json(), indent=2, sort_keys=True))
     else:
@@ -334,11 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-a", help="side a: plain matrix file")
     p.add_argument("--matrix-b", help="side b: plain matrix file")
     p.add_argument("--fragment", help="vars=x,y,z;depth=2;premises=3")
-    p.add_argument(
-        "--engine",
-        choices=("auto", "exhaustive", "classes", "vector"),
-        default="auto",
-    )
     p.add_argument(
         "--witness",
         action="append",

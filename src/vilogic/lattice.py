@@ -4,24 +4,21 @@ Everything here is fragment-relative: an "equal" verdict means no inference
 inside the finite fragment separates the two oracles, never that the full
 relations coincide.  Reports say "equal on fragment" throughout.
 
-Three comparison engines produce identical verdicts and witnesses:
+Two comparison engines produce identical verdicts and witnesses:
 
 ``exhaustive``
     Queries both oracles on every premise subset and conclusion.  Simple and
-    obviously correct, but only usable on tiny fragments.
-
-``classes``
-    Groups formulas that no oracle built from the given matrices can tell
-    apart (same variable set, same designation pattern in every matrix under
-    every valuation of the fragment variables), then queries the real
-    oracles once per group representative.  Two premise sets hitting the
-    same groups get identical answers from every transform tower, so the
-    first disagreement over representatives is the first disagreement
-    overall.
+    obviously correct, but only usable on tiny fragments.  It is the
+    reference the tests check the vector engine against.
 
 ``vector``
-    The same class reduction, evaluated with numpy bit-set arithmetic
-    instead of per-query oracle calls.  Transform towers are interpreted
+    Groups formulas that no oracle built from the given matrices can tell
+    apart (same variable set, same designation pattern in every matrix under
+    every valuation of the fragment variables).  Two premise sets hitting
+    the same groups get identical answers from every transform tower, so
+    the first disagreement over group representatives is the first
+    disagreement overall.  Towers are evaluated with numpy bit-set
+    arithmetic instead of per-query oracle calls, and interpreted
     structurally: a left step intersects the premise projection mask with
     the conclusion's variable mask, a right step adds the variable-coverage
     test and the fresh-variable (explosive premise set) branch, and matrix
@@ -48,7 +45,7 @@ Three comparison engines produce identical verdicts and witnesses:
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
-order, and the reduced engines report the first structurally distinct
+order, and the vector engine reports the first structurally distinct
 disagreements in exactly that order.  Every witness leaving this module is
 re-validated against the real oracles before it is reported.
 """
@@ -56,7 +53,6 @@ re-validated against the real oracles before it is reported.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -70,18 +66,14 @@ from .formulas import (
     enumerate_fragment,
     fragment_subsets,
     var,
-    vars_of_set,
 )
 from .matrices import (
     NONE_PROVEN,
-    UNKNOWN,
     WITNESS,
     FiniteMatrix,
     LogicOracle,
     MatrixError,
     MatrixOracle,
-    all_valuations,
-    evaluate,
     has_theorem_in_fragment,
 )
 from .plonka import canonical_chain_matrix, check_partition_function
@@ -145,7 +137,8 @@ class ComparisonVerdict:
     second only; both are capped lists of the earliest structurally distinct
     disagreements.  ``disagreements`` counts (ab, ba) at the granularity the
     engine works at: raw inferences for ``exhaustive``, class patterns for
-    the reduced engines.
+    ``vector``.  An extra witness adds to the count only when it lies
+    outside the fragment.
     """
 
     label_a: str
@@ -237,7 +230,7 @@ def _oracle_tree(oracle: LogicOracle, table: list[FiniteMatrix]):
 
 
 # ---------------------------------------------------------------------------
-# Shared class reduction
+# Vectorized engine
 # ---------------------------------------------------------------------------
 
 
@@ -252,33 +245,6 @@ def _variable_masks(formulas: Sequence[Formula], variables: Sequence[str]):
             mask |= 1 << position[v]
         out.append(mask)
     return out
-
-
-def _python_formula_classes(
-    formulas: Sequence[Formula],
-    matrices: Sequence[FiniteMatrix],
-    variables: Sequence[str],
-) -> list[int]:
-    """Class ids (first-occurrence order) via direct evaluation."""
-    masks = _variable_masks(formulas, variables)
-    keys: dict[tuple, int] = {}
-    out = []
-    for f, mask in zip(formulas, masks):
-        rows = []
-        for matrix in matrices:
-            row = tuple(
-                evaluate(matrix.algebra, f, valuation) in matrix.designated
-                for valuation in all_valuations(matrix.algebra, tuple(variables))
-            )
-            rows.append(row)
-        key = (mask, tuple(rows))
-        out.append(keys.setdefault(key, len(keys)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized engine
-# ---------------------------------------------------------------------------
 
 
 def _designation_bools(
@@ -781,7 +747,7 @@ def _vector_verdicts(
         _verdict(
             a, b, fragment, "vector",
             *(_decode_witnesses(context, side, max_witnesses) for side in sides),
-            tuple(count), len(context.formulas), extra_witnesses,
+            tuple(count), context.formulas, extra_witnesses,
         )
         for (a, b), count, sides in zip(pairs, counts, found)
     ]
@@ -811,45 +777,6 @@ def _decode_witnesses(
     ]
 
 
-def _run_classes_engine(
-    a: LogicOracle, b: LogicOracle, fragment: FragmentSpec, max_witnesses: int
-):
-    formulas = enumerate_fragment(a.signature, fragment)
-    table: list[FiniteMatrix] = []
-    if _oracle_tree(a, table) is None or _oracle_tree(b, table) is None:
-        raise LatticeError(
-            "the class engine needs oracles built from matrix, left, "
-            "right, and meet constructors"
-        )
-    class_ids = _python_formula_classes(formulas, table, fragment.variables)
-    reps: list[Formula] = []
-    seen: set[int] = set()
-    for f, cid in zip(formulas, class_ids):
-        if cid not in seen:
-            seen.add(cid)
-            reps.append(f)
-    witnesses_ab: list[Inference] = []
-    witnesses_ba: list[Inference] = []
-    count_ab = 0
-    count_ba = 0
-    for premises in fragment_subsets(tuple(reps), fragment.max_premises):
-        for conclusion in reps:
-            in_a = a.entails(premises, conclusion)
-            in_b = b.entails(premises, conclusion)
-            if in_a == in_b:
-                continue
-            inference = Inference(premises, conclusion)
-            if in_a:
-                count_ab += 1
-                if len(witnesses_ab) < max_witnesses:
-                    witnesses_ab.append(inference)
-            else:
-                count_ba += 1
-                if len(witnesses_ba) < max_witnesses:
-                    witnesses_ba.append(inference)
-    return (witnesses_ab, witnesses_ba, (count_ab, count_ba)), len(formulas)
-
-
 def _run_exhaustive_engine(
     a: LogicOracle, b: LogicOracle, fragment: FragmentSpec, max_witnesses: int
 ):
@@ -873,7 +800,7 @@ def _run_exhaustive_engine(
                 count_ba += 1
                 if len(witnesses_ba) < max_witnesses:
                     witnesses_ba.append(inference)
-    return (witnesses_ab, witnesses_ba, (count_ab, count_ba)), len(formulas)
+    return (witnesses_ab, witnesses_ba, (count_ab, count_ba)), formulas
 
 
 # ---------------------------------------------------------------------------
@@ -913,11 +840,17 @@ def _verdict(
     witnesses_ab: list[Inference],
     witnesses_ba: list[Inference],
     counts: tuple[int, int],
-    n_formulas: int,
+    formulas: Sequence[Formula],
     extra_witnesses: Iterable[Inference],
 ) -> ComparisonVerdict:
-    """Merge extras into an engine result, re-validate it, build the verdict."""
+    """Merge extras into an engine result, re-validate it, build the verdict.
+
+    ``formulas`` is the engine's fragment.  A disagreeing extra is always
+    shown, but counted only when it lies outside the fragment: the engine
+    has already counted every fragment inference.
+    """
     count_ab, count_ba = counts
+    inside = frozenset(formulas)
     for inference in extra_witnesses:
         in_a = a.entails(inference.premises, inference.conclusion)
         in_b = b.entails(inference.premises, inference.conclusion)
@@ -926,14 +859,19 @@ def _verdict(
         bucket = witnesses_ab if in_a else witnesses_ba
         if inference not in bucket:
             bucket.append(inference)
-        if in_a:
+        outside = (
+            len(inference.premises) > fragment.max_premises
+            or not inside.issuperset(inference.premises)
+            or inference.conclusion not in inside
+        )
+        if outside and in_a:
             count_ab += 1
-        else:
+        elif outside:
             count_ba += 1
 
     _revalidate(a, b, witnesses_ab, witnesses_ba)
     raw_sets = sum(
-        math.comb(n_formulas, size) for size in range(0, fragment.max_premises + 1)
+        math.comb(len(formulas), size) for size in range(0, fragment.max_premises + 1)
     )
     return ComparisonVerdict(
         label_a=a.label,
@@ -945,7 +883,7 @@ def _verdict(
         engine=engine,
         disagreements=(count_ab, count_ba),
         checked_premise_sets=raw_sets,
-        checked_conclusions=n_formulas,
+        checked_conclusions=len(formulas),
     )
 
 
@@ -980,14 +918,10 @@ def compare(
                 [(a, b)], towers, fragment, max_witnesses, extra_witnesses
             )[0]
         engine = "exhaustive"
-    if engine == "classes":
-        run = _run_classes_engine
-    elif engine == "exhaustive":
-        run = _run_exhaustive_engine
-    else:
+    if engine != "exhaustive":
         raise LatticeError(f"unknown engine {engine!r}")
-    result, n_formulas = run(a, b, fragment, max_witnesses)
-    return _verdict(a, b, fragment, engine, *result, n_formulas, extra_witnesses)
+    result, formulas = _run_exhaustive_engine(a, b, fragment, max_witnesses)
+    return _verdict(a, b, fragment, engine, *result, formulas, extra_witnesses)
 
 
 def no_verdict_cycles(verdicts: Iterable[ComparisonVerdict]) -> bool:
@@ -1043,6 +977,8 @@ class LatticeReport:
     hasse_edges: tuple[tuple[str, str], ...] = ()
     formal_edges: tuple[tuple[str, str], ...] = ()
     unresolved: tuple[tuple[str, str, str], ...] = ()
+    # Verdicts of ``build_lattice``'s ``extra_pairs``; not rendered.
+    extra_verdicts: tuple[ComparisonVerdict, ...] = ()
 
     def verdict(self, id_a: str, id_b: str) -> ComparisonVerdict:
         """Verdict for the ordered pair; flips a stored reversed verdict."""
@@ -1139,6 +1075,7 @@ def build_lattice(
     fragment: FragmentSpec = DEFAULT_FRAGMENT,
     base_label: str = "base",
     max_witnesses: int = 3,
+    extra_pairs: Sequence[tuple[LogicOracle, LogicOracle]] = (),
 ) -> LatticeReport:
     """Survey the transform towers over a base matrix collection.
 
@@ -1149,6 +1086,12 @@ def build_lattice(
     node is a matrix, left, right or meet tower, so all computed pairs go
     through one vector-engine run on one context, and each tower is walked
     once per chunk of conclusion classes rather than once per pair.
+
+    ``extra_pairs`` are tower pairs compared in that same run; their
+    verdicts land in ``extra_verdicts``, which neither ``render`` nor
+    ``to_json`` shows.  Their matrices join the context and may split its
+    formula classes, which can change the lattice verdicts' class-pattern
+    counts and witnesses, though never their relations.
     """
     _check_max_witnesses(max_witnesses)
     matrices = (base,) if isinstance(base, FiniteMatrix) else tuple(base)
@@ -1160,12 +1103,17 @@ def build_lattice(
             raise LatticeError(
                 "partition term fails on a base algebra:\n" + report.render()
             )
+    extra_pairs = list(extra_pairs)
     if all(frozenset(m.algebra.elements) == m.designated for m in matrices):
+        extra_verdicts = () if not extra_pairs else _vector_verdicts(
+            extra_pairs, _tower_trees(extra_pairs), fragment, max_witnesses
+        )
         return LatticeReport(
             base_label=base_label,
             fragment=fragment,
             trivial_base=True,
             base_antitheorems=NONE_PROVEN,
+            extra_verdicts=tuple(extra_verdicts),
         )
 
     base_oracle = MatrixOracle(matrices, label=base_label)
@@ -1243,9 +1191,12 @@ def build_lattice(
         for id_b in computed_ids[pos + 1:]
     ]
     oracle_pairs = [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs]
+    oracle_pairs += extra_pairs
     verdicts = _vector_verdicts(
         oracle_pairs, _tower_trees(oracle_pairs), fragment, max_witnesses
     )
+    extra_verdicts = verdicts[len(pairs):]
+    verdicts = verdicts[:len(pairs)]
     pair_index = {pair: index for index, pair in enumerate(pairs)}
     if not no_verdict_cycles(verdicts):
         raise LatticeError("pairwise verdicts form a cycle; engine inconsistency")
@@ -1325,6 +1276,7 @@ def build_lattice(
         hasse_edges=tuple(hasse),
         formal_edges=tuple(formal_edges),
         unresolved=tuple(unresolved),
+        extra_verdicts=tuple(extra_verdicts),
     )
 
 
@@ -1583,9 +1535,18 @@ def reproduce_figure(
        matrix counterpart on the whole fragment.
 
     The extra equality claims of figures 2 and 3 (the four-step towers, and
-    in figure 3 the chain matrices) share one vector context built from the
-    union of their matrices.  They read only each verdict's relation, which
-    does not depend on how finely that context splits the formulas.
+    in figure 3 the chain matrices) are ``build_lattice``'s extra pairs, so
+    one vector context serves the lattice and the claims.  The chain
+    matrices leave the lattice verdicts unchanged.  A formula class is a
+    variable set plus a designation pattern in every matrix.  Over CL, with
+    two elements and {1} designated, the pattern is the term function.  Two
+    formulas of one CL class therefore have the same variables and the same
+    term function over CL, so they form a regular identity of CL.  A chain
+    matrix is a Płonka sum of CL and one-element algebras, so every regular
+    identity of CL holds in it, and the two formulas have one term function,
+    hence one designation pattern, there too.  So the chain matrices split
+    no CL class, and the lattice's counts and witnesses are those of CL
+    alone.
     """
     from .presets import b2_and_or_matrix, b2_matrix, pi_term, sigma_set
 
@@ -1643,7 +1604,30 @@ def reproduce_figure(
 
     if figure in (2, 3):
         base = b2_matrix()
-        report = build_lattice(base, term, fragment, base_label="CL")
+        base_oracle = MatrixOracle((base,), label="CL")
+        checks = []  # (claim label, detail prefix, oracle pair)
+        for left_seq, right_seq, label in (
+            ("rlrl", "lrl", "four-step towers coincide"),
+            ("rlrll", "lrll", "four-step towers coincide after a left step"),
+            ("rlrlr", "lrlr", "four-step towers coincide after a right step"),
+            ("lrlr", "lrl", "extra right step is absorbed after four steps"),
+        ):
+            towers = (
+                derive_sequence(base_oracle, left_seq),
+                derive_sequence(base_oracle, right_seq),
+            )
+            checks.append((label, f"{left_seq} vs {right_seq}: ", towers))
+        if figure == 3:
+            for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl"):
+                name = seq or "base"
+                chain = canonical_chain_matrix(base, seq)
+                chain_oracle = MatrixOracle((chain,), label=f"chain[{name}]")
+                towers = (derive_sequence(base_oracle, seq), chain_oracle)
+                checks.append((f"tower {name} matches its chain matrix", "", towers))
+        report = build_lattice(
+            base, term, fragment, base_label="CL",
+            extra_pairs=[towers for _, _, towers in checks],
+        )
         suite = witness_suite(base, term, sigma=sigma_set(), base_label="CL")
         claims = [
             ClaimResult(
@@ -1680,35 +1664,11 @@ def reproduce_figure(
                 "four-step tower strictly below the three-step tower",
             ),
         ]
-        base_oracle = MatrixOracle((base,), label="CL")
-        checks = []  # (claim label, detail prefix, oracle pair)
-        for left_seq, right_seq, label in (
-            ("rlrl", "lrl", "four-step towers coincide"),
-            ("rlrll", "lrll", "four-step towers coincide after a left step"),
-            ("rlrlr", "lrlr", "four-step towers coincide after a right step"),
-            ("lrlr", "lrl", "extra right step is absorbed after four steps"),
-        ):
-            towers = (
-                derive_sequence(base_oracle, left_seq),
-                derive_sequence(base_oracle, right_seq),
-            )
-            checks.append((label, f"{left_seq} vs {right_seq}: ", towers))
-        if figure == 3:
-            for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl"):
-                name = seq or "base"
-                chain = canonical_chain_matrix(base, seq)
-                chain_oracle = MatrixOracle((chain,), label=f"chain[{name}]")
-                towers = (derive_sequence(base_oracle, seq), chain_oracle)
-                checks.append((f"tower {name} matches its chain matrix", "", towers))
-        oracle_pairs = [towers for _, _, towers in checks]
-        verdicts = _vector_verdicts(
-            oracle_pairs, _tower_trees(oracle_pairs), fragment, max_witnesses=5
-        )
         claims.extend(
             ClaimResult(
                 label, verdict.relation == "equal", prefix + verdict.relation_display
             )
-            for (label, prefix, _), verdict in zip(checks, verdicts)
+            for (label, prefix, _), verdict in zip(checks, report.extra_verdicts)
         )
         return ReproductionReport(figure, tuple(claims), report, suite)
 

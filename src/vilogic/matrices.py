@@ -31,7 +31,7 @@ plus the line-oriented matrix file format used by the command line tools.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 

@@ -33,13 +33,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .formulas import (
     FragmentSpec,
     Formula,
     FormulaError,
-    Signature,
     enumerate_fragment,
     fresh_variable,
     substitute,
@@ -53,26 +52,21 @@ from .matrices import (
     AntitheoremInfo,
     FiniteMatrix,
     LogicOracle,
-    MatrixOracle,
 )
 
 __all__ = [
     "AntitheoremWitness",
-    "DerivedLogicSpec",
     "LeftVIOracle",
     "MeetOracle",
     "RightVIOracle",
     "canonicalize_sequence",
     "check_sequence",
     "definitional_antitheorem_check",
-    "derive",
     "derive_sequence",
     "explain_left_of_right",
     "find_antitheorem",
     "intersect",
     "is_antitheorem",
-    "left_transform",
-    "right_transform",
 ]
 
 
@@ -259,14 +253,6 @@ def _step_label(base: LogicOracle, step: str) -> str:
     return f"{base.label}^{step}"
 
 
-def left_transform(base: LogicOracle) -> LogicOracle:
-    return LeftVIOracle(base)
-
-
-def right_transform(base: LogicOracle) -> LogicOracle:
-    return RightVIOracle(base)
-
-
 def intersect(first: LogicOracle, second: LogicOracle) -> LogicOracle:
     return MeetOracle(first, second)
 
@@ -278,27 +264,6 @@ def derive_sequence(base: LogicOracle, sequence: str) -> LogicOracle:
     for step in sequence:
         oracle = LeftVIOracle(oracle) if step == "l" else RightVIOracle(oracle)
     return oracle
-
-
-@dataclass(frozen=True)
-class DerivedLogicSpec:
-    """A base matrix class, a transform sequence, and the partition term in play."""
-
-    base: tuple[FiniteMatrix, ...]
-    sequence: str
-    partition_term: Formula | None = None
-    label: str = "base"
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        check_sequence(self.sequence)
-        if self.partition_term is not None and len(self.partition_term.variables) != 2:
-            raise ValueError("the partition term must use exactly two variables")
-
-
-def derive(spec: DerivedLogicSpec) -> LogicOracle:
-    """Oracle for the derived logic described by ``spec``."""
-    return derive_sequence(MatrixOracle(spec.base, label=spec.label), spec.sequence)
 
 
 def canonicalize_sequence(sequence: str, base_has_antitheorems: bool) -> str:

@@ -259,6 +259,16 @@ def test_bad_input_exits_two_with_one_error_line(capsys, argv, needle):
     assert needle in err
 
 
+def test_compare_has_no_engine_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "compare", "--base", B2, "--seq-a", "l", "--seq-b", "r",
+            "--engine", "vector",
+        ])
+    assert excinfo.value.code == 2
+    assert "--engine" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -11,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vilogic.formulas import FragmentSpec, Signature, parse_formula
+from vilogic.formulas import (
+    FragmentSpec,
+    Signature,
+    enumerate_fragment,
+    fragment_subsets,
+    parse_formula,
+)
 from vilogic.lattice import (
     DEFAULT_FRAGMENT,
     Inference,
@@ -25,7 +31,13 @@ from vilogic.lattice import (
     _VectorContext,
 )
 import vilogic.lattice as lattice_module
-from vilogic.matrices import FiniteAlgebra, FiniteMatrix, MatrixOracle
+from vilogic.matrices import (
+    FiniteAlgebra,
+    FiniteMatrix,
+    MatrixOracle,
+    all_valuations,
+    evaluate,
+)
 from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
     FULL_SIGNATURE,
@@ -69,8 +81,9 @@ def test_compare_requires_shared_signature():
 
 
 def test_compare_rejects_unknown_engine():
-    with pytest.raises(LatticeError):
-        compare(CL, CL, TINY, engine="bogus")
+    for engine in ("bogus", "classes"):
+        with pytest.raises(LatticeError, match="unknown engine"):
+            compare(CL, CL, TINY, engine=engine)
 
 
 def test_one_step_towers_incomparable_with_exact_witnesses():
@@ -83,12 +96,40 @@ def test_one_step_towers_incomparable_with_exact_witnesses():
     assert verdict.engine == "vector"
 
 
+def _class_reference_counts(a, b, fragment, matrices):
+    """(ab, ba) disagreements counted per class pattern, as the vector
+    engine counts them, by direct evaluation and direct oracle queries.
+
+    Formulas are keyed by their variable set and by their designation under
+    every valuation of the fragment variables in every matrix; both oracles
+    are asked once per representative premise set and conclusion.
+    """
+    representatives = {}
+    for formula in enumerate_fragment(a.signature, fragment):
+        key = (formula.variables,) + tuple(
+            tuple(
+                evaluate(m.algebra, formula, valuation) in m.designated
+                for valuation in all_valuations(m.algebra, fragment.variables)
+            )
+            for m in matrices
+        )
+        representatives.setdefault(key, formula)
+    reps = tuple(representatives.values())
+    counts = [0, 0]
+    for premises in fragment_subsets(reps, fragment.max_premises):
+        for conclusion in reps:
+            in_a = a.entails(premises, conclusion)
+            if in_a != b.entails(premises, conclusion):
+                counts[0 if in_a else 1] += 1
+    return tuple(counts)
+
+
 def test_engines_agree_on_relation_and_first_witness():
     left = derive_sequence(CL, "l")
     right = derive_sequence(CL, "r")
     by_engine = {
         engine: compare(left, right, TINY, engine=engine)
-        for engine in ("exhaustive", "classes", "vector")
+        for engine in ("exhaustive", "vector")
     }
     relations = {v.relation for v in by_engine.values()}
     assert relations == {"incomparable"}
@@ -96,8 +137,8 @@ def test_engines_agree_on_relation_and_first_witness():
     firsts_ba = {v.witnesses_ba[0] for v in by_engine.values()}
     assert len(firsts_ab) == 1
     assert len(firsts_ba) == 1
-    assert (
-        by_engine["classes"].disagreements == by_engine["vector"].disagreements
+    assert by_engine["vector"].disagreements == _class_reference_counts(
+        left, right, TINY, CL.matrices
     )
 
 
@@ -114,8 +155,10 @@ CL_B3 = MatrixOracle((b2_matrix(), b3_matrix()), label="CL+B3")
     ids=["depth-1", "depth-2"],
 )
 def test_vector_and_class_engines_count_alike_with_meet_towers(spec):
-    # The class engine queries the real oracles once per class pattern, so
-    # it checks the vector engine's counts, not only its first witnesses.
+    # The class reference queries the real oracles once per class pattern,
+    # so it checks the vector engine's counts, not only its first witnesses.
+    # The exhaustive engine cannot: at depth 2 it would query every premise
+    # set of up to 2 of all the fragment's formulas.
     towers = {seq: derive_sequence(CL_B3, seq) for seq in ("l", "r", "lr", "rl", "rlr")}
     towers["meet(l,r)"] = intersect(towers["l"], towers["r"])
     towers["meet(lr,rl)"] = intersect(towers["lr"], towers["rl"])
@@ -128,10 +171,9 @@ def test_vector_and_class_engines_count_alike_with_meet_towers(spec):
     ]
     separated = 0
     for a, b in pairs:
-        classes = compare(towers[a], towers[b], spec, engine="classes")
         vector = compare(towers[a], towers[b], spec, engine="vector")
-        assert classes.disagreements == vector.disagreements, (a, b)
-        assert classes.relation == vector.relation, (a, b)
+        expected = _class_reference_counts(towers[a], towers[b], spec, CL_B3.matrices)
+        assert vector.disagreements == expected, (a, b)
         separated += any(vector.disagreements)
     assert separated
 
@@ -141,9 +183,8 @@ def test_compare_rejects_negative_max_witnesses():
     right = derive_sequence(CL, "r")
     with pytest.raises(LatticeError, match="max_witnesses"):
         compare(left, right, TINY, max_witnesses=-1)
-    for engine in ("exhaustive", "classes"):
-        with pytest.raises(LatticeError, match="max_witnesses"):
-            compare(left, right, TINY, engine=engine, max_witnesses=-1)
+    with pytest.raises(LatticeError, match="max_witnesses"):
+        compare(left, right, TINY, engine="exhaustive", max_witnesses=-1)
     assert compare(left, right, TINY, max_witnesses=0).witnesses_ab == ()
 
 
@@ -203,6 +244,30 @@ def test_extra_witnesses_merge_and_agreeing_extras_are_skipped():
     assert gap in verdict.witnesses_ab
     assert agreeing not in verdict.witnesses_ab
     assert agreeing not in verdict.witnesses_ba
+
+
+@pytest.mark.parametrize("engine", ["exhaustive", "vector"])
+def test_extra_witness_counts_only_outside_the_fragment(engine):
+    left = derive_sequence(CL, "l")
+    right = derive_sequence(CL, "r")
+    plain = compare(left, right, TINY, engine=engine)
+    inside = (
+        Inference((P("and(x, y)"),), P("x")),
+        Inference((P("y"), P("and(x, y)")), P("x")),
+    )
+    verdict = compare(left, right, TINY, extra_witnesses=inside, engine=engine)
+    assert verdict.disagreements == plain.disagreements
+    assert set(inside) <= set(verdict.witnesses_ba)
+    ab, ba = plain.disagreements
+    for outside in (
+        # a premise beyond the fragment's depth
+        Inference((P("and(x, or(x, y))"),), P("x")),
+        # more premises than the fragment allows
+        Inference((P("and(x, y)"), P("y"), P("or(x, y)")), P("x")),
+    ):
+        verdict = compare(left, right, TINY, extra_witnesses=(outside,), engine=engine)
+        assert verdict.disagreements == (ab, ba + 1)
+        assert outside in verdict.witnesses_ba
 
 
 def test_verdict_render_and_json():
@@ -610,8 +675,11 @@ def test_build_lattice_flags_trivial_base():
         "not": {("t",): "t"},
     }
     everything = FiniteMatrix(FiniteAlgebra(sig, ("t",), tables), frozenset({"t"}))
-    report = build_lattice(everything, pi_term(), fragment=TINY)
+    extra = (derive_sequence(CL, "l"), derive_sequence(CL, "r"))
+    report = build_lattice(everything, pi_term(), fragment=TINY, extra_pairs=[extra])
     assert report.trivial_base
+    alone = compare(*extra, TINY, max_witnesses=3)
+    assert [v.to_json() for v in report.extra_verdicts] == [alone.to_json()]
 
 
 def test_build_lattice_rejects_non_partition_term():
@@ -673,6 +741,32 @@ def test_reproduce_figure_json_matches_pinned_reference(figure):
     expected = (REFS / f"figure{figure}.json").read_text(encoding="utf-8")
     payload = reproduce_figure(figure).to_json()
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == expected
+
+
+@pytest.mark.parametrize("figure", [2, 3])
+def test_reproduce_figure_builds_one_vector_context(monkeypatch, figure):
+    built = []
+
+    class Counting(_VectorContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(lattice_module, "_VectorContext", Counting)
+    reproduce_figure(figure)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [XY2, FragmentSpec(variables=("x", "y", "z", "w"), max_depth=1, max_premises=2)],
+    ids=["x,y-depth-2", "x,y,z,w-depth-1"],
+)
+def test_figure_three_lattice_is_the_lattice_without_chain_matrices(fragment):
+    # The chain matrices share figure 3's vector context with the lattice
+    # pairs; they must not split a CL class (see reproduce_figure).
+    alone = build_lattice(b2_matrix(), pi_term(), fragment, base_label="CL")
+    assert reproduce_figure(3, fragment).lattice.to_json() == alone.to_json()
 
 
 def test_reproduce_figure_rejects_unknown_figure():

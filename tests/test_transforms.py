@@ -13,21 +13,17 @@ from vilogic.matrices import NONE_PROVEN, WITNESS, MatrixOracle
 from vilogic.presets import FULL_SIGNATURE, b2_matrix, pi_term, sigma_set
 from vilogic.transforms import (
     AntitheoremWitness,
-    DerivedLogicSpec,
     LeftVIOracle,
     MeetOracle,
     RightVIOracle,
     canonicalize_sequence,
     check_sequence,
     definitional_antitheorem_check,
-    derive,
     derive_sequence,
     explain_left_of_right,
     find_antitheorem,
     intersect,
     is_antitheorem,
-    left_transform,
-    right_transform,
 )
 from vilogic.lattice import compare, FragmentSpec as _FragmentSpec  # noqa: F401
 
@@ -37,24 +33,24 @@ def P(text):
 
 
 def test_left_keeps_only_premises_inside_conclusion_variables(cl_oracle):
-    left = left_transform(cl_oracle)
+    left = LeftVIOracle(cl_oracle)
     assert left.entails((P("x"),), P("and(x, or(x, y))"))
     assert not left.entails((P("and(x, or(x, y))"),), P("x"))
 
 
 def test_right_requires_conclusion_variables_covered(cl_oracle):
-    right = right_transform(cl_oracle)
+    right = RightVIOracle(cl_oracle)
     assert right.entails((P("and(x, or(x, y))"),), P("x"))
     assert not right.entails((P("x"),), P("and(x, or(x, y))"))
 
 
 def test_right_admits_explosive_premise_sets(cl_oracle):
-    right = right_transform(cl_oracle)
+    right = RightVIOracle(cl_oracle)
     assert right.entails((P("x"), P("not(x)")), P("and(y, z)"))
 
 
 def test_left_drops_theorem_only_with_shared_variable(cl_oracle):
-    left = left_transform(cl_oracle)
+    left = LeftVIOracle(cl_oracle)
     assert left.entails((), P("or(x, not(x))"))
     assert left.entails((P("and(x, or(x, y))"),), P("or(x, not(x))"))
 
@@ -83,13 +79,6 @@ def test_meet_oracle_requires_both(cl_oracle):
     assert both.label == "(CL^l)&(CL^r)"
     assert both.entails((P("x"), P("not(x)")), pi_term())
     assert not both.entails((P("x"),), pi_term())
-
-
-def test_derived_logic_spec_convenience():
-    spec = DerivedLogicSpec(base=(b2_matrix(),), sequence="lr", label="CL")
-    oracle = derive(spec)
-    assert oracle.label == "CL^lr"
-    assert oracle.entails((P("x"),), P("x"))
 
 
 def test_check_sequence_rejects_other_letters():
