@@ -111,21 +111,21 @@ def _tower(base_path: str, sequence: str) -> LogicOracle:
 
     The sequence uses steps ``l`` and ``r``; the empty string or ``base``
     names the base consequence itself, and ``A&B`` takes the meet of two
-    towers over the same base.
+    towers over the same base; an operand of ``&`` must not be empty.
     """
     matrix = load_matrix_file(base_path)
     oracle = MatrixOracle((matrix,), label=Path(base_path).stem)
-    sequence = sequence.strip()
-    if sequence == "base":
-        sequence = ""
-    if "&" in sequence:
-        parts = [p.strip() for p in sequence.split("&")]
-        towers = [derive_sequence(oracle, "" if p == "base" else p) for p in parts]
-        out = towers[0]
-        for nxt in towers[1:]:
-            out = intersect(out, nxt)
-        return out
-    return derive_sequence(oracle, sequence)
+    parts = [p.strip() for p in sequence.split("&")]
+    if len(parts) > 1 and "" in parts:
+        raise MatrixError(
+            f"operand {parts.index('') + 1} of meet {sequence.strip()!r} is empty"
+            " (write 'base' for the base)"
+        )
+    towers = [derive_sequence(oracle, "" if p == "base" else p) for p in parts]
+    out = towers[0]
+    for nxt in towers[1:]:
+        out = intersect(out, nxt)
+    return out
 
 
 def _entails_oracle(args) -> tuple[LogicOracle, tuple[FiniteMatrix, ...] | None]:

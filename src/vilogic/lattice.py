@@ -76,7 +76,7 @@ from .matrices import (
     MatrixOracle,
     has_theorem_in_fragment,
 )
-from .plonka import canonical_chain_matrix, check_partition_function
+from .plonka import _index_tables, canonical_chain_matrix, check_partition_function
 from .transforms import (
     AntitheoremWitness,
     LeftVIOracle,
@@ -254,24 +254,14 @@ def _designation_bools(
     algebra = matrix.algebra
     n = len(algebra.elements)
     k = len(variables)
-    element_index = {e: i for i, e in enumerate(algebra.elements)}
     coords = np.indices((n,) * k).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
     values: dict[Formula, np.ndarray] = {}
-    tables = {
-        name: np.array(
-            [
-                element_index[algebra.tables[name][args]]
-                for args in itertools.product(algebra.elements, repeat=arity)
-            ],
-            dtype=np.int64,
-        ).reshape((n,) * arity)
-        for name, arity in algebra.signature.connectives
-    }
+    tables = _index_tables(algebra)
     for position, v in enumerate(variables):
         values[var(v)] = coords[position]
     designated = np.zeros(n, dtype=bool)
     for e in matrix.designated:
-        designated[element_index[e]] = True
+        designated[algebra.element_index[e]] = True
     out = np.empty((len(formulas), coords.shape[1] if k else 1), dtype=bool)
     for row, formula in enumerate(formulas):
         if formula not in values:

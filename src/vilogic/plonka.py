@@ -14,9 +14,10 @@ A binary term is a partition function for an algebra when the derived
 product ``a*b`` is idempotent, associative, right-commuting, and commutes
 with every operation in the two ways checked here.  Such a term induces a
 decomposition: elements with ``a*b = a`` and ``b*a = b`` share a component,
-the component order is read off the product, and ``x -> x*b`` gives the
-homomorphisms.  Summing the decomposition reproduces the algebra up to the
-canonical renaming, which :func:`decompose` verifies before returning.
+the join of two components holds the product of their members, and
+``x -> x*b`` gives the homomorphisms.  By Płonka's theorem the sum of this
+decomposition is the algebra up to the canonical renaming; the proof is in
+:func:`decompose`.
 
 Signatures with 0-ary connectives are rejected by the sum and the
 decomposition: a constant would need a home component below all others,
@@ -718,18 +719,44 @@ def decompose(algebra: FiniteAlgebra, term: Formula) -> DirectSystem:
     """Split ``algebra`` along a partition term into a direct system.
 
     Components are the classes of ``a ~ b`` iff ``a*b = a`` and ``b*a = b``,
-    ordered by existence of an absorbed pair and indexed "0", "1", ... by
-    their smallest element's position in the input element order.  The
-    result always sums back to an algebra identical to the input up to the
-    ``"i.a"`` renaming; this is verified before returning.
+    indexed "0", "1", ... by their first member's position in the input
+    element order.  The join of classes ``i`` and ``j`` is the class of
+    ``a_i*a_j`` for their first members, the order is ``i <= j`` iff
+    ``i v j = j``, and the hom ``i -> j`` is ``x -> x*a_j``.  Past errors in
+    the term itself, only a 0-ary connective or a failed partition axiom
+    raises.
 
-    Everything runs on index tables: the product is an ``(n, n)`` array,
-    the component order one boolean matrix from which antisymmetry,
-    transitivity, joins and the anchored homs are read.  Each error names
-    the first failure in ``itertools.product`` order, as a loop over the
-    elements or components would meet it.  Triple checks take one block
-    per leading argument, so no temporary holds more than ``n ** 2``
-    entries, and table checks of a k-ary connective ``n ** k``.
+    By Płonka's theorem, once P1-P5 hold (:func:`check_partition_function`)
+    this is a valid system whose sum is the algebra under
+    :func:`decomposition_renaming`, so none of it is checked again.  The
+    proof, writing ``xyz`` for ``(x*y)*z``: P1-P3 give ``xyx = x(yx) =
+    x(xy) = xxy = xy`` and ``xyz = x(yz) = x(zy) = xzy``.
+
+    - ``~`` is transitive by P2: ``a*c = (ab)c = a(bc) = ab = a``, and
+      ``c*a = c`` likewise.  It is reflexive by P1.
+    - Say ``i <= j`` when ``b*a = b`` for some ``a`` in ``i``, ``b`` in
+      ``j``.  By P2 it then holds for all of them: ``b*a' = (ba)a' =
+      b(aa') = b`` and ``b'*a' = (b'b)a' = b'(ba') = b'``.  So the order is
+      antisymmetric by the definition of ``~``, and transitive by P2:
+      ``c*a = (cb)a = c(ba) = c``.
+    - Unique joins: ``a*b`` lies above ``a`` (``aba = ab``) and ``b``
+      (``abb = ab``, P2 and P1), and below every ``c`` above both
+      (``c(ab) = cab = cb = c``, P2), for any members ``a``, ``b``.
+    - Closure: for ``e = f(a_1 .. a_k)``, P5 and P1 give ``e = e*e = e a_1
+      .. a_k``, so ``e*a_m = e`` (move ``a_m`` next to itself, P3), and
+      ``c*e = c a_1 .. a_k = c`` for ``c`` above every ``a_m`` (P5).  So
+      ``e`` lies in the join of its arguments' classes, their own class
+      when they share one.
+    - Homs: the image does not depend on the anchor, for ``x*b = xbb' =
+      xb'b = x*b'`` when ``b ~ b'`` (P2, P3); ``x*b`` lies in ``i v j =
+      j``; the map commutes with every connective by P4; and ``(xb)c =
+      x(bc) = x*c`` for ``c`` in ``k >= j`` (P2, as ``bc`` lies in ``k``),
+      so homs compose.  These are the laws :func:`validate_system` checks.
+    - Re-sum: the sum sends ``f(a_1 .. a_k)``, with ``c`` in the join of
+      the arguments' classes, to ``f(a_1 c .. a_k c) = e*c`` (P4), which is
+      ``e`` as ``e ~ c``.
+
+    Past the partition check, the largest array is the ``(n, n)`` product.
     """
     _reject_constants(algebra.signature, "decomposition")
     report = check_partition_function(algebra, term)
@@ -739,115 +766,32 @@ def decompose(algebra: FiniteAlgebra, term: Formula) -> DirectSystem:
         )
     dot = _product_table(algebra, term)
     elements = algebra.elements
-    n = len(elements)
-    positions = np.arange(n)
+    positions = np.arange(len(elements))
     absorbs = dot == positions[:, None]  # a*b = a
-    related = absorbs & absorbs.T
-
-    hit = _first_in_blocks(n, lambda a: related[a][:, None] & related & ~related[a])
-    if hit is not None:
-        a, b, c = (elements[p] for p in hit)
-        raise DecompositionError(f"component relation is not transitive at ({a}, {b}, {c})")
-
-    # The relation is reflexive (P1) and now an equivalence: a class is
-    # named by its first member, in order of that member.
-    first_member = related.argmax(axis=1)
+    # A class is named by its first member, in order of that member.
+    first_member = (absorbs & absorbs.T).argmax(axis=1)
     anchors = np.nonzero(first_member == positions)[0]
     class_of = np.searchsorted(anchors, first_member)
     count = len(anchors)
     names = [str(c) for c in range(count)]
-    membership = class_of[None, :] == np.arange(count)[:, None]
-    member_positions = [np.nonzero(row)[0] for row in membership]
-    members = {
-        name: [elements[p] for p in own] for name, own in zip(names, member_positions)
-    }
+    join = class_of[dot[np.ix_(anchors, anchors)]]
+    lattice = FiniteSemilattice(
+        tuple(names),
+        {(names[i], names[j]): names[join[i, j]] for i in range(count) for j in range(count)},
+    )
 
-    # below[i, j]: some b in class j absorbs some a in class i (b*a = b).
-    below = membership @ absorbs.T @ membership.T
-    hit = _first(np.triu(below & below.T, 1))
-    if hit is not None:
-        i, j = (names[c] for c in hit)
-        raise DecompositionError(f"component order is not antisymmetric at ({i}, {j})")
-    hit = _first_in_blocks(count, lambda i: below[i][:, None] & below & ~below[i])
-    if hit is not None:
-        i, j, k = (names[c] for c in hit)
-        raise DecompositionError(f"component order is not transitive at ({i}, {j}, {k})")
-
-    join = np.empty((count, count), dtype=np.intp)
-    for i in range(count):
-        uppers = below[i] & below  # [j, u]: u lies above i and j
-        least = uppers & ~(uppers @ ~below.T)  # ... and below every such upper bound
-        hit = _first(least.sum(axis=1) != 1)
-        if hit is not None:
-            j = names[hit[0]]
-            raise DecompositionError(f"components have no unique join at ({names[i]}, {j})")
-        join[i] = least.argmax(axis=1)
-    join_table = {
-        (names[i], names[j]): names[join[i, j]]
-        for i in range(count)
-        for j in range(count)
-    }
-    lattice = FiniteSemilattice(tuple(names), join_table)
-
-    tables = _index_tables(algebra)
-    for name, arity in algebra.signature.connectives:
-        for c, own in enumerate(member_positions):
-            hit = _first(class_of[tables[name][np.ix_(*(own,) * arity)]] != c)
-            if hit is not None:
-                args = tuple(elements[own[p]] for p in hit)
-                raise DecompositionError(
-                    f"component {names[c]} is not closed under {name} at {args}"
-                )
-
-    # The hom i->j is x -> x*b with b the anchor (first member) of class j;
-    # every other member of class j must give the same image, inside class j.
+    member_positions = [np.nonzero(class_of == c)[0].tolist() for c in range(count)]
+    images = dot[:, anchors].tolist()  # [e][j]: e*anchor_j
     strictly = (join == np.arange(count)[None, :]) & ~np.eye(count, dtype=bool)
-    image = dot[:, anchors]  # [e, j]: e*anchor_j
-    varies = dot != image[:, class_of]  # [e, b]: e*b differs from e*anchor(class of b)
-    leaves = class_of[image] != np.arange(count)[None, :]
-    broken = strictly & ((membership @ varies @ membership.T) | (membership @ leaves))
-    hit = _first(broken)
-    if hit is not None:
-        i, j = hit
-        source = member_positions[i]
-        at = _first(varies[np.ix_(source, member_positions[j])].T)
-        if at is not None:
-            raise DecompositionError(
-                f"hom {names[i]}->{names[j]} depends on the anchor choice at element "
-                f"{elements[source[at[1]]]!r}"
-            )
-        at = _first(leaves[source, j])
-        raise DecompositionError(
-            f"hom {names[i]}->{names[j]} leaves component {names[j]} at {elements[source[at[0]]]!r}"
-        )
-    images = image.tolist()
-    homs: dict[tuple[str, str], dict[str, str]] = {
+    homs = {
         (names[i], names[j]): {elements[e]: elements[images[e][j]] for e in member_positions[i]}
         for i, j in zip(*np.nonzero(strictly))
     }
-
-    component_matrices = {
-        cls_name: FiniteMatrix(_subalgebra(algebra, members[cls_name]), frozenset())
-        for cls_name in names
+    components = {
+        name: FiniteMatrix(_subalgebra(algebra, [elements[p] for p in own]), frozenset())
+        for name, own in zip(names, member_positions)
     }
-    system = DirectSystem(lattice, component_matrices, homs, kind="algebraic")
-    system_report = validate_system(system)
-    if not system_report.ok:
-        raise DecompositionError(
-            "decomposition produced an invalid system:\n" + system_report.render()
-        )
-
-    rebuilt = plonka_sum(system)
-    renaming = decomposition_renaming(system)
-    renamed = np.array([rebuilt.element_index[renaming[e]] for e in elements], dtype=np.intp)
-    rebuilt_tables = _index_tables(rebuilt)
-    for name, arity in algebra.signature.connectives:
-        tagged = np.ix_(*(renamed,) * arity)
-        hit = _first(rebuilt_tables[name][tagged] != renamed[tables[name]])
-        if hit is not None:
-            args = tuple(elements[p] for p in hit)
-            raise DecompositionError(f"sum of the decomposition disagrees at {name}{args}")
-    return system
+    return DirectSystem(lattice, components, homs, kind="algebraic")
 
 
 def decomposition_renaming(system: DirectSystem) -> dict[str, str]:

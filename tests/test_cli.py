@@ -177,6 +177,17 @@ def test_compare_meet_side_and_witness_injection(capsys):
     assert witness in out
 
 
+def test_meet_with_explicit_base_operand_reads_the_base(capsys):
+    code, out, _ = run(
+        capsys,
+        "compare", "--base", B2, "--seq-a", "l & base", "--seq-b", "l",
+        "--fragment", "vars=x,y;depth=1;premises=2",
+    )
+    assert code == 0
+    assert "compare (b2^l)&(b2) vs b2^l" in out
+    assert "relation: equal on fragment" in out
+
+
 def test_compare_plain_matrix_sides(capsys):
     code, out, _ = run(
         capsys,
@@ -241,6 +252,18 @@ def test_bad_formula_exits_two(capsys):
              "--fragment", "vars=x,y;depth=1;vars=x"),
             "'vars' given more than once",
         ),
+        (
+            ("compare", "--base", B2, "--seq-a", "l&", "--seq-b", "r"),
+            "operand 2 of meet 'l&' is empty",
+        ),
+        (
+            ("compare", "--base", B2, "--seq-a", "l", "--seq-b", "&r"),
+            "operand 1 of meet '&r' is empty",
+        ),
+        (
+            ("entails", "--base", B2, "--seq", "l&&r", "--conclusion", "x"),
+            "operand 2 of meet 'l&&r' is empty",
+        ),
     ],
     ids=[
         "derive-info-bad-seq",
@@ -248,6 +271,9 @@ def test_bad_formula_exits_two(capsys):
         "compare-bad-depth",
         "compare-repeated-key",
         "reproduce-repeated-key",
+        "compare-empty-meet-operand-right",
+        "compare-empty-meet-operand-left",
+        "entails-empty-meet-operand-middle",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, argv, needle):
