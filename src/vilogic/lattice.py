@@ -42,6 +42,16 @@ Two comparison engines produce identical verdicts and witnesses:
     One memo per chunk, shared by every pair run on the context, holds
     each subtree's answers, so a tower that appears in many pairs is still
     walked once per chunk.
+    Memory: the premise blocks live for the whole run.  Each premise
+    variable mask keeps, while chunks still read it, its projection (the
+    distinct projected rows and one index per premise row), its expanded
+    premise mask, its leaf conjunctions and its fresh answers; a mask's
+    state is dropped after its last chunk.  The full mask keeps every row
+    whole, so it has no projection and reads the blocks row by row; a mask
+    with no class inside keeps no index, as every row projects to the
+    empty row.  Projections, expansions and the full mask's arrays are
+    built in slices of ``_SLICE_ROWS`` rows, so their temporaries are
+    bounded by the slice, not by the number of premise rows.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
@@ -328,12 +338,26 @@ def _byte_mask(bools: np.ndarray) -> np.ndarray:
     return bools.view(np.uint8) * np.uint8(0xFF)
 
 
+# Rows per slice of the vector engine's row-wise work: projecting, expanding
+# and building the full mask's arrays write their output one slice at a time,
+# so that their temporaries cover a slice, never the whole premise-row set.
+_SLICE_ROWS = 1 << 18
+
+
+def _slices(count: int) -> list[slice]:
+    """``range(count)`` cut into slices of ``_SLICE_ROWS`` rows."""
+    return [
+        slice(lo, min(lo + _SLICE_ROWS, count)) for lo in range(0, count, _SLICE_ROWS)
+    ]
+
+
 @dataclass
 class _MaskState:
     """What the walk caches for one premise variable mask, all built on
-    first use: the projection ``(slots, inverse)``, the expanded premise
-    mask, the leaf conjunction per matrix id and the fresh answers per
-    subtree.  :meth:`_VectorContext.retire` drops all of it at once."""
+    first use: the projection ``(slots, inverse)`` (never for the full
+    mask), the expanded premise mask, the leaf conjunction per matrix id and
+    the fresh answers per subtree.  :meth:`_VectorContext.retire` drops all
+    of it at once."""
 
     projection: tuple | None = None
     premise_mask: np.ndarray | None = None
@@ -353,6 +377,24 @@ class _VectorContext:
     chunks of one mask next to each other, so once the last chunk of mask
     t is walked no later chunk reads t's state again, unless t is the full
     mask or 0, and :meth:`retire` may drop it.
+
+    Memory.  The premise ``blocks`` stay for the context's life.  Each
+    mask has a row space: the distinct projected rows of its projection,
+    or, for the full mask, the premise rows themselves.  Its leaf
+    conjunctions hold one packed row per row of that space; its premise
+    mask and each of its fresh answers hold one value per premise row.  A
+    mask other than the full mask also keeps its projection: ``slots``, one
+    column per distinct projected row, and ``inverse``, one index per
+    premise row, except when no class lies inside the mask.  Then every row
+    projects to the empty row and there is no ``inverse``: an answer is one
+    value filled over the rows.  The full mask keeps every row whole, so
+    its projection is the identity and is never built: its conjunctions
+    and premise mask are read from ``blocks`` row by row, and its leaves
+    expand nothing.  Every temporary of a projection, an expansion or a
+    row-space array covers one slice of ``_SLICE_ROWS`` rows (a projection
+    slice covers at most ``max(_SLICE_ROWS, n_classes)`` rows), so the
+    peak is the live state plus a few slices, never a second premise-row
+    set.  The walk's own per-row answers are not sliced.
     """
 
     def __init__(
@@ -439,10 +481,13 @@ class _VectorContext:
     def _projection(self, vmask: int):
         """Premise rows restricted to the classes whose variables lie in vmask.
 
+        Never built for the full mask, whose projection is the identity.
         Returns ``(slots, inverse)``.  ``slots`` is a ``(max_size,
         n_distinct)`` array: column ``i`` lists the members of distinct
         projected row ``i`` in ascending order, padded with ``n_classes``.
         ``inverse`` maps every premise row to its distinct projected row.
+        When no class lies in vmask, every row projects to the empty row,
+        the only column of ``slots``, and ``inverse`` is None.
 
         Let I be the classes inside vmask.  A row C projects to C ∩ I, a
         subset of I with at most ``max_size`` members.  Every such subset is
@@ -453,88 +498,136 @@ class _VectorContext:
         ``offset[m] + sum_j comb(p_j, j + 1)`` for m = |C ∩ I|, where
         ``offset[m]`` counts the subsets of I smaller than m.  The colex rank
         is a bijection from the m-subsets of I onto ``range(comb(|I|, m))``,
-        so the ids are a bijection onto the distinct projected rows.  The
-        rank is built without sorting: the j-th kept member c adds
-        comb(pos_I(c), j + 1), read from a ``(max_size, n_classes)`` table
-        that holds 0 for a class outside I.  A row is kept whole when all
-        ``size`` of its members were kept.
+        so the ids are a bijection onto the distinct projected rows.  A row
+        of block s is kept whole exactly when it keeps s members, that is
+        when its id is at least ``offset[s]``.
 
         Block s is derived from block s - 1, not rebuilt slot by slot.  A
         row of block s is its prefix row in block s - 1 plus one class c
         above the prefix's last member (``_next_block``).  The members kept
-        from the prefix come first in the row, so the row's kept count and
-        colex rank are the prefix's, plus, when c lies in I, one for the
-        count and c's weight at the prefix's kept count for the rank.  So
-        the cursor and rank of block s are block s - 1's repeated with
-        ``_next_block``'s counts, plus one lookup each for c.
+        from the prefix come first in the row, so if the prefix keeps m
+        members, the row keeps m + 1 and adds comb(pos_I(c), m + 1) to the
+        rank when c lies in I, and is the prefix's projection otherwise.
+        So the row's id is the prefix's id plus ``delta[m, c]``, which is
+        ``comb(|I|, m) + comb(pos_I(c), m + 1)`` for c in I and 0 for c
+        outside.  Nothing is sorted, and m is read back from the prefix's id
+        as the number of ``offset[1:]`` entries at or below it.
+        ``_next_block`` repeats each prefix row in place, so a slice of
+        block s - 1 gives one contiguous slice of block s, at most
+        ``n_classes`` times as long.  Prefixes are read in slices of
+        ``_SLICE_ROWS // n_classes`` rows (at least one), so every
+        temporary covers at most ``max(_SLICE_ROWS, n_classes)`` rows.
         """
         state = self._state(vmask)
         if state.projection is not None:
             return state.projection
         n = self.n_classes
         inside = (self.rep_mask | vmask) == vmask
-        position = np.cumsum(inside) - 1
-        # The rank loop keeps ``cursor = n * kept``, so that one flat lookup
-        # ``weight[cursor + c]`` reads comb(pos_I(c), kept + 1).
-        cursor_dtype = np.min_scalar_type(n * self.max_size)
-        step = np.where(inside, n, 0).astype(cursor_dtype)
-        weight = np.zeros((self.max_size, n), dtype=self.index_dtype)
-        for j in range(self.max_size):
-            weight[j, inside] = [math.comb(int(p), j + 1) for p in position[inside]]
-        weight = weight.ravel()
-        sizes = [math.comb(int(inside.sum()), m) for m in range(self.max_size + 1)]
-        offset = np.repeat(np.cumsum([0] + sizes[:-1]), n).astype(self.index_dtype)
+        n_inside = int(inside.sum())
+        sizes = [math.comb(n_inside, m) for m in range(self.max_size + 1)]
         slots = np.full((self.max_size, sum(sizes)), n, dtype=self.class_dtype)
+        if not n_inside:
+            state.projection = (slots, None)
+            return state.projection
+        offset = np.cumsum([0] + sizes)
+        position = np.cumsum(inside) - 1
+        delta = np.zeros((self.max_size, n), dtype=self.index_dtype)
+        for m in range(self.max_size):
+            delta[m, inside] = [
+                sizes[m] + math.comb(int(p), m + 1) for p in position[inside]
+            ]
+        # One flat lookup ``delta[n * m + c]`` per row.
+        delta = delta.ravel()
         inverse = np.empty(self.n_premise_rows, dtype=self.index_dtype)
-        cursor = np.zeros(1, dtype=cursor_dtype)
-        rank = np.zeros(1, dtype=self.index_dtype)
-        prefixes = None
-        for start, size, rows in self.blocks:
-            if size:
-                _, counts = _appended_classes(prefixes, n, self.index_dtype)
-                cursor = np.repeat(cursor, counts)
-                rank = np.repeat(rank, counts)
-                member = rows[:, -1]
-                rank += weight.take(cursor + member)
-                cursor += step.take(member)
-            prefixes = rows
-            ids = offset.take(cursor) + rank
-            inverse[start:start + len(rows)] = ids
-            whole = cursor == n * size
-            slots[:size, ids[whole]] = rows[whole].T
+        inverse[0] = 0
+        stride = max(1, _SLICE_ROWS // n)
+        pairs = zip(self.blocks, self.blocks[1:])
+        for (before, _, prefixes), (start, size, rows) in pairs:
+            lo = 0
+            for head in range(0, len(prefixes), stride):
+                prefix = prefixes[head:head + stride]
+                _, counts = _appended_classes(prefix, n, self.index_dtype)
+                hi = lo + int(counts.sum())
+                ids = inverse[before + head:before + head + len(prefix)]
+                kept = np.searchsorted(offset[1:], ids, side="right")
+                cursor = np.repeat(kept * n, counts) + rows[lo:hi, -1]
+                out = inverse[start + lo:start + hi]
+                np.add(np.repeat(ids, counts), delta.take(cursor), out=out)
+                whole = out >= offset[size]
+                slots[:size, out[whole]] = rows[lo:hi][whole].T
+                lo = hi
         state.projection = (slots, inverse)
         return state.projection
+
+    # -- row spaces ---------------------------------------------------------
+    #
+    # A mask's leaf conjunctions and compact answers are indexed by its row
+    # space: the premise rows for the full mask, the distinct projected rows
+    # for any other mask.  ``_expand`` takes them to one value per premise row.
+
+    def _row_count(self, vmask: int) -> int:
+        if vmask == self.full_mask:
+            return self.n_premise_rows
+        return self._projection(vmask)[0].shape[1]
+
+    def _members(self, vmask: int):
+        """vmask's row space slice by slice: pairs ``(rows, members)``, where
+        ``members[j]`` holds member j of every row in ``rows``.  A projection
+        pads short rows with ``n_classes``; the full mask reads ``blocks``."""
+        if vmask != self.full_mask:
+            slots, _ = self._projection(vmask)
+            for rows in _slices(slots.shape[1]):
+                yield rows, slots[:, rows]
+            return
+        for start, _, block in self.blocks:
+            for rows in _slices(len(block)):
+                yield slice(start + rows.start, start + rows.stop), block[rows].T
+
+    def _expand(self, compact: np.ndarray, vmask: int) -> np.ndarray:
+        """One value per row of vmask's row space, to one per premise row."""
+        if vmask == self.full_mask:
+            return compact
+        _, inverse = self._projection(vmask)
+        if inverse is None:
+            return np.full(self.n_premise_rows, compact[0], dtype=compact.dtype)
+        out = np.empty(self.n_premise_rows, dtype=compact.dtype)
+        for rows in _slices(self.n_premise_rows):
+            out[rows] = compact.take(inverse[rows])
+        return out
 
     def _premise_mask(self, vmask: int) -> np.ndarray:
         """Variable mask of each projected premise row, expanded to full rows."""
         state = self._state(vmask)
         if state.premise_mask is not None:
             return state.premise_mask
-        slots, inverse = self._projection(vmask)
-        compact = np.zeros(slots.shape[1], dtype=self.rep_mask.dtype)
-        for slot in slots:
-            compact |= self._slot_mask[slot]
-        state.premise_mask = compact.take(inverse)
+        compact = np.zeros(self._row_count(vmask), dtype=self.rep_mask.dtype)
+        for rows, members in self._members(vmask):
+            piece = compact[rows]
+            for column in members:
+                piece |= self._slot_mask[column]
+        state.premise_mask = self._expand(compact, vmask)
         return state.premise_mask
 
     def _leaf_conjunction(self, matrix_id: int, vmask: int) -> np.ndarray:
-        """Per distinct projected row: valuations designating every member.
+        """Per row of vmask's row space: valuations designating every member.
 
         Rows wider than a byte carry padding bits past the last valuation.
         Padding stays sound: it is 0 in every class's row, in both
         ``_slot_des`` and ``rep_not_packed``, so ``conj & rep_not`` never
         sees it.  An all-ones ``conj`` keeps padding ones only in the empty
-        projected row, and that row is satisfiable anyway.
+        row, and that row is satisfiable anyway.
         """
         conjunctions = self._state(vmask).conjunctions
         cached = conjunctions.get(matrix_id)
         if cached is not None:
             return cached
-        slots, _ = self._projection(vmask)
         table = self._slot_des[matrix_id]
-        out = np.repeat(table[-1:], slots.shape[1], axis=0)
-        for slot in slots:
-            out &= table[slot]
+        out = np.empty((self._row_count(vmask), table.shape[1]), dtype=table.dtype)
+        for rows, members in self._members(vmask):
+            piece = out[rows]
+            piece[:] = table[-1]
+            for column in members:
+                piece &= table[column]
         conjunctions[matrix_id] = out
         return out
 
@@ -545,41 +638,41 @@ class _VectorContext:
     ) -> np.ndarray:
         """Bit i of each premise row: the leaf's answer for class ``chunk[i]``.
 
-        The bits are built and ANDed across the leaf's matrices on the
-        distinct projected rows, then expanded to every premise row once.
+        In one matrix a row entails a class when every valuation that
+        designates all the row's members designates the class too.  The
+        bits are built and ANDed across the leaf's matrices on vmask's row
+        space, then expanded to every premise row once.
         """
-        out = None
-        for matrix_id in matrix_ids:
-            held = self._held_bits(matrix_id, vmask, chunk)
-            out = held if out is None else out & held
-        _, inverse = self._projection(vmask)
-        return out.take(inverse)
-
-    def _held_bits(
-        self, matrix_id: int, vmask: int, chunk: tuple[int, ...]
-    ) -> np.ndarray:
-        """Per distinct projected row, bit i: does the row entail class
-        ``chunk[i]`` in one matrix?  It does when every valuation that
-        designates all the row's members designates the class too."""
-        conj = self._leaf_conjunction(matrix_id, vmask)
-        rep_not = self.rep_not_packed[matrix_id]
-        fails = np.zeros(len(conj), dtype=np.uint8)
-        for bit, target in enumerate(chunk):
-            bad = _nonzero_rows(conj & rep_not[target])
-            fails |= bad.view(np.uint8) << np.uint8(bit)
-        return ~fails
+        tables = [
+            (self._leaf_conjunction(m, vmask), self.rep_not_packed[m])
+            for m in matrix_ids
+        ]
+        held = np.empty(len(tables[0][0]), dtype=np.uint8)
+        for rows in _slices(len(held)):
+            fails = np.zeros(rows.stop - rows.start, dtype=np.uint8)
+            for conj, rep_not in tables:
+                piece = conj[rows]
+                for bit, target in enumerate(chunk):
+                    bad = _nonzero_rows(piece & rep_not[target])
+                    fails |= bad.view(np.uint8) << np.uint8(bit)
+            np.invert(fails, out=held[rows])
+        return self._expand(held, vmask)
 
     def _leaf_fresh(self, matrix_ids: tuple[int, ...], vmask: int):
-        ok = None
-        for matrix_id in matrix_ids:
-            if not self.all_designated[matrix_id]:
-                conj = self._leaf_conjunction(matrix_id, vmask)
-                unsatisfiable = ~_nonzero_rows(conj)
-                ok = unsatisfiable if ok is None else ok & unsatisfiable
-        if ok is None:
+        conjs = [
+            self._leaf_conjunction(m, vmask)
+            for m in matrix_ids
+            if not self.all_designated[m]
+        ]
+        if not conjs:
             return np.full(self.n_premise_rows, 0xFF, dtype=np.uint8)
-        _, inverse = self._projection(vmask)
-        return _byte_mask(ok).take(inverse)
+        ok = np.empty(len(conjs[0]), dtype=np.uint8)
+        for rows in _slices(len(ok)):
+            satisfiable = _nonzero_rows(conjs[0][rows])
+            for conj in conjs[1:]:
+                satisfiable |= _nonzero_rows(conj[rows])
+            ok[rows] = _byte_mask(~satisfiable)
+        return self._expand(ok, vmask)
 
     def fresh_answers(self, tree, vmask: int) -> np.ndarray:
         """Answers for a conclusion variable foreign to the whole fragment.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -364,7 +365,7 @@ def test_build_lattice_verdicts_match_standalone_compare(base, label):
         assert report.verdicts[index].to_json() == alone.to_json(), (id_a, id_b)
 
 
-@pytest.mark.parametrize(
+PROJECTION_CASES = pytest.mark.parametrize(
     "matrices, fragment",
     [
         ((b2_matrix(),), DEFAULT_FRAGMENT),
@@ -374,6 +375,13 @@ def test_build_lattice_verdicts_match_standalone_compare(base, label):
     ],
     ids=["CL", "CL+B3", "CL-few-classes"],
 )
+# Tiny odd slices put slice boundaries inside every block, projection and
+# expansion.  At 5 rows each prefix row of a projection gets a slice of its
+# own; at 151 a slice holds several.
+TINY_SLICES = pytest.mark.parametrize("slice_rows", [5, 151])
+
+
+@PROJECTION_CASES
 def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
     context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
     n = context.n_classes
@@ -388,13 +396,29 @@ def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
     assert rows[-1] == tuple(range(n - min(fragment.max_premises, n), n))
 
     masks = context.rep_mask.tolist()
+    designated = [db[context.rep_index] for db in context.des_bool]
     for vmask in range(context.full_mask + 1):
         inside = {c for c in range(n) if masks[c] | vmask == vmask}
-        slots, inverse = context._projection(vmask)
-        assert inverse.dtype == np.int32
+        if vmask == context.full_mask:
+            # The identity: the row space is the premise rows themselves.
+            ids = range(len(rows))
+            decoded = rows
+        else:
+            slots, inverse = context._projection(vmask)
+            # No inverse exactly when no class lies inside: every row then
+            # projects to the one empty row.
+            assert (inverse is None) == (not inside)
+            if inverse is None:
+                ids = [0] * len(rows)
+            else:
+                assert inverse.dtype == np.int32
+                ids = inverse.tolist()
+            decoded = [
+                tuple(c for c in column if c != n) for column in slots.T.tolist()
+            ]
         premise_mask = context._premise_mask(vmask).tolist()
         id_of: dict[tuple, int] = {}
-        for row, row_id, row_mask in zip(rows, inverse.tolist(), premise_mask):
+        for row, row_id, row_mask in zip(rows, ids, premise_mask):
             kept = tuple(c for c in row if c in inside)
             # Rows share an id exactly when they keep the same members.
             assert id_of.setdefault(kept, row_id) == row_id
@@ -402,24 +426,55 @@ def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
             for c in kept:
                 bits |= masks[c]
             assert row_mask == bits
-        assert len(set(id_of.values())) == len(id_of) == slots.shape[1]
+        assert len(set(id_of.values())) == len(id_of) == len(decoded)
         for kept, row_id in id_of.items():
-            decoded = tuple(c for c in slots[:, row_id].tolist() if c != n)
-            assert decoded == kept
+            assert decoded[row_id] == kept
+        # Leaf conjunctions: per row of the row space, the valuations that
+        # designate every member.
+        for matrix_id, table in enumerate(designated):
+            conj = context._leaf_conjunction(matrix_id, vmask)
+            assert len(conj) == len(decoded)
+            bits = np.unpackbits(conj.view(np.uint8), axis=1)[:, : table.shape[1]]
+            expected = np.array(
+                [np.logical_and.reduce(table[list(kept)], axis=0) for kept in decoded]
+            )
+            assert np.array_equal(bits.astype(bool), expected), (vmask, matrix_id)
+    assert context._masks[context.full_mask].projection is None
+
+
+@TINY_SLICES
+@PROJECTION_CASES
+def test_sliced_projections_match_the_set_reference(
+    monkeypatch, matrices, fragment, slice_rows
+):
+    monkeypatch.setattr(lattice_module, "_SLICE_ROWS", slice_rows)
+    test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
 
 
 # The per-class tower walk the vector engine ran before it walked chunks of
 # classes: one bool per premise row, one walk per conclusion class.
 
 
+def _reference_expand(context, values, vmask):
+    """Values on vmask's row space, one per premise row, by fancy indexing.
+
+    The full mask's row space is the premise rows themselves."""
+    if vmask == context.full_mask:
+        assert len(values) == context.n_premise_rows
+        return values
+    _, inverse = context._projection(vmask)
+    if inverse is None:
+        inverse = np.zeros(context.n_premise_rows, dtype=np.intp)
+    return values[inverse]
+
+
 def _reference_leaf_real(context, matrix_ids, vmask, target):
     result = None
     for matrix_id in matrix_ids:
         conj = context._leaf_conjunction(matrix_id, vmask)
-        _, inverse = context._projection(vmask)
         not_target = context.rep_not_packed[matrix_id][target]
         bad = (conj & not_target).any(axis=1)
-        ok = (~bad).take(inverse)
+        ok = _reference_expand(context, ~bad, vmask)
         result = ok if result is None else (result & ok)
     return result
 
@@ -440,8 +495,7 @@ def _reference_fresh(context, tree, vmask):
             ok = np.ones(context.n_premise_rows, dtype=bool)
         else:
             conj = context._leaf_conjunction(matrix_id, vmask)
-            _, inverse = context._projection(vmask)
-            ok = (~conj.any(axis=1)).take(inverse)
+            ok = _reference_expand(context, ~conj.any(axis=1), vmask)
         result = ok if result is None else (result & ok)
     return result
 
@@ -550,6 +604,13 @@ def test_chunked_walk_matches_the_per_class_walk(name):
                 assert np.array_equal(got, expected), (tree, target)
 
 
+@TINY_SLICES
+@pytest.mark.parametrize("name", list(CHUNK_CASES))
+def test_sliced_chunked_walk_matches_the_per_class_walk(monkeypatch, name, slice_rows):
+    monkeypatch.setattr(lattice_module, "_SLICE_ROWS", slice_rows)
+    test_chunked_walk_matches_the_per_class_walk(name)
+
+
 @pytest.mark.parametrize(
     "base, fragment",
     [
@@ -591,7 +652,9 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
 
         monkeypatch.setattr(_VectorContext, name, wrapper)
 
-    tracked("_projection", lambda vmask: (vmask,), lambda r: r[1])
+    # A projection is tracked by its slots: a mask with no class inside
+    # has no inverse.
+    tracked("_projection", lambda vmask: (vmask,), lambda r: r[0])
     tracked("_premise_mask", lambda vmask: (vmask,), lambda r: r)
     tracked("_leaf_conjunction", lambda m, vmask: (vmask, m), lambda r: r)
     original_answers = _VectorContext.chunk_answers
@@ -611,12 +674,52 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
         pairs, lattice_module._tower_trees(pairs), fragment, 3
     )
     assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
-    # Every conclusion mask is walked in one stretch, every mask is
-    # projected once, and afterwards only the full mask and 0 hold state.
+    # Every conclusion mask is walked in one stretch, every mask but the
+    # full one is projected once, the full mask never, and afterwards only
+    # the full mask and 0 hold state.
     context = contexts[0]
     assert sorted(walked) == sorted(set(context.rep_mask.tolist()))
-    assert builds == {vmask: 1 for vmask in range(context.full_mask + 1)}
+    assert builds == {vmask: 1 for vmask in range(context.full_mask)}
     assert set(context._masks) == {0, context.full_mask}
+    assert context._masks[context.full_mask].projection is None
+
+
+def test_vector_context_temporaries_stay_within_two_slices():
+    # Traced bytes a projection or a row-space build allocates beyond what
+    # is live when it returns.  Before rows were sliced, a projection here
+    # allocated 23.9 MB over its 4.9 MB output; sliced, the largest is
+    # 2.4 MB, an expansion's ``intp`` copy of one slice of ``inverse``.
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
+    context = _VectorContext(CL.signature, spec, (b2_matrix(),))
+    bound = 2 * lattice_module._SLICE_ROWS * np.dtype(np.intp).itemsize
+    assert context.n_premise_rows > 4 * lattice_module._SLICE_ROWS
+    chunk = context.chunks()[0]
+    leaf = ("leaf", (0,))
+
+    def temporaries(method, *args):
+        tracemalloc.reset_peak()
+        result = method(*args)
+        live, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak - live
+
+    tracemalloc.start()
+    try:
+        for vmask in range(context.full_mask + 1):
+            steps = [
+                (context._premise_mask, vmask),
+                (context._leaf_conjunction, 0, vmask),
+                (context._leaf_real, (0,), vmask, chunk),
+                (context.fresh_answers, leaf, vmask),
+            ]
+            if vmask != context.full_mask:
+                steps.insert(0, (context._projection, vmask))
+            for method, *args in steps:
+                assert temporaries(method, *args) < bound, (method.__name__, vmask)
+    finally:
+        tracemalloc.stop()
+    # The full mask's projection would be the identity: it is never built.
+    assert context._masks[context.full_mask].projection is None
 
 
 def test_compare_at_four_premises_matches_pinned_scale_reference():
