@@ -124,7 +124,9 @@ class Formula:
             depth = 1 + max((a.depth for a in self.args), default=0)
             variables = frozenset().union(*(a.variables for a in self.args))
         object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_variables", variables)
+        # A plain attribute, not a property: every oracle layer reads it for
+        # every premise of every query.
+        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_hash", hash((self.head, self.args)))
 
     @property
@@ -135,10 +137,6 @@ class Formula:
     def depth(self) -> int:
         """Tree height: variables have depth 0, constants depth 1."""
         return self._depth  # type: ignore[attr-defined]
-
-    @property
-    def variables(self) -> frozenset[str]:
-        return self._variables  # type: ignore[attr-defined]
 
     def __hash__(self):
         return self._hash  # type: ignore[attr-defined]
@@ -161,11 +159,8 @@ def app(name: str, *args: Formula) -> Formula:
 
 
 def vars_of_set(formulas: Iterable[Formula]) -> frozenset[str]:
-    """Union of the variable sets of ``formulas``."""
-    out: frozenset[str] = frozenset()
-    for f in formulas:
-        out |= f.variables
-    return out
+    """Union of the variable sets of ``formulas``, taken in one union."""
+    return frozenset().union(*[f.variables for f in formulas])
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[(),]))")

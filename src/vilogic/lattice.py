@@ -4,7 +4,10 @@ Everything here is fragment-relative: an "equal" verdict means no inference
 inside the finite fragment separates the two oracles, never that the full
 relations coincide.  Reports say "equal on fragment" throughout.
 
-Two comparison engines produce identical verdicts and witnesses:
+Two comparison engines give the same relation and the same first witness
+each way.  Their counts can differ, because each engine counts at its own
+granularity (see :class:`ComparisonVerdict`), and so can their witness lists
+after the first:
 
 ``exhaustive``
     Queries both oracles on every premise subset and conclusion.  Simple and
@@ -821,7 +824,7 @@ def _vector_verdicts(
                 ans_a = context.chunk_answers(tree_a, chunk, memo)
                 ans_b = context.chunk_answers(tree_b, chunk, memo)
                 for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
-                    tally = _tally(mine & (other ^ in_chunk), chunk, max_witnesses)
+                    tally = _tally(mine, other, in_chunk, chunk, max_witnesses)
                     for target, n_rows, first in tally:
                         count[side] += n_rows
                         sides[side].extend((row, target) for row in first)
@@ -836,18 +839,38 @@ def _vector_verdicts(
     ]
 
 
-def _tally(only: np.ndarray, chunk: tuple[int, ...], cap: int):
-    """Per class of ``chunk``: how many rows have its bit set in ``only``,
-    and the first ``cap`` of them."""
-    if not only.any():
-        return []
-    out = []
-    for bit, target in enumerate(chunk):
-        # A 0/1 byte is a valid bool, and nonzero is fastest on bools.
-        hit = (only >> np.uint8(bit)) & np.uint8(1)
-        rows = np.flatnonzero(hit.view(bool))
-        out.append((target, len(rows), rows[:cap].tolist()))
-    return out
+def _tally(
+    mine: np.ndarray,
+    other: np.ndarray,
+    in_chunk: np.uint8,
+    chunk: tuple[int, ...],
+    cap: int,
+):
+    """Per class of ``chunk``: how many rows have its bit set in ``mine``
+    and clear in ``other``, and the first ``cap`` of them.
+
+    Rows are read in slices of ``_SLICE_ROWS``, so the temporaries cover a
+    slice, never the whole premise-row set.
+    """
+    counts = [0] * len(chunk)
+    first: list[list[int]] = [[] for _ in chunk]
+    for rows in _slices(len(mine)):
+        only = mine[rows] & (other[rows] ^ in_chunk)
+        if not only.any():
+            continue
+        hit = np.empty_like(only)
+        for bit, kept in enumerate(first):
+            np.right_shift(only, np.uint8(bit), out=hit)
+            hit &= np.uint8(1)
+            # A 0/1 byte is a valid bool, and nonzero is fastest on bools.
+            if len(kept) < cap:
+                found = np.flatnonzero(hit.view(bool))
+                counts[bit] += len(found)
+                kept.extend((found[: cap - len(kept)] + rows.start).tolist())
+                del found  # before the next class's rows are found
+            else:
+                counts[bit] += int(np.count_nonzero(hit))
+    return [(target, counts[bit], first[bit]) for bit, target in enumerate(chunk)]
 
 
 def _decode_witnesses(

@@ -386,9 +386,12 @@ class AntitheoremInfo:
 class LogicOracle:
     """A consequence relation answering finite entailment queries.
 
-    Oracles are immutable after construction and may cache answers; caching
-    is keyed by the exact query so it never changes results.  Subclasses
-    implement :meth:`_entails` on a normalized query.
+    Oracles are immutable after construction.  :meth:`entails` is the one
+    public entry point: it freezes the premises and hands the query to
+    :meth:`_entails`, which subclasses implement.  It keeps no answers
+    itself; only :class:`MatrixOracle`, the leaf every tower ends in,
+    remembers what it was asked, so a sub-query that a tower repeats is
+    answered once per leaf.
     """
 
     label: str
@@ -397,15 +400,11 @@ class LogicOracle:
     def __init__(self, label: str, signature: Signature):
         self.label = label
         self.signature = signature
-        self._memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
 
     def entails(self, premises: Iterable[Formula], conclusion: Formula) -> bool:
-        key = (frozenset(premises), conclusion)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._entails(key[0], conclusion)
-            self._memo[key] = cached
-        return cached
+        if not isinstance(premises, frozenset):
+            premises = frozenset(premises)
+        return self._entails(premises, conclusion)
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         raise NotImplementedError
@@ -436,10 +435,14 @@ class MatrixOracle(LogicOracle):
     ``i``-th valuation of ``itertools.product(elements, repeat=k)`` (``v_k``
     varies fastest).  The inference holds when, in every matrix, the AND of
     the premise masks, started from the full mask of ``n ** k`` bits, has no
-    bit outside the conclusion's mask.  The oracle caches one mask per
-    matrix for each (formula, variable tuple) it has seen, and nothing else,
-    so a formula is evaluated once per valuation space however many queries
-    it appears in.
+    bit outside the conclusion's mask.  The oracle caches two things: one
+    mask per matrix for each (formula, variable tuple) it has seen, so a
+    formula is evaluated once per valuation space however many queries it
+    appears in, and the answer to each (premises, conclusion) it was asked.
+    The answers are the only query cache of a tower: the left filter, the
+    right step's fresh-variable query and a meet's two sides all end in
+    queries to their leaves, and those are what repeat.  Neither cache is
+    bounded.
     """
 
     def __init__(self, matrices: Sequence[FiniteMatrix], label: str = "base"):
@@ -447,12 +450,19 @@ class MatrixOracle(LogicOracle):
         super().__init__(label, mats[0].signature)
         self.matrices = mats
         self._masks: dict[tuple[Formula, tuple[str, ...]], tuple[int, ...]] = {}
+        self._answers: dict[tuple[frozenset[Formula], Formula], bool] = {}
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
-        variables = _query_variables(premises, conclusion)
-        masks = [self._formula_masks(p, variables) for p in premises]
-        conclusion_masks = self._formula_masks(conclusion, variables)
-        return _first_failure(self.matrices, masks, conclusion_masks, len(variables)) is None
+        key = (premises, conclusion)
+        answer = self._answers.get(key)
+        if answer is None:
+            variables = _query_variables(premises, conclusion)
+            masks = [self._formula_masks(p, variables) for p in premises]
+            conclusion_masks = self._formula_masks(conclusion, variables)
+            answer = self._answers[key] = (
+                _first_failure(self.matrices, masks, conclusion_masks, len(variables)) is None
+            )
+        return answer
 
     def _formula_masks(self, formula: Formula, variables: tuple[str, ...]) -> tuple[int, ...]:
         key = (formula, variables)

@@ -26,14 +26,20 @@ under every substitution.  A left companion never has antitheorems provided
 the base has a model that designates less than everything; when every base
 matrix designates everything the claim does not apply and the companion
 reports its antitheorem status as unknown.
+
+The combinators keep no per-query state.  Every query to a tower passes
+through each layer once and ends in queries to its matrix leaves; the
+answer memo of :class:`vilogic.matrices.MatrixOracle` is the only one, and
+it catches the sub-queries that repeat, the left-filtered premise sets and
+the fresh-variable queries.  A layer above it would be asked each query of
+an exhaustive comparison once, so a memo there could only miss.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .formulas import (
     FragmentSpec,
@@ -41,7 +47,6 @@ from .formulas import (
     FormulaError,
     enumerate_fragment,
     fresh_variable,
-    substitute,
     var,
     vars_of_set,
 )
@@ -61,9 +66,7 @@ __all__ = [
     "RightVIOracle",
     "canonicalize_sequence",
     "check_sequence",
-    "definitional_antitheorem_check",
     "derive_sequence",
-    "explain_left_of_right",
     "find_antitheorem",
     "intersect",
     "is_antitheorem",
@@ -96,29 +99,6 @@ def _entails_fresh(
 def _variable(name: str) -> Formula:
     # Fresh names are primed copies of one base name, so this stays small.
     return var(name)
-
-
-def definitional_antitheorem_check(
-    oracle: LogicOracle,
-    premises: Iterable[Formula],
-    substitution_pool: Sequence[Formula],
-    targets: Sequence[Formula],
-) -> bool:
-    """Bounded form of the definition: every substitution instance entails every target.
-
-    Substitutions assign pool formulas to the premise variables in every
-    combination.  Agreement of this check with :func:`is_antitheorem` is a
-    test invariant, not something callers should pay for routinely.
-    """
-    prems = tuple(premises)
-    names = sorted(vars_of_set(prems))
-    for images in itertools.product(substitution_pool, repeat=len(names)):
-        mapping = dict(zip(names, images))
-        instance = [substitute(p, mapping) for p in prems]
-        for target in targets:
-            if not oracle.entails(instance, target):
-                return False
-    return True
 
 
 def find_antitheorem(
@@ -177,8 +157,10 @@ class LeftVIOracle(LogicOracle):
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         allowed = conclusion.variables
-        kept = frozenset(p for p in premises if p.variables <= allowed)
-        return self.base.entails(kept, conclusion)
+        kept = [p for p in premises if p.variables <= allowed]
+        if len(kept) < len(premises):
+            premises = frozenset(kept)
+        return self.base.entails(premises, conclusion)
 
     def base_matrices(self) -> tuple[FiniteMatrix, ...]:
         return self.base.base_matrices()
@@ -286,22 +268,3 @@ def canonicalize_sequence(sequence: str, base_has_antitheorems: bool) -> str:
             current = "rl"
         if current == previous:
             return current
-
-
-def explain_left_of_right(
-    base: LogicOracle,
-    premises: Iterable[Formula],
-    conclusion: Formula,
-) -> frozenset[Formula] | None:
-    """For an inference accepted after an ``rl`` tower over an antitheorem-free
-    base, exhibit a premise subset that base-entails the conclusion using
-    exactly the conclusion's variables.  Returns None when no subset works.
-    """
-    prems = sorted(frozenset(premises), key=str)
-    goal = conclusion.variables
-    candidates = [p for p in prems if p.variables <= goal]
-    for size in range(0, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if vars_of_set(combo) == goal and base.entails(combo, conclusion):
-                return frozenset(combo)
-    return None

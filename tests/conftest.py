@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterable, Sequence
+
 import pytest
 from hypothesis import strategies as st
 
-from vilogic.formulas import app, var
-from vilogic.matrices import MatrixOracle
+from vilogic.formulas import Formula, app, substitute, var, vars_of_set
+from vilogic.matrices import LogicOracle, MatrixOracle
 from vilogic.presets import (
     b2_and_or_matrix,
     b2_matrix,
@@ -28,6 +31,48 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.line(line)
+
+
+def definitional_antitheorem_check(
+    oracle: LogicOracle,
+    premises: Iterable[Formula],
+    substitution_pool: Sequence[Formula],
+    targets: Sequence[Formula],
+) -> bool:
+    """Bounded form of the definition: every substitution instance entails every target.
+
+    Substitutions assign pool formulas to the premise variables in every
+    combination.  The tests check that it agrees with
+    :func:`vilogic.transforms.is_antitheorem`.
+    """
+    prems = tuple(premises)
+    names = sorted(vars_of_set(prems))
+    for images in itertools.product(substitution_pool, repeat=len(names)):
+        mapping = dict(zip(names, images))
+        instance = [substitute(p, mapping) for p in prems]
+        for target in targets:
+            if not oracle.entails(instance, target):
+                return False
+    return True
+
+
+def explain_left_of_right(
+    base: LogicOracle,
+    premises: Iterable[Formula],
+    conclusion: Formula,
+) -> frozenset[Formula] | None:
+    """For an inference accepted after an ``rl`` tower over an antitheorem-free
+    base, exhibit a premise subset that base-entails the conclusion using
+    exactly the conclusion's variables.  Returns None when no subset works.
+    """
+    prems = sorted(frozenset(premises), key=str)
+    goal = conclusion.variables
+    candidates = [p for p in prems if p.variables <= goal]
+    for size in range(0, len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if vars_of_set(combo) == goal and base.entails(combo, conclusion):
+                return frozenset(combo)
+    return None
 
 
 def formula_strategy(variables=("x", "y", "z"), max_leaves=6):

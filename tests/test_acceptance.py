@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from conftest import record_acceptance
+from conftest import definitional_antitheorem_check, record_acceptance
 
 from vilogic.formulas import (
     FragmentSpec,
@@ -46,7 +46,6 @@ from vilogic.presets import (
     wk_algebra,
 )
 from vilogic.transforms import (
-    definitional_antitheorem_check,
     derive_sequence,
     find_antitheorem,
     intersect,

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilogic.formulas import (
     FragmentSpec,
@@ -215,6 +217,57 @@ def test_exhaustive_and_vector_engines_agree_beyond_tiny(a, b, relation):
     assert exhaustive.relation == vector.relation == relation
     assert exhaustive.witnesses_ab[:1] == vector.witnesses_ab[:1]
     assert exhaustive.witnesses_ba[:1] == vector.witnesses_ba[:1]
+
+
+@st.composite
+def random_matrices(draw):
+    """A 2- or 3-element matrix over and/2, or/2, not/1: every table entry
+    and the designated set drawn at random (empty and full sets included)."""
+    elements = tuple(str(i) for i in range(draw(st.integers(2, 3))))
+    value = st.sampled_from(elements)
+    tables = {
+        name: {args: draw(value) for args in itertools.product(elements, repeat=arity)}
+        for name, arity in FULL_SIGNATURE.connectives
+    }
+    algebra = FiniteAlgebra(FULL_SIGNATURE, elements, tables)
+    return FiniteMatrix(algebra, draw(st.frozensets(value)))
+
+
+TOWERS_UP_TO_3 = st.text(alphabet="lr", max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    random_matrices(),
+    TOWERS_UP_TO_3,
+    TOWERS_UP_TO_3,
+    st.one_of(st.none(), TOWERS_UP_TO_3),
+)
+def test_engines_agree_on_random_matrices(matrix, first, second, meet_with):
+    base = MatrixOracle((matrix,), label="M")
+    a = derive_sequence(base, first)
+    b = derive_sequence(base, second)
+    if meet_with is not None:
+        b = intersect(b, derive_sequence(base, meet_with))
+    exhaustive = compare(a, b, TINY, engine="exhaustive")
+    vector = compare(a, b, TINY, engine="vector")
+    assert exhaustive.relation == vector.relation
+    assert exhaustive.witnesses_ab[:1] == vector.witnesses_ab[:1]
+    assert exhaustive.witnesses_ba[:1] == vector.witnesses_ba[:1]
+
+
+def test_only_the_matrix_leaf_caches_answers():
+    base = MatrixOracle((b2_matrix(),), label="CL")
+    lr, rl = derive_sequence(base, "lr"), derive_sequence(base, "rl")
+    meet = intersect(lr, rl)
+    verdict = compare(lr, rl, TINY, engine="exhaustive")
+    assert verdict.relation == "strictly-below"
+    for witness in verdict.witnesses_ba:
+        assert not meet.entails(witness.premises, witness.conclusion)
+    for layer in (meet, lr, lr.base, rl, rl.base):
+        held = [name for name, value in vars(layer).items() if isinstance(value, dict)]
+        assert held == [], (layer, held)
+    assert base._answers
 
 
 def test_exhaustive_engine_handles_opaque_oracles():
@@ -685,16 +738,21 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
 
 
 def test_vector_context_temporaries_stay_within_two_slices():
-    # Traced bytes a projection or a row-space build allocates beyond what
-    # is live when it returns.  Before rows were sliced, a projection here
-    # allocated 23.9 MB over its 4.9 MB output; sliced, the largest is
-    # 2.4 MB, an expansion's ``intp`` copy of one slice of ``inverse``.
+    # Traced bytes a projection, a row-space build or a tally allocates
+    # beyond what is live when it returns.  Before rows were sliced, a
+    # projection here allocated 23.9 MB over its 4.9 MB output; sliced, the
+    # largest is 2.4 MB, an expansion's ``intp`` copy of one slice of
+    # ``inverse``.  A tally over whole rows built two row-sized bytes per
+    # class and, where every row disagrees, 9.8 MB of row indices.
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
     context = _VectorContext(CL.signature, spec, (b2_matrix(),))
     bound = 2 * lattice_module._SLICE_ROWS * np.dtype(np.intp).itemsize
     assert context.n_premise_rows > 4 * lattice_module._SLICE_ROWS
     chunk = context.chunks()[0]
     leaf = ("leaf", (0,))
+    in_chunk = np.uint8((1 << len(chunk)) - 1)
+    every_row = np.full(context.n_premise_rows, in_chunk, dtype=np.uint8)
+    no_row = np.zeros_like(every_row)
 
     def temporaries(method, *args):
         tracemalloc.reset_peak()
@@ -716,8 +774,14 @@ def test_vector_context_temporaries_stay_within_two_slices():
                 steps.insert(0, (context._projection, vmask))
             for method, *args in steps:
                 assert temporaries(method, *args) < bound, (method.__name__, vmask)
+        tally = (lattice_module._tally, every_row, no_row, in_chunk, chunk, 5)
+        assert temporaries(*tally) < bound
     finally:
         tracemalloc.stop()
+    # The slices' row numbers are offset back to whole-row numbers.
+    assert tally[0](*tally[1:]) == [
+        (target, context.n_premise_rows, [0, 1, 2, 3, 4]) for target in chunk
+    ]
     # The full mask's projection would be the identity: it is never built.
     assert context._masks[context.full_mask].projection is None
 

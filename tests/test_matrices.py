@@ -179,11 +179,17 @@ def test_homomorphism_rejects_partial_mapping():
         homomorphism_counterexample(algebra, algebra, {"0": "0"})
 
 
-def test_oracle_label_and_memoization():
+def test_oracle_label_and_memoization(monkeypatch):
     oracle = MatrixOracle((b2_matrix(),), label="CL")
     assert oracle.label == "CL"
     inference = ((P("x"),), P("x"))
     assert oracle.entails(*inference)
+    assert oracle._answers == {(frozenset(inference[0]), inference[1]): True}
+
+    def evaluated_again(*args):
+        raise AssertionError("a repeated query was evaluated again")
+
+    monkeypatch.setattr(oracle, "_formula_masks", evaluated_again)
     assert oracle.entails(*inference)
 
 

@@ -8,9 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilogic.formulas import FragmentSpec, enumerate_fragment, parse_formula, var
-from vilogic.matrices import NONE_PROVEN, WITNESS, MatrixOracle
-from vilogic.presets import FULL_SIGNATURE, b2_matrix, pi_term, sigma_set
+from conftest import definitional_antitheorem_check, explain_left_of_right, formula_strategy
+
+from vilogic.formulas import (
+    FragmentSpec,
+    enumerate_fragment,
+    fresh_variable,
+    parse_formula,
+    var,
+    vars_of_set,
+)
+from vilogic.matrices import NONE_PROVEN, WITNESS, MatrixOracle, all_valuations, evaluate
+from vilogic.presets import (
+    FULL_SIGNATURE,
+    b2_matrix,
+    b3_matrix,
+    pi_term,
+    pwk_matrix,
+    sigma_set,
+)
 from vilogic.transforms import (
     AntitheoremWitness,
     LeftVIOracle,
@@ -18,9 +34,7 @@ from vilogic.transforms import (
     RightVIOracle,
     canonicalize_sequence,
     check_sequence,
-    definitional_antitheorem_check,
     derive_sequence,
-    explain_left_of_right,
     find_antitheorem,
     intersect,
     is_antitheorem,
@@ -141,6 +155,81 @@ def test_fresh_variable_agrees_with_definitional_check(premises):
     fresh = is_antitheorem(oracle, premises)
     definitional = definitional_antitheorem_check(oracle, premises, pool, pool)
     assert fresh == definitional
+
+
+def _plain_entails(matrices, premises, conclusion):
+    """Matrix consequence by evaluating every formula under every valuation."""
+    names = sorted(vars_of_set(premises) | conclusion.variables)
+    for matrix in matrices:
+        for valuation in all_valuations(matrix.algebra, names):
+            holds = [evaluate(matrix.algebra, p, valuation) in matrix.designated for p in premises]
+            if all(holds) and evaluate(matrix.algebra, conclusion, valuation) not in matrix.designated:
+                return False
+    return True
+
+
+def _subsets(premises):
+    return (
+        frozenset(subset)
+        for size in range(len(premises) + 1)
+        for subset in itertools.combinations(premises, size)
+    )
+
+
+def _definitional(matrices, sequence, premises, conclusion):
+    """Tower consequence straight from the definitions, with no cache and
+    none of the monotonicity shortcuts: the last step of ``sequence`` is the
+    outermost.
+
+    * ``l``: some premise subset within the conclusion's variables entails
+      it below;
+    * ``r``: some premise subset entails it below and covers its variables,
+      or some premise subset entails a variable foreign to it below (an
+      antitheorem of the logic below).
+    """
+    if not sequence:
+        return _plain_entails(matrices, premises, conclusion)
+    below, step = sequence[:-1], sequence[-1]
+    if step == "l":
+        return any(
+            vars_of_set(subset) <= conclusion.variables
+            and _definitional(matrices, below, subset, conclusion)
+            for subset in _subsets(premises)
+        )
+    return any(
+        (
+            conclusion.variables <= vars_of_set(subset)
+            and _definitional(matrices, below, subset, conclusion)
+        )
+        or _definitional(matrices, below, subset, var(fresh_variable(vars_of_set(subset))))
+        for subset in _subsets(premises)
+    )
+
+
+DEFINITIONAL_BASES = {
+    "B3": (b3_matrix(),),
+    "PWK": (pwk_matrix(),),
+    "CL": (b2_matrix(),),
+    "CL+B3": (b2_matrix(), b3_matrix()),
+}
+# One oracle per base for the whole test, so later examples are also
+# answered from the leaf's answer memo.
+DEFINITIONAL_ORACLES = {
+    name: MatrixOracle(matrices, label=name) for name, matrices in DEFINITIONAL_BASES.items()
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(DEFINITIONAL_BASES)),
+    st.text(alphabet="lr", max_size=4),
+    st.lists(formula_strategy(max_leaves=3), max_size=2),
+    formula_strategy(max_leaves=3),
+)
+def test_towers_match_the_definitional_recursion(base, sequence, premises, conclusion):
+    tower = derive_sequence(DEFINITIONAL_ORACLES[base], sequence)
+    expected = _definitional(DEFINITIONAL_BASES[base], sequence, tuple(set(premises)), conclusion)
+    assert tower.entails(premises, conclusion) == expected
 
 
 @pytest.mark.parametrize(
