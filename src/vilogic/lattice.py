@@ -52,15 +52,21 @@ after the first:
     state is dropped after its last chunk.  The full mask keeps every row
     whole, so it has no projection and reads the blocks row by row; a mask
     with no class inside keeps no index, as every row projects to the
-    empty row.  Projections, expansions and the full mask's arrays are
+    empty row, and its expanded arrays are one value broadcast read-only
+    over the rows.  Projections, expansions and the full mask's arrays are
     built in slices of ``_SLICE_ROWS`` rows, so their temporaries are
     bounded by the slice, not by the number of premise rows.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
 order, and the vector engine reports the first structurally distinct
-disagreements in exactly that order.  Every witness leaving this module is
-re-validated against the real oracles before it is reported.
+disagreements in exactly that order.  It tallies a chunk whole, per pair
+and side: one popcount gives the number of disagreeing (row, class) pairs,
+and a scan for the first nonzero rows gives at least the chunk's first
+``max_witnesses`` pairs in (row, class) order.  The pairs of all chunks are
+then sorted and capped, which leaves the first ``max_witnesses`` overall.
+Every witness leaving this module is re-validated against the real oracles
+before it is reported.
 """
 
 from __future__ import annotations
@@ -263,25 +269,39 @@ def _variable_masks(formulas: Sequence[Formula], variables: Sequence[str]):
 def _designation_bools(
     matrix: FiniteMatrix, formulas: Sequence[Formula], variables: Sequence[str]
 ) -> np.ndarray:
-    """(n_formulas, n_valuations) designation table, valuations in product order."""
+    """(n_formulas, n_valuations) designation table, valuations in product order.
+
+    Element positions are evaluated one run at a time: a run of consecutive
+    formulas with one depth and one head takes one fancy index into the
+    head's table, and a constant's run broadcasts its table value.
+    ``enumerate_fragment`` emits one run per depth and connective.  A
+    formula's arguments must be variables or earlier formulas.
+    """
     algebra = matrix.algebra
     n = len(algebra.elements)
     k = len(variables)
-    coords = np.indices((n,) * k).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
-    values: dict[Formula, np.ndarray] = {}
     tables = _index_tables(algebra)
-    for position, v in enumerate(variables):
-        values[var(v)] = coords[position]
+    n_formulas = len(formulas)
+    # One row per formula, then one per variable's coordinates.
+    values = np.empty((n_formulas + k, n**k), dtype=np.intp)
+    if k:
+        values[n_formulas:] = np.indices((n,) * k).reshape(k, -1)
+    row = {var(v): n_formulas + i for i, v in enumerate(variables)}
+    start = 0
+    for (_, head), run in itertools.groupby(formulas, lambda f: (f.depth, f.head)):
+        run = list(run)
+        stop = start + len(run)
+        if run[0].is_variable:
+            values[start:stop] = values[row[run[0]]]
+        else:
+            args = np.array([[row[a] for a in f.args] for f in run], dtype=np.intp)
+            values[start:stop] = tables[head][tuple(values[column] for column in args.T)]
+        row.update(zip(run, range(start, stop)))
+        start = stop
     designated = np.zeros(n, dtype=bool)
     for e in matrix.designated:
         designated[algebra.element_index[e]] = True
-    out = np.empty((len(formulas), coords.shape[1] if k else 1), dtype=bool)
-    for row, formula in enumerate(formulas):
-        if formula not in values:
-            args = tuple(values[a] for a in formula.args)
-            values[formula] = tables[formula.head][args]
-        out[row] = designated[values[formula]]
-    return out
+    return designated[values[:n_formulas]]
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -390,10 +410,12 @@ class _VectorContext:
     column per distinct projected row, and ``inverse``, one index per
     premise row, except when no class lies inside the mask.  Then every row
     projects to the empty row and there is no ``inverse``: an answer is one
-    value filled over the rows.  The full mask keeps every row whole, so
-    its projection is the identity and is never built: its conjunctions
-    and premise mask are read from ``blocks`` row by row, and its leaves
-    expand nothing.  Every temporary of a projection, an expansion or a
+    value broadcast read-only over the rows, with no row-sized copy.  So
+    the cached premise masks and answers may be read-only; the walk writes
+    only into arrays it has just built.  The full mask keeps every row
+    whole, so its projection is the identity and is never built: its
+    conjunctions and premise mask are read from ``blocks`` row by row, and
+    its leaves expand nothing.  Every temporary of a projection, an expansion or a
     row-space array covers one slice of ``_SLICE_ROWS`` rows (a projection
     slice covers at most ``max(_SLICE_ROWS, n_classes)`` rows), so the
     peak is the live state plus a few slices, never a second premise-row
@@ -592,7 +614,9 @@ class _VectorContext:
             return compact
         _, inverse = self._projection(vmask)
         if inverse is None:
-            return np.full(self.n_premise_rows, compact[0], dtype=compact.dtype)
+            # Every row projects to the empty row: one value, broadcast
+            # read-only over the rows, not a row-sized copy.
+            return np.broadcast_to(compact[0], (self.n_premise_rows,))
         out = np.empty(self.n_premise_rows, dtype=compact.dtype)
         for rows in _slices(self.n_premise_rows):
             out[rows] = compact.take(inverse[rows])
@@ -681,7 +705,8 @@ class _VectorContext:
         """Answers for a conclusion variable foreign to the whole fragment.
 
         One byte per premise row, 0xFF or 0x00, so it serves every class of
-        a chunk at once.
+        a chunk at once.  The result is cached and may be a read-only
+        broadcast (see :meth:`_expand`): never write into it.
         """
         fresh = self._state(vmask).fresh
         cached = fresh.get(tree)
@@ -738,6 +763,8 @@ class _VectorContext:
     ) -> np.ndarray:
         # A method, not a closure: a self-referencing nested function would
         # keep the memo's arrays alive until the cyclic collector runs.
+        # Memoized and cached answers may be read-only broadcasts (see
+        # ``_expand``), so each in-place step below writes into a new array.
         key = (node, vmask)
         hit = memo.get(key)
         if hit is not None:
@@ -804,8 +831,10 @@ def _vector_verdicts(
     of all pairs.  The outer loop runs over chunks of conclusion classes,
     so a subtree is walked once per chunk however many pairs contain it.
     After the last chunk of a mask, that mask's state is retired.
-    Witnesses are still chosen per class: per pair and class the first
-    ``max_witnesses`` rows are kept; they are then sorted and capped.
+    Each chunk is tallied whole, per pair and side: the count of its
+    disagreeing (row, class) pairs, and at least its first
+    ``max_witnesses`` of them (see :func:`_tally`).  Each side's pairs are
+    then sorted and capped.
     """
     if towers is None:
         raise LatticeError(
@@ -824,10 +853,9 @@ def _vector_verdicts(
                 ans_a = context.chunk_answers(tree_a, chunk, memo)
                 ans_b = context.chunk_answers(tree_b, chunk, memo)
                 for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
-                    tally = _tally(mine, other, in_chunk, chunk, max_witnesses)
-                    for target, n_rows, first in tally:
-                        count[side] += n_rows
-                        sides[side].extend((row, target) for row in first)
+                    n_found, first = _tally(mine, other, in_chunk, chunk, max_witnesses)
+                    count[side] += n_found
+                    sides[side].extend(first)
         context.retire(tmask)
     return [
         _verdict(
@@ -839,38 +867,67 @@ def _vector_verdicts(
     ]
 
 
+def _popcount(bits: np.ndarray) -> int:
+    """Set bits in a contiguous ``uint8`` array: whole ``uint64`` words,
+    then the byte tail."""
+    whole = len(bits) - len(bits) % 8
+    total = int(np.bitwise_count(bits[:whole].view(np.uint64)).sum())
+    if whole < len(bits):
+        total += int(np.bitwise_count(bits[whole:]).sum())
+    return total
+
+
 def _tally(
     mine: np.ndarray,
     other: np.ndarray,
     in_chunk: np.uint8,
     chunk: tuple[int, ...],
     cap: int,
-):
-    """Per class of ``chunk``: how many rows have its bit set in ``mine``
-    and clear in ``other``, and the first ``cap`` of them.
+) -> tuple[int, list[tuple[int, int]]]:
+    """The ``(row, class)`` pairs of ``chunk`` whose bit is set in ``mine``
+    and clear in ``other``: how many there are, and at least the first
+    ``cap`` of them in ``(row, class)`` order.
+
+    Bits past the chunk's length are garbage, so ``in_chunk`` masks them
+    before anything is counted.  The count is one popcount per slice.  The
+    pairs are found by scanning for nonzero rows in a growing window and
+    taking every set bit of each row found, until ``cap`` pairs are held.
+    Classes ascend with their bits, so ``(row, bit)`` order is
+    ``(row, class)`` order.
+
+    A superset of the first ``cap`` pairs is all a caller needs: the
+    caller sorts every tally's pairs and keeps the first ``cap``.  Each of
+    those lies in some tally, and fewer than ``cap`` pairs of that tally
+    come before it, so it is among that tally's own first ``cap``.
 
     Rows are read in slices of ``_SLICE_ROWS``, so the temporaries cover a
     slice, never the whole premise-row set.
     """
-    counts = [0] * len(chunk)
-    first: list[list[int]] = [[] for _ in chunk]
+    count = 0
+    pairs: list[tuple[int, int]] = []
     for rows in _slices(len(mine)):
-        only = mine[rows] & (other[rows] ^ in_chunk)
-        if not only.any():
-            continue
-        hit = np.empty_like(only)
-        for bit, kept in enumerate(first):
-            np.right_shift(only, np.uint8(bit), out=hit)
-            hit &= np.uint8(1)
-            # A 0/1 byte is a valid bool, and nonzero is fastest on bools.
-            if len(kept) < cap:
-                found = np.flatnonzero(hit.view(bool))
-                counts[bit] += len(found)
-                kept.extend((found[: cap - len(kept)] + rows.start).tolist())
-                del found  # before the next class's rows are found
-            else:
-                counts[bit] += int(np.count_nonzero(hit))
-    return [(target, counts[bit], first[bit]) for bit, target in enumerate(chunk)]
+        only = np.invert(other[rows])
+        only &= mine[rows]
+        only &= in_chunk
+        found = _popcount(only)
+        count += found
+        # A dense disagreement ends within the first small window; one
+        # flatnonzero over the whole slice would index every row of it.
+        start, window = 0, 64
+        while found and len(pairs) < cap and start < len(only):
+            stop = min(start + window, len(only))
+            # Each row found holds at least one pair.
+            hits = np.flatnonzero(only[start:stop])[: cap - len(pairs)] + start
+            for row, byte in zip(hits.tolist(), only[hits].tolist()):
+                pairs.extend(
+                    (rows.start + row, target)
+                    for bit, target in enumerate(chunk)
+                    if byte >> bit & 1
+                )
+                if len(pairs) >= cap:
+                    break
+            start, window = stop, 4 * window
+    return count, pairs
 
 
 def _decode_witnesses(
@@ -956,7 +1013,7 @@ def _verdict(
     has already counted every fragment inference.
     """
     count_ab, count_ba = counts
-    inside = frozenset(formulas)
+    inside = None  # the fragment as a set, built for the first disagreeing extra
     for inference in extra_witnesses:
         in_a = a.entails(inference.premises, inference.conclusion)
         in_b = b.entails(inference.premises, inference.conclusion)
@@ -965,6 +1022,8 @@ def _verdict(
         bucket = witnesses_ab if in_a else witnesses_ba
         if inference not in bucket:
             bucket.append(inference)
+        if inside is None:
+            inside = frozenset(formulas)
         outside = (
             len(inference.premises) > fragment.max_premises
             or not inside.issuperset(inference.premises)

@@ -20,6 +20,7 @@ from vilogic.formulas import (
     enumerate_fragment,
     fragment_subsets,
     parse_formula,
+    var,
 )
 from vilogic.lattice import (
     DEFAULT_FRAGMENT,
@@ -41,13 +42,14 @@ from vilogic.matrices import (
     all_valuations,
     evaluate,
 )
-from vilogic.plonka import canonical_chain_matrix
+from vilogic.plonka import _index_tables, canonical_chain_matrix
 from vilogic.presets import (
     FULL_SIGNATURE,
     b2_and_or_matrix,
     b2_matrix,
     b3_matrix,
     pi_term,
+    pwk_matrix,
     sigma_set,
 )
 from vilogic.transforms import derive_sequence, intersect
@@ -778,12 +780,146 @@ def test_vector_context_temporaries_stay_within_two_slices():
         assert temporaries(*tally) < bound
     finally:
         tracemalloc.stop()
-    # The slices' row numbers are offset back to whole-row numbers.
-    assert tally[0](*tally[1:]) == [
-        (target, context.n_premise_rows, [0, 1, 2, 3, 4]) for target in chunk
-    ]
+    # Every (row, class) pair disagrees; the slices' row numbers are offset
+    # back to whole-row numbers.
+    count, pairs = tally[0](*tally[1:])
+    assert count == len(chunk) * context.n_premise_rows
+    assert sorted(pairs)[:5] == sorted(itertools.product(range(5), chunk))[:5]
     # The full mask's projection would be the identity: it is never built.
     assert context._masks[context.full_mask].projection is None
+
+
+# The per-class tally the vector engine ran before it tallied whole chunks:
+# per class of the chunk, its disagreement count and its first ``cap`` rows.
+
+
+def _reference_tally(mine, other, in_chunk, chunk, cap):
+    counts = [0] * len(chunk)
+    first: list[list[int]] = [[] for _ in chunk]
+    for rows in lattice_module._slices(len(mine)):
+        only = mine[rows] & (other[rows] ^ in_chunk)
+        if not only.any():
+            continue
+        hit = np.empty_like(only)
+        for bit, kept in enumerate(first):
+            np.right_shift(only, np.uint8(bit), out=hit)
+            hit &= np.uint8(1)
+            if len(kept) < cap:
+                found = np.flatnonzero(hit.view(bool))
+                counts[bit] += len(found)
+                kept.extend((found[: cap - len(kept)] + rows.start).tolist())
+            else:
+                counts[bit] += int(np.count_nonzero(hit))
+    return [(target, counts[bit], first[bit]) for bit, target in enumerate(chunk)]
+
+
+@st.composite
+def tally_inputs(draw):
+    """Answer bytes for one chunk, garbage in the bits past its length.
+
+    A row disagrees (has some chunk bit set in ``mine`` and clear in
+    ``other``) with the drawn density; every other row agrees on the chunk.
+    """
+    length = draw(st.integers(1, 8))
+    chunk = tuple(sorted(draw(
+        st.lists(st.integers(0, 60), min_size=length, max_size=length, unique=True)
+    )))
+    n_rows = draw(st.integers(0, 600))
+    density = draw(st.sampled_from([0.0, 0.005, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    in_chunk = np.uint8((1 << length) - 1)
+    mine = rng.integers(0, 256, n_rows, dtype=np.uint8)
+    other = rng.integers(0, 256, n_rows, dtype=np.uint8)
+    disagree = rng.random(n_rows) < density
+    other[~disagree] |= mine[~disagree] & in_chunk
+    bit = np.left_shift(1, rng.integers(0, length, n_rows)).astype(np.uint8)
+    mine[disagree] |= bit[disagree]
+    other[disagree] &= ~bit[disagree]
+    return mine, other, in_chunk, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=tally_inputs(),
+    cap=st.integers(0, 6),
+    slice_rows=st.sampled_from([1, 3, 7, 13, 257, 511]),
+)
+def test_whole_chunk_tally_matches_the_per_class_tally(inputs, cap, slice_rows):
+    mine, other, in_chunk, chunk = inputs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice_module, "_SLICE_ROWS", slice_rows)
+        count, pairs = lattice_module._tally(mine, other, in_chunk, chunk, cap)
+        reference = _reference_tally(mine, other, in_chunk, chunk, cap)
+    assert count == sum(n for _, n, _ in reference)
+    merged = sorted((row, target) for target, _, rows in reference for row in rows)
+    assert sorted(pairs)[:cap] == merged[:cap]
+    # Every pair returned is a real disagreement, returned once.
+    assert len(set(pairs)) == len(pairs)
+    for row, target in pairs:
+        bit = chunk.index(target)
+        assert mine[row] >> bit & 1 and not other[row] >> bit & 1
+
+
+# The designation table as it was built before formulas were evaluated in
+# runs: one fancy index per formula.
+
+
+def _reference_designation_bools(matrix, formulas, variables):
+    algebra = matrix.algebra
+    n = len(algebra.elements)
+    k = len(variables)
+    coords = np.indices((n,) * k).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
+    values = {}
+    tables = _index_tables(algebra)
+    for position, v in enumerate(variables):
+        values[var(v)] = coords[position]
+    designated = np.zeros(n, dtype=bool)
+    for e in matrix.designated:
+        designated[algebra.element_index[e]] = True
+    out = np.empty((len(formulas), coords.shape[1] if k else 1), dtype=bool)
+    for row, formula in enumerate(formulas):
+        if formula not in values:
+            args = tuple(values[a] for a in formula.args)
+            values[formula] = tables[formula.head][args]
+        out[row] = designated[values[formula]]
+    return out
+
+
+DESIGNATION_MATRICES = {
+    "CL": b2_matrix(),
+    "B3": b3_matrix(),
+    "PWK": pwk_matrix(),
+    "constant": _constant_matrix(),
+    **{
+        f"chain[{seq or 'base'}]": canonical_chain_matrix(b2_matrix(), seq)
+        for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl")
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(DESIGNATION_MATRICES))
+@pytest.mark.parametrize(
+    "variables, depth",
+    [(("x",), 3), (("x", "y"), 2), (("x", "y", "z"), 2), (("x", "y", "z", "w"), 2)],
+)
+def test_designation_bools_match_the_per_formula_build(name, variables, depth):
+    matrix = DESIGNATION_MATRICES[name]
+    spec = FragmentSpec(variables=variables, max_depth=depth, max_premises=1)
+    formulas = enumerate_fragment(matrix.algebra.signature, spec)
+    got = lattice_module._designation_bools(matrix, formulas, variables)
+    expected = _reference_designation_bools(matrix, formulas, variables)
+    assert got.dtype == bool and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_a_mask_with_no_class_inside_expands_to_one_broadcast_value():
+    # Over CL every class has a variable, so every premise row projects to
+    # the empty row at mask 0: its answers are one value, not a row copy.
+    context = _VectorContext(CL.signature, TINY, (b2_matrix(),))
+    assert context._projection(0)[1] is None
+    for expanded in (context._premise_mask(0), context.fresh_answers(("leaf", (0,)), 0)):
+        assert expanded.shape == (context.n_premise_rows,)
+        assert expanded.strides == (0,) and not expanded.flags.writeable
 
 
 def test_compare_at_four_premises_matches_pinned_scale_reference():
