@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .formulas import FormulaError, FragmentSpec, parse_formula
+from .formulas import MAX_NESTING, FormulaError, FragmentSpec, parse_formula
 from .lattice import (
     DEFAULT_FRAGMENT,
     Inference,
@@ -112,6 +112,7 @@ def _tower(base_path: str, sequence: str) -> LogicOracle:
     The sequence uses steps ``l`` and ``r``; the empty string or ``base``
     names the base consequence itself, and ``A&B`` takes the meet of two
     towers over the same base; an operand of ``&`` must not be empty.
+    Steps and meets together nest at most ``MAX_NESTING`` deep.
     """
     matrix = load_matrix_file(base_path)
     oracle = MatrixOracle((matrix,), label=Path(base_path).stem)
@@ -121,7 +122,11 @@ def _tower(base_path: str, sequence: str) -> LogicOracle:
             f"operand {parts.index('') + 1} of meet {sequence.strip()!r} is empty"
             " (write 'base' for the base)"
         )
-    towers = [derive_sequence(oracle, "" if p == "base" else p) for p in parts]
+    steps = ["" if p == "base" else p for p in parts]
+    towers = [derive_sequence(oracle, p) for p in steps]
+    nesting = len(steps) - 1 + max(map(len, steps))
+    if nesting > MAX_NESTING:
+        raise MatrixError(f"tower nests {nesting} steps and meets, more than {MAX_NESTING}")
     out = towers[0]
     for nxt in towers[1:]:
         out = intersect(out, nxt)

@@ -40,6 +40,11 @@ __all__ = [
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
+# Deepest nesting read from text: connectives in a formula, steps and meets
+# in a tower.  Formula and tower walks recurse per level; at this bound the
+# deepest command-line call needs about 730 of Python's default 1000 frames.
+MAX_NESTING = 100
+
 
 class FormulaError(ValueError):
     """Base class for formula construction and parsing problems."""
@@ -189,7 +194,8 @@ def parse_formula(text: str, signature: Signature) -> Formula:
     """Parse ``text`` against ``signature``.
 
     A name is treated as a connective exactly when the signature declares
-    it; 0-ary connectives are written bare, without parentheses.
+    it; 0-ary connectives are written bare, without parentheses.  A formula
+    nested deeper than ``MAX_NESTING`` connectives is refused.
     """
     tokens = _tokenize(text)
     index = 0
@@ -203,7 +209,7 @@ def parse_formula(text: str, signature: Signature) -> Formula:
         index += 1
         return tok
 
-    def parse_one() -> Formula:
+    def parse_one(level: int) -> Formula:
         kind, value, pos = take()
         if kind != "name":
             raise ParseError(f"expected a name, got {value!r}" if value else "unexpected end of input", pos)
@@ -213,6 +219,8 @@ def parse_formula(text: str, signature: Signature) -> Formula:
             if nkind == "punct" and nvalue == "(":
                 raise ParseError(f"unknown connective {value!r}", pos)
             return var(value)
+        if level == MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} connectives", pos)
         if arity == 0:
             nkind, nvalue, npos = peek()
             if nkind == "punct" and nvalue == "(":
@@ -221,11 +229,11 @@ def parse_formula(text: str, signature: Signature) -> Formula:
         nkind, nvalue, npos = take()
         if nkind != "punct" or nvalue != "(":
             raise ParseError(f"connective {value!r} needs an argument list", npos)
-        args = [parse_one()]
+        args = [parse_one(level + 1)]
         while True:
             nkind, nvalue, npos = take()
             if nkind == "punct" and nvalue == ",":
-                args.append(parse_one())
+                args.append(parse_one(level + 1))
             elif nkind == "punct" and nvalue == ")":
                 break
             else:
@@ -234,7 +242,7 @@ def parse_formula(text: str, signature: Signature) -> Formula:
             raise ArityError(f"connective {value!r} expects {arity} arguments, got {len(args)}")
         return app(value, *args)
 
-    result = parse_one()
+    result = parse_one(0)
     kind, value, pos = peek()
     if kind is not None:
         raise ParseError(f"trailing input {value!r}", pos)

@@ -4,36 +4,39 @@ Everything here is fragment-relative: an "equal" verdict means no inference
 inside the finite fragment separates the two oracles, never that the full
 relations coincide.  Reports say "equal on fragment" throughout.
 
-Two comparison engines give the same relation and the same first witness
-each way.  Their counts can differ, because each engine counts at its own
-granularity (see :class:`ComparisonVerdict`), and so can their witness lists
-after the first:
+Every comparison is between towers: oracles built from matrix, left, right
+and meet constructors.  Two engines give the same relation and the same
+first witness each way.  Their counts can differ, because each engine counts
+at its own granularity (see :class:`ComparisonVerdict`), and so can their
+witness lists after the first:
 
 ``exhaustive``
     Queries both oracles on every premise subset and conclusion.  Simple and
     obviously correct, but only usable on tiny fragments.  It is the
-    reference the tests check the vector engine against.
+    reference the tests check the vector engine against, and it is run only
+    when asked for by name.
 
 ``vector``
-    Groups formulas that no oracle built from the given matrices can tell
-    apart (same variable set, same designation pattern in every matrix under
-    every valuation of the fragment variables).  Two premise sets hitting
-    the same groups get identical answers from every transform tower, so
-    the first disagreement over group representatives is the first
-    disagreement overall.  Towers are evaluated with numpy bit-set
-    arithmetic instead of per-query oracle calls, and interpreted
-    structurally: a left step intersects the premise projection mask with
-    the conclusion's variable mask, a right step adds the variable-coverage
-    test and the fresh-variable (explosive premise set) branch, and matrix
-    leaves reduce to bit tests against per-valuation designation sets.
-    Premise rows are every combination of at most ``max_premises`` classes,
-    built block by block with numpy.  Restricting the rows to a variable
-    mask keeps exactly the rows whose members all lie inside it, so each
-    row's projection is numbered by the colex rank of its kept members,
-    with no sort and no hashing.  Arrays are as narrow as the input allows:
-    class ids and variable masks in the smallest unsigned type that holds
-    them, row indices in ``int32`` while the row count fits, valuation bit
-    sets in one byte or whole ``uint64`` words.
+    The default, and the engine of every lattice report; it refuses an
+    oracle that is not a tower.  Groups formulas that no oracle built from
+    the given matrices can tell apart (same variable set, same designation
+    pattern in every matrix under every valuation of the fragment
+    variables).  Two premise sets hitting the same groups get identical
+    answers from every transform tower, so the first disagreement over group
+    representatives is the first disagreement overall.  Towers are evaluated
+    with numpy bit-set arithmetic instead of per-query oracle calls, and
+    interpreted structurally: a left step intersects the premise projection
+    mask with the conclusion's variable mask, a right step adds the
+    variable-coverage test and the fresh-variable (explosive premise set)
+    branch, and matrix leaves reduce to bit tests against per-valuation
+    designation sets.  Premise rows are every combination of at most
+    ``max_premises`` classes, built block by block with numpy.  Restricting
+    the rows to a variable mask keeps exactly the rows whose members all lie
+    inside it, so each row's projection is numbered by the colex rank of its
+    kept members, with no sort and no hashing.  Arrays are as narrow as the
+    input allows: class ids and variable masks in the smallest unsigned type
+    that holds them, row indices in ``int32`` while the row count fits,
+    valuation bit sets in one byte or whole ``uint64`` words.
     One run compares any number of pairs on one context.  Its outer loop
     runs over chunks of conclusion classes: classes with one variable mask,
     at most 8 to a chunk.  A left step meets the premise mask with the
@@ -73,7 +76,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -230,22 +234,17 @@ def _intern_matrix(matrix: FiniteMatrix, table: list[FiniteMatrix]) -> int:
 
 
 def _oracle_tree(oracle: LogicOracle, table: list[FiniteMatrix]):
-    """Nested structural key for a transform tower, or None if unrecognized."""
+    """Nested structural key for a transform tower."""
     if isinstance(oracle, MatrixOracle):
         return ("leaf", tuple(_intern_matrix(m, table) for m in oracle.matrices))
     if isinstance(oracle, LeftVIOracle):
-        child = _oracle_tree(oracle.base, table)
-        return None if child is None else ("l", child)
+        return ("l", _oracle_tree(oracle.base, table))
     if isinstance(oracle, RightVIOracle):
-        child = _oracle_tree(oracle.base, table)
-        return None if child is None else ("r", child)
+        return ("r", _oracle_tree(oracle.base, table))
     if isinstance(oracle, MeetOracle):
-        first = _oracle_tree(oracle.first, table)
-        second = _oracle_tree(oracle.second, table)
-        if first is None or second is None:
-            return None
-        return ("meet", tuple(sorted((first, second), key=repr)))
-    return None
+        parts = (_oracle_tree(oracle.first, table), _oracle_tree(oracle.second, table))
+        return ("meet", tuple(sorted(parts, key=repr)))
+    raise LatticeError(f"the vector engine reads towers only, not {type(oracle).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +456,7 @@ class _VectorContext:
         self.rep_index = reps
         self.rep_mask = self.fmask[reps].astype(np.min_scalar_type(self.full_mask))
         self.rep_not_packed = [_pack_rows(~db[reps]) for db in self.des_bool]
-        self.all_designated = [
-            frozenset(m.algebra.elements) == m.designated for m in self.matrices
-        ]
+        self.all_designated = [not m.constrains for m in self.matrices]
         # Per-slot tables: class ``n_classes`` marks an empty slot and reads
         # as using no variable and as designated under every valuation.
         self._slot_mask = np.append(self.rep_mask, self.rep_mask.dtype.type(0))
@@ -805,44 +802,32 @@ class _VectorContext:
 # ---------------------------------------------------------------------------
 
 
-def _tower_trees(pairs: Sequence[tuple[LogicOracle, LogicOracle]]):
-    """The matrix table and the tree pair of every oracle pair.
-
-    None when some oracle is not built from matrix, left, right and meet
-    constructors.
-    """
-    table: list[FiniteMatrix] = []
-    trees = [(_oracle_tree(a, table), _oracle_tree(b, table)) for a, b in pairs]
-    if any(tree is None for pair in trees for tree in pair):
-        return None
-    return table, trees
-
-
 def _vector_verdicts(
     pairs: Sequence[tuple[LogicOracle, LogicOracle]],
-    towers,
     fragment: FragmentSpec,
     max_witnesses: int,
     extra_witnesses: Iterable[Inference] = (),
 ) -> list[ComparisonVerdict]:
     """Re-validated vector-engine verdicts for every pair, from one context.
 
-    ``towers`` is ``_tower_trees(pairs)``.  The context covers the matrices
-    of all pairs.  The outer loop runs over chunks of conclusion classes,
-    so a subtree is walked once per chunk however many pairs contain it.
-    After the last chunk of a mask, that mask's state is retired.
+    Every oracle must be a tower over one signature.  The context covers
+    the matrices of all pairs.  The outer loop runs over chunks of
+    conclusion classes, so a subtree is walked once per chunk however many
+    pairs contain it.  After the last chunk of a mask, that mask's state is
+    retired.
     Each chunk is tallied whole, per pair and side: the count of its
     disagreeing (row, class) pairs, and at least its first
     ``max_witnesses`` of them (see :func:`_tally`).  Each side's pairs are
     then sorted and capped.
     """
-    if towers is None:
-        raise LatticeError(
-            "the vector engine needs oracles built from matrix, left, "
-            "right, and meet constructors"
-        )
-    table, trees = towers
-    context = _VectorContext(pairs[0][0].signature, fragment, table)
+    if not pairs:
+        return []
+    table: list[FiniteMatrix] = []
+    trees = [(_oracle_tree(a, table), _oracle_tree(b, table)) for a, b in pairs]
+    signature = pairs[0][0].signature
+    if any(oracle.signature != signature for pair in pairs for oracle in pair):
+        raise LatticeError("compared oracles must share a signature")
+    context = _VectorContext(signature, fragment, table)
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
     for tmask, group in itertools.groupby(context.chunks(), context.chunk_mask):
@@ -1062,7 +1047,7 @@ def compare(
     b: LogicOracle,
     fragment: FragmentSpec = DEFAULT_FRAGMENT,
     extra_witnesses: Iterable[Inference] = (),
-    engine: str = "auto",
+    engine: str = "vector",
     max_witnesses: int = 5,
 ) -> ComparisonVerdict:
     """Classify two oracles over every fragment inference plus extras.
@@ -1072,17 +1057,14 @@ def compare(
     the classification, so a strict gap witnessed only outside the fragment
     still shows up.  Every reported witness is re-validated with direct
     oracle calls before the verdict is returned.
+
+    ``engine`` is ``"vector"``, for towers, or ``"exhaustive"``.
     """
     _check_max_witnesses(max_witnesses)
     if a.signature != b.signature:
         raise LatticeError("compared oracles must share a signature")
-    if engine in ("auto", "vector"):
-        towers = _tower_trees([(a, b)])
-        if engine == "vector" or towers is not None:
-            return _vector_verdicts(
-                [(a, b)], towers, fragment, max_witnesses, extra_witnesses
-            )[0]
-        engine = "exhaustive"
+    if engine == "vector":
+        return _vector_verdicts([(a, b)], fragment, max_witnesses, extra_witnesses)[0]
     if engine != "exhaustive":
         raise LatticeError(f"unknown engine {engine!r}")
     result, formulas = _run_exhaustive_engine(a, b, fragment, max_witnesses)
@@ -1091,24 +1073,17 @@ def compare(
 
 def no_verdict_cycles(verdicts: Iterable[ComparisonVerdict]) -> bool:
     """True when the strict parts of the verdicts form no directed cycle."""
-    edges: dict[str, set[str]] = {}
+    below: dict[str, set[str]] = {}
     for v in verdicts:
         if v.relation == "strictly-below":
-            edges.setdefault(v.label_a, set()).add(v.label_b)
+            below.setdefault(v.label_b, set()).add(v.label_a)
         elif v.relation == "strictly-above":
-            edges.setdefault(v.label_b, set()).add(v.label_a)
-    state: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        state[node] = 1
-        for nxt in edges.get(node, ()):
-            mark = state.get(nxt, 0)
-            if mark == 1 or (mark == 0 and not visit(nxt)):
-                return False
-        state[node] = 2
-        return True
-
-    return all(visit(node) for node in list(edges) if state.get(node, 0) == 0)
+            below.setdefault(v.label_a, set()).add(v.label_b)
+    try:
+        TopologicalSorter(below).prepare()
+    except CycleError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1220,17 +1195,14 @@ def _flip(verdict: ComparisonVerdict) -> ComparisonVerdict:
         "strictly-below": "strictly-above",
         "strictly-above": "strictly-below",
     }.get(verdict.relation, verdict.relation)
-    return ComparisonVerdict(
+    return replace(
+        verdict,
         label_a=verdict.label_b,
         label_b=verdict.label_a,
         relation=flipped,
         witnesses_ab=verdict.witnesses_ba,
         witnesses_ba=verdict.witnesses_ab,
-        fragment=verdict.fragment,
-        engine=verdict.engine,
-        disagreements=(verdict.disagreements[1], verdict.disagreements[0]),
-        checked_premise_sets=verdict.checked_premise_sets,
-        checked_conclusions=verdict.checked_conclusions,
+        disagreements=verdict.disagreements[::-1],
     )
 
 
@@ -1269,19 +1241,16 @@ def build_lattice(
                 "partition term fails on a base algebra:\n" + report.render()
             )
     extra_pairs = list(extra_pairs)
-    if all(frozenset(m.algebra.elements) == m.designated for m in matrices):
-        extra_verdicts = () if not extra_pairs else _vector_verdicts(
-            extra_pairs, _tower_trees(extra_pairs), fragment, max_witnesses
-        )
+    base_oracle = MatrixOracle(matrices, label=base_label)
+    if not base_oracle.has_nontrivial_model:
         return LatticeReport(
             base_label=base_label,
             fragment=fragment,
             trivial_base=True,
             base_antitheorems=NONE_PROVEN,
-            extra_verdicts=tuple(extra_verdicts),
+            extra_verdicts=tuple(_vector_verdicts(extra_pairs, fragment, max_witnesses)),
         )
 
-    base_oracle = MatrixOracle(matrices, label=base_label)
     info = base_oracle.antitheorem_info
     has_antitheorems = info.status == WITNESS
     if has_antitheorems:
@@ -1357,9 +1326,7 @@ def build_lattice(
     ]
     oracle_pairs = [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs]
     oracle_pairs += extra_pairs
-    verdicts = _vector_verdicts(
-        oracle_pairs, _tower_trees(oracle_pairs), fragment, max_witnesses
-    )
+    verdicts = _vector_verdicts(oracle_pairs, fragment, max_witnesses)
     extra_verdicts = verdicts[len(pairs):]
     verdicts = verdicts[:len(pairs)]
     pair_index = {pair: index for index, pair in enumerate(pairs)}
@@ -1388,20 +1355,19 @@ def build_lattice(
     equal_groups = tuple(tuple(groups[root]) for root in groups)
     representatives = list(groups)
 
-    def strictly_below(id_a: str, id_b: str) -> bool:
-        index = pair_index.get((id_a, id_b))
-        if index is not None:
-            return verdicts[index].relation == "strictly-below"
-        index = pair_index.get((id_b, id_a))
-        return index is not None and verdicts[index].relation == "strictly-above"
+    below = {
+        (id_a, id_b) if v.relation == "strictly-below" else (id_b, id_a)
+        for (id_a, id_b), v in zip(pairs, verdicts)
+        if v.relation in ("strictly-below", "strictly-above")
+    }
 
     hasse: list[tuple[str, str]] = []
     for lo in representatives:
         for hi in representatives:
-            if lo == hi or not strictly_below(lo, hi):
+            if lo == hi or (lo, hi) not in below:
                 continue
             if any(
-                strictly_below(lo, mid) and strictly_below(mid, hi)
+                (lo, mid) in below and (mid, hi) in below
                 for mid in representatives
                 if mid not in (lo, hi)
             ):

@@ -47,13 +47,11 @@ __all__ = [
     "MatrixOracle",
     "UnboundVariableError",
     "all_valuations",
-    "check_homomorphism",
     "entails",
     "evaluate",
     "find_countermodel",
     "format_matrix",
     "has_theorem_in_fragment",
-    "homomorphism_counterexample",
     "is_theorem",
     "load_matrix_file",
     "parse_matrix_text",
@@ -115,9 +113,6 @@ class FiniteAlgebra:
     @cached_property
     def element_index(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elements)}
-
-    def operation(self, name: str, args: tuple[str, ...]) -> str:
-        return self.tables[name][args]
 
     @cached_property
     def _flat_tables(self) -> dict[str, tuple[int, tuple[int, ...]]]:
@@ -396,6 +391,9 @@ class LogicOracle:
 
     label: str
     signature: Signature
+    # True when some matrix model of the relation designates less than
+    # everything.  Each tower constructor sets it from its parts.
+    has_nontrivial_model = False
 
     def __init__(self, label: str, signature: Signature):
         self.label = label
@@ -412,15 +410,6 @@ class LogicOracle:
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
         return AntitheoremInfo(UNKNOWN)
-
-    @property
-    def has_nontrivial_model(self) -> bool:
-        """True when some known matrix model designates less than everything."""
-        return any(m.constrains for m in self.base_matrices())
-
-    def base_matrices(self) -> tuple[FiniteMatrix, ...]:
-        """Every matrix this oracle is ultimately built from."""
-        return ()
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -449,6 +438,7 @@ class MatrixOracle(LogicOracle):
         mats = _check_class(matrices)
         super().__init__(label, mats[0].signature)
         self.matrices = mats
+        self.has_nontrivial_model = any(m.constrains for m in mats)
         self._masks: dict[tuple[Formula, tuple[str, ...]], tuple[int, ...]] = {}
         self._answers: dict[tuple[frozenset[Formula], Formula], bool] = {}
 
@@ -470,9 +460,6 @@ class MatrixOracle(LogicOracle):
         if masks is None:
             masks = self._masks[key] = _designation_masks(self.matrices, formula, variables)
         return masks
-
-    def base_matrices(self) -> tuple[FiniteMatrix, ...]:
-        return self.matrices
 
     @cached_property
     def antitheorem_info(self) -> AntitheoremInfo:
@@ -516,35 +503,6 @@ def has_theorem_in_fragment(oracle: LogicOracle, spec: FragmentSpec) -> Formula 
         if is_theorem(oracle, formula):
             return formula
     return None
-
-
-def homomorphism_counterexample(
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
-    mapping: Mapping[str, str],
-) -> tuple[str, tuple[str, ...]] | None:
-    """First (connective, argument tuple) where ``mapping`` fails to commute."""
-    if source.signature != target.signature:
-        raise MatrixError("homomorphism check needs a shared signature")
-    if set(mapping) != set(source.elements):
-        raise MatrixError("mapping domain must be exactly the source universe")
-    target_universe = set(target.elements)
-    if any(v not in target_universe for v in mapping.values()):
-        raise MatrixError("mapping image leaves the target universe")
-    for name, arity in source.signature.connectives:
-        for args in itertools.product(source.elements, repeat=arity):
-            pushed = tuple(mapping[a] for a in args)
-            if mapping[source.tables[name][args]] != target.tables[name][pushed]:
-                return name, args
-    return None
-
-
-def check_homomorphism(
-    source: FiniteAlgebra,
-    target: FiniteAlgebra,
-    mapping: Mapping[str, str],
-) -> bool:
-    return homomorphism_counterexample(source, target, mapping) is None
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +605,17 @@ def parse_matrix_text(text: str, *, source: str = "<string>") -> FiniteMatrix:
         raise MatrixFormatError(f"{source}: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    """A description file's text; bytes that are not UTF-8 are a format error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def load_matrix_file(path) -> FiniteMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix_text(handle.read(), source=str(path))
+    return parse_matrix_text(_read_text(path), source=str(path))
 
 
 def format_matrix(matrix: FiniteMatrix) -> str:

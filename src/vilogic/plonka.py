@@ -50,6 +50,7 @@ from .matrices import (
     MatrixError,
     MatrixFormatError,
     _build_flat_tables,
+    _read_text,
     evaluate,
     format_matrix,
     load_matrix_file,
@@ -67,7 +68,6 @@ __all__ = [
     "SystemReport",
     "Violation",
     "canonical_chain_matrix",
-    "chain_extension_system",
     "check_partition_function",
     "check_regular_identity",
     "decompose",
@@ -407,8 +407,9 @@ def _hom_failures(
     The homs of ``pairs`` must be maps between their components.  They are
     checked on index tables, all homs out of one component at once, so a
     block holds (targets) x ``m ** k`` entries for a k-ary connective over
-    an m-element source; the failure is the one
-    :func:`homomorphism_counterexample` names.
+    an m-element source; the failure is the first in
+    ``itertools.product`` order, the one that the plain reference
+    ``homomorphism_counterexample`` in ``tests/conftest.py`` names.
     """
     if not pairs:
         return {}
@@ -920,22 +921,6 @@ def canonical_chain_matrix(base: FiniteMatrix, sequence: str) -> FiniteMatrix:
     return matrix
 
 
-def chain_extension_system(
-    bottom: FiniteMatrix,
-    top_element: str,
-    top_designated: bool,
-    kind: str,
-) -> DirectSystem:
-    """The two-component system: ``bottom`` below a one-point component."""
-    top = trivial_matrix(bottom.signature, top_element, top_designated)
-    lattice = FiniteSemilattice(
-        ("0", "1"),
-        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "1"},
-    )
-    homs = {("0", "1"): {e: top_element for e in bottom.algebra.elements}}
-    return DirectSystem(lattice, {"0": bottom, "1": top}, homs, kind=kind)
-
-
 # ---------------------------------------------------------------------------
 # Direct system files
 #
@@ -954,7 +939,7 @@ def load_system_file(path) -> DirectSystem:
     component_files: dict[str, str] = {}
     hom_entries: dict[tuple[str, str], dict[str, str]] = {}
 
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -42,6 +42,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .formulas import (
+    MAX_NESTING,
     FragmentSpec,
     Formula,
     FormulaError,
@@ -55,7 +56,6 @@ from .matrices import (
     UNKNOWN,
     WITNESS,
     AntitheoremInfo,
-    FiniteMatrix,
     LogicOracle,
 )
 
@@ -74,11 +74,13 @@ __all__ = [
 
 
 def check_sequence(sequence: str) -> str:
-    """Validate a transform sequence: a string over the alphabet {l, r}."""
+    """Validate a transform sequence: at most ``MAX_NESTING`` steps l and r."""
     if any(step not in "lr" for step in sequence):
         raise FormulaError(
             f"transform sequence may only contain 'l' and 'r': {sequence!r}"
         )
+    if len(sequence) > MAX_NESTING:
+        raise FormulaError(f"transform sequence has {len(sequence)} steps, more than {MAX_NESTING}")
     return sequence
 
 
@@ -140,10 +142,6 @@ class AntitheoremWitness:
         if len(vars_of_set(self.formulas)) != 1:
             raise ValueError("an antitheorem witness must use exactly one variable")
 
-    @property
-    def variable(self) -> str:
-        return next(iter(vars_of_set(self.formulas)))
-
     def verify(self, oracle: LogicOracle) -> bool:
         return is_antitheorem(oracle, self.formulas)
 
@@ -154,6 +152,7 @@ class LeftVIOracle(LogicOracle):
     def __init__(self, base: LogicOracle):
         super().__init__(_step_label(base, "l"), base.signature)
         self.base = base
+        self.has_nontrivial_model = base.has_nontrivial_model
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         allowed = conclusion.variables
@@ -161,9 +160,6 @@ class LeftVIOracle(LogicOracle):
         if len(kept) < len(premises):
             premises = frozenset(kept)
         return self.base.entails(premises, conclusion)
-
-    def base_matrices(self) -> tuple[FiniteMatrix, ...]:
-        return self.base.base_matrices()
 
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
@@ -178,15 +174,13 @@ class RightVIOracle(LogicOracle):
     def __init__(self, base: LogicOracle):
         super().__init__(_step_label(base, "r"), base.signature)
         self.base = base
+        self.has_nontrivial_model = base.has_nontrivial_model
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         variables = vars_of_set(premises)
         if conclusion.variables <= variables and self.base.entails(premises, conclusion):
             return True
         return _entails_fresh(self.base, premises, variables)
-
-    def base_matrices(self) -> tuple[FiniteMatrix, ...]:
-        return self.base.base_matrices()
 
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
@@ -205,16 +199,10 @@ class MeetOracle(LogicOracle):
         super().__init__(f"({first.label})&({second.label})", first.signature)
         self.first = first
         self.second = second
+        self.has_nontrivial_model = first.has_nontrivial_model or second.has_nontrivial_model
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         return self.first.entails(premises, conclusion) and self.second.entails(premises, conclusion)
-
-    def base_matrices(self) -> tuple[FiniteMatrix, ...]:
-        merged = list(self.first.base_matrices())
-        for m in self.second.base_matrices():
-            if not any(m is seen for seen in merged):
-                merged.append(m)
-        return tuple(merged)
 
     @property
     def antitheorem_info(self) -> AntitheoremInfo:

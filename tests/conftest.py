@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from vilogic.formulas import Formula, app, substitute, var, vars_of_set
-from vilogic.matrices import LogicOracle, MatrixOracle
+from vilogic.matrices import (
+    FiniteAlgebra,
+    FiniteMatrix,
+    LogicOracle,
+    MatrixError,
+    MatrixOracle,
+)
+from vilogic.plonka import DirectSystem, FiniteSemilattice, trivial_matrix
 from vilogic.presets import (
     b2_and_or_matrix,
     b2_matrix,
@@ -73,6 +80,55 @@ def explain_left_of_right(
             if vars_of_set(combo) == goal and base.entails(combo, conclusion):
                 return frozenset(combo)
     return None
+
+
+def homomorphism_counterexample(
+    source: FiniteAlgebra,
+    target: FiniteAlgebra,
+    mapping: Mapping[str, str],
+) -> tuple[str, tuple[str, ...]] | None:
+    """First (connective, argument tuple) where ``mapping`` fails to commute.
+
+    The plain reference for the hom checks of
+    :func:`vilogic.plonka.validate_system`.
+    """
+    if source.signature != target.signature:
+        raise MatrixError("homomorphism check needs a shared signature")
+    if set(mapping) != set(source.elements):
+        raise MatrixError("mapping domain must be exactly the source universe")
+    target_universe = set(target.elements)
+    if any(v not in target_universe for v in mapping.values()):
+        raise MatrixError("mapping image leaves the target universe")
+    for name, arity in source.signature.connectives:
+        for args in itertools.product(source.elements, repeat=arity):
+            pushed = tuple(mapping[a] for a in args)
+            if mapping[source.tables[name][args]] != target.tables[name][pushed]:
+                return name, args
+    return None
+
+
+def check_homomorphism(
+    source: FiniteAlgebra,
+    target: FiniteAlgebra,
+    mapping: Mapping[str, str],
+) -> bool:
+    return homomorphism_counterexample(source, target, mapping) is None
+
+
+def chain_extension_system(
+    bottom: FiniteMatrix,
+    top_element: str,
+    top_designated: bool,
+    kind: str,
+) -> DirectSystem:
+    """The two-component system: ``bottom`` below a one-point component."""
+    top = trivial_matrix(bottom.signature, top_element, top_designated)
+    lattice = FiniteSemilattice(
+        ("0", "1"),
+        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "1"},
+    )
+    homs = {("0", "1"): {e: top_element for e in bottom.algebra.elements}}
+    return DirectSystem(lattice, {"0": bottom, "1": top}, homs, kind=kind)
 
 
 def formula_strategy(variables=("x", "y", "z"), max_leaves=6):

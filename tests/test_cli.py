@@ -9,7 +9,13 @@ import pytest
 from vilogic.cli import main
 from vilogic.matrices import format_matrix, load_matrix_file
 from vilogic.plonka import trivial_matrix
-from vilogic.presets import data_dir
+from vilogic.presets import (
+    b2_and_or_matrix,
+    b2_matrix,
+    b3_matrix,
+    data_dir,
+    pwk_matrix,
+)
 
 B2 = str(data_dir() / "b2.mat")
 B2_AND_OR = str(data_dir() / "b2_and_or.mat")
@@ -264,6 +270,18 @@ def test_bad_formula_exits_two(capsys):
             ("entails", "--base", B2, "--seq", "l&&r", "--conclusion", "x"),
             "operand 2 of meet 'l&&r' is empty",
         ),
+        (
+            ("entails", "--matrix", B2, "--conclusion", "not(" * 500 + "x" + ")" * 500),
+            "formula nested deeper than 100 connectives",
+        ),
+        (
+            ("compare", "--base", B2, "--seq-a", "lr" * 600, "--seq-b", "l"),
+            "transform sequence has 1200 steps, more than 100",
+        ),
+        (
+            ("compare", "--base", B2, "--seq-a", "&".join(["l"] * 600), "--seq-b", "l"),
+            "tower nests 600 steps and meets, more than 100",
+        ),
     ],
     ids=[
         "derive-info-bad-seq",
@@ -274,6 +292,9 @@ def test_bad_formula_exits_two(capsys):
         "compare-empty-meet-operand-right",
         "compare-empty-meet-operand-left",
         "entails-empty-meet-operand-middle",
+        "entails-formula-nested-500-deep",
+        "compare-sequence-of-1200-steps",
+        "compare-600-meets",
     ],
 )
 def test_bad_input_exits_two_with_one_error_line(capsys, argv, needle):
@@ -283,6 +304,44 @@ def test_bad_input_exits_two_with_one_error_line(capsys, argv, needle):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "name, preset",
+    [
+        ("b2", b2_matrix),
+        ("b2_and_or", b2_and_or_matrix),
+        ("wk_pwk", pwk_matrix),
+        ("wk_b3", b3_matrix),
+    ],
+)
+def test_bundled_matrix_files_match_the_presets(name, preset):
+    text = (data_dir() / f"{name}.mat").read_text(encoding="utf-8")
+    assert text == format_matrix(preset())
+
+
+@pytest.mark.parametrize("command", ["entails", "sum"])
+def test_matrix_file_that_is_not_utf8_exits_two(capsys, tmp_path, command):
+    # Read directly, and as a component of a direct system file.
+    latin1 = tmp_path / "latin1.mat"
+    latin1.write_bytes(b"# caf\xe9\n" + format_matrix(b2_matrix()).encode("ascii"))
+    argv = ("entails", "--matrix", str(latin1), "--conclusion", "x")
+    if command == "sum":
+        top = trivial_matrix(b2_matrix().signature, "n", True)
+        (tmp_path / "top.mat").write_text(format_matrix(top), encoding="utf-8")
+        system = tmp_path / "latin1.dsys"
+        system.write_text(
+            "kind: l\n"
+            "semilattice: 0,0->0  0,1->1  1,0->1  1,1->1\n"
+            "component 0: latin1.mat\n"
+            "component 1: top.mat\n"
+            "hom 0 1: 0->n, 1->n\n",
+            encoding="utf-8",
+        )
+        argv = ("sum", "--system", str(system))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {latin1}: byte 5 is not UTF-8 text\n"
 
 
 def test_compare_has_no_engine_option(capsys):

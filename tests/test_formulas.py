@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilogic.formulas import (
+    MAX_NESTING,
     ArityError,
     FormulaError,
     FragmentSpec,
@@ -78,6 +79,17 @@ def test_parse_rejects_unknown_connective():
 def test_parse_rejects_unbalanced_text():
     with pytest.raises(FormulaError):
         parse_formula("and(x, or(y, z)", FULL_SIGNATURE)
+
+
+def test_parse_bounds_the_nesting_depth():
+    def nested(depth):
+        return "not(" * depth + "and(x, t)" + ")" * depth
+
+    signature = Signature.of(("and", 2), ("not", 1), ("t", 0))
+    # A constant is a connective too: and(x, t) has depth 2.
+    assert parse_formula(nested(MAX_NESTING - 2), signature).depth == MAX_NESTING
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+        parse_formula(nested(MAX_NESTING - 1), signature)
 
 
 def test_signature_lookup_and_order():

@@ -86,7 +86,7 @@ def test_compare_requires_shared_signature():
 
 
 def test_compare_rejects_unknown_engine():
-    for engine in ("bogus", "classes"):
+    for engine in ("bogus", "classes", "auto"):
         with pytest.raises(LatticeError, match="unknown engine"):
             compare(CL, CL, TINY, engine=engine)
 
@@ -272,19 +272,49 @@ def test_only_the_matrix_leaf_caches_answers():
     assert base._answers
 
 
+class Opaque:
+    """An oracle the vector engine cannot read: it only answers queries."""
+
+    label = "opaque"
+    signature = CL.signature
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def entails(self, premises, conclusion):
+        return self.inner.entails(premises, conclusion)
+
+
 def test_exhaustive_engine_handles_opaque_oracles():
     meet = intersect(derive_sequence(CL, "l"), derive_sequence(CL, "r"))
-
-    class Opaque:
-        label = "opaque"
-        signature = CL.signature
-
-        def entails(self, premises, conclusion):
-            return meet.entails(premises, conclusion)
-
-    verdict = compare(Opaque(), meet, TINY)
+    verdict = compare(Opaque(meet), meet, TINY, engine="exhaustive")
     assert verdict.engine == "exhaustive"
     assert verdict.relation == "equal"
+    with pytest.raises(LatticeError, match="not Opaque$"):
+        compare(Opaque(meet), meet, TINY)
+
+
+def test_build_lattice_refuses_an_opaque_extra_pair():
+    left = derive_sequence(CL, "l")
+    with pytest.raises(LatticeError, match="not Opaque$"):
+        build_lattice(
+            b2_matrix(), pi_term(), fragment=TINY, extra_pairs=[(left, Opaque(left))]
+        )
+
+
+@pytest.mark.parametrize(
+    "base, towers",
+    [(b2_matrix(), b2_and_or_matrix()), (b2_and_or_matrix(), b2_matrix())],
+    ids=["CL-lattice-and-or-pair", "and-or-lattice-CL-pair"],
+)
+def test_build_lattice_refuses_an_extra_pair_of_another_signature(base, towers):
+    # One context serves every pair, with one signature.  Unchecked, a
+    # mismatch raises a bare KeyError (and/or towers in a CL lattice) or
+    # gives a verdict on the and/or formulas only (the other way round).
+    oracle = MatrixOracle((towers,), label="other")
+    extra = (derive_sequence(oracle, "l"), derive_sequence(oracle, "r"))
+    with pytest.raises(LatticeError, match="must share a signature"):
+        build_lattice(base, pi_term(), fragment=TINY, extra_pairs=[extra])
 
 
 def test_extra_witnesses_merge_and_agreeing_extras_are_skipped():
@@ -725,9 +755,7 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
         return result
 
     monkeypatch.setattr(_VectorContext, "chunk_answers", chunk_answers)
-    verdicts = lattice_module._vector_verdicts(
-        pairs, lattice_module._tower_trees(pairs), fragment, 3
-    )
+    verdicts = lattice_module._vector_verdicts(pairs, fragment, 3)
     assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
     # Every conclusion mask is walked in one stretch, every mask but the
     # full one is projected once, the full mask never, and afterwards only
@@ -934,7 +962,7 @@ def test_compare_at_four_premises_matches_pinned_scale_reference():
         assert verdict.to_json() == expected[f"{a} vs {b}"], (a, b)
 
 
-def test_compare_auto_builds_each_oracle_tree_once(monkeypatch):
+def test_compare_builds_each_oracle_tree_once(monkeypatch):
     calls = []
     original = lattice_module._oracle_tree
 

@@ -24,13 +24,11 @@ from vilogic.matrices import (
     MatrixFormatError,
     MatrixOracle,
     all_valuations,
-    check_homomorphism,
     entails,
     evaluate,
     find_countermodel,
     format_matrix,
     has_theorem_in_fragment,
-    homomorphism_counterexample,
     is_theorem,
     load_matrix_file,
     parse_matrix_text,
@@ -44,7 +42,7 @@ from vilogic.presets import (
     wk_algebra,
 )
 
-from conftest import formula_strategy
+from conftest import check_homomorphism, formula_strategy, homomorphism_counterexample
 
 
 def P(text):

@@ -18,7 +18,6 @@ from vilogic.matrices import (
     Signature,
     evaluate,
     format_matrix,
-    homomorphism_counterexample,
 )
 from vilogic.plonka import (
     AxiomResult,
@@ -31,7 +30,6 @@ from vilogic.plonka import (
     SemilatticeError,
     SystemReport,
     canonical_chain_matrix,
-    chain_extension_system,
     check_partition_function,
     check_regular_identity,
     decompose,
@@ -54,6 +52,8 @@ from vilogic.presets import (
     pwk_matrix,
     wk_algebra,
 )
+
+from conftest import chain_extension_system, homomorphism_counterexample
 
 
 def P(text):

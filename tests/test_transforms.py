@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import definitional_antitheorem_check, explain_left_of_right, formula_strategy
 
 from vilogic.formulas import (
+    MAX_NESTING,
     FragmentSpec,
     enumerate_fragment,
     fresh_variable,
@@ -18,7 +19,15 @@ from vilogic.formulas import (
     var,
     vars_of_set,
 )
-from vilogic.matrices import NONE_PROVEN, WITNESS, MatrixOracle, all_valuations, evaluate
+from vilogic.matrices import (
+    NONE_PROVEN,
+    UNKNOWN,
+    WITNESS,
+    FiniteMatrix,
+    MatrixOracle,
+    all_valuations,
+    evaluate,
+)
 from vilogic.presets import (
     FULL_SIGNATURE,
     b2_matrix,
@@ -100,6 +109,12 @@ def test_check_sequence_rejects_other_letters():
         check_sequence("lx")
 
 
+def test_check_sequence_bounds_the_number_of_steps():
+    assert check_sequence("lr" * (MAX_NESTING // 2)) == "lr" * (MAX_NESTING // 2)
+    with pytest.raises(ValueError, match=f"more than {MAX_NESTING}"):
+        check_sequence("l" * (MAX_NESTING + 1))
+
+
 def test_is_antitheorem_fresh_variable_criterion(cl_oracle, pwk_oracle):
     assert is_antitheorem(cl_oracle, (P("x"), P("not(x)")))
     assert is_antitheorem(cl_oracle, (P("and(x, not(x))"),))
@@ -123,6 +138,28 @@ def test_find_antitheorem_statuses(cl_oracle, pwk_oracle, b3_oracle):
 
 def test_left_tower_has_no_antitheorems(cl_oracle):
     left = derive_sequence(cl_oracle, "l")
+    assert left.antitheorem_info.status == NONE_PROVEN
+    assert not is_antitheorem(left, (P("x"), P("not(x)")))
+
+
+def test_left_tower_over_an_all_designated_base_is_unknown(cl_oracle):
+    # A matrix designating everything entails every inference, so the left
+    # tower over it has antitheorems (the empty set among them) and the
+    # no-antitheorem argument, which needs a constraining model, is silent.
+    algebra = b2_matrix().algebra
+    everything = MatrixOracle(
+        (FiniteMatrix(algebra, frozenset(algebra.elements)),), label="T"
+    )
+    assert not everything.has_nontrivial_model
+    for sequence in ("l", "rl", "lr"):
+        tower = derive_sequence(everything, sequence)
+        assert not tower.has_nontrivial_model
+        assert tower.antitheorem_info.status == UNKNOWN, sequence
+    assert is_antitheorem(derive_sequence(everything, "l"), ())
+    # A meet with a constraining base has that base's matrix as a model.
+    meet = intersect(everything, cl_oracle)
+    assert meet.has_nontrivial_model
+    left = derive_sequence(meet, "l")
     assert left.antitheorem_info.status == NONE_PROVEN
     assert not is_antitheorem(left, (P("x"), P("not(x)")))
 
