@@ -97,9 +97,10 @@ from .matrices import (
     LogicOracle,
     MatrixError,
     MatrixOracle,
+    _valuation_grid,
     has_theorem_in_fragment,
 )
-from .plonka import _index_tables, canonical_chain_matrix, check_partition_function
+from .plonka import canonical_chain_matrix, check_partition_function
 from .transforms import (
     AntitheoremWitness,
     LeftVIOracle,
@@ -279,12 +280,11 @@ def _designation_bools(
     algebra = matrix.algebra
     n = len(algebra.elements)
     k = len(variables)
-    tables = _index_tables(algebra)
+    tables = algebra.index_tables
     n_formulas = len(formulas)
     # One row per formula, then one per variable's coordinates.
     values = np.empty((n_formulas + k, n**k), dtype=np.intp)
-    if k:
-        values[n_formulas:] = np.indices((n,) * k).reshape(k, -1)
+    values[n_formulas:] = _valuation_grid(n, k)
     row = {var(v): n_formulas + i for i, v in enumerate(variables)}
     start = 0
     for (_, head), run in itertools.groupby(formulas, lambda f: (f.depth, f.head)):
@@ -297,10 +297,7 @@ def _designation_bools(
             values[start:stop] = tables[head][tuple(values[column] for column in args.T)]
         row.update(zip(run, range(start, stop)))
         start = stop
-    designated = np.zeros(n, dtype=bool)
-    for e in matrix.designated:
-        designated[algebra.element_index[e]] = True
-    return designated[values[:n_formulas]]
+    return matrix.designated_bools[values[:n_formulas]]
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:

@@ -7,16 +7,18 @@ matrices quantifies over every valuation of the variables that actually
 occur in the inference: the premises all land in the designated set only if
 the conclusion does.
 
-Entailment is decided on integer bitmasks, not one valuation at a time.
-Over the sorted variables of an inference, ``k`` of them, a matrix of ``n``
-elements has ``n ** k`` valuations, numbered in the order of
-``itertools.product(elements, repeat=k)``; bit ``i`` of a formula's
-designation mask is set when the formula is designated under valuation
-``i``.  The mask is built bottom-up from a bit-sliced value vector, one
-integer per element, holding the valuations that give the formula that
-element.  A premise set then holds exactly on the AND of its masks (the
-full mask when it is empty), and the inference fails on whatever of that
-lies outside the conclusion's mask; the lowest such bit is the first
+Formulas are evaluated on element positions, not one valuation at a time.
+:attr:`FiniteAlgebra.index_tables` holds each connective as an
+``(n,) * arity`` numpy array of positions, and :func:`_evaluate_indices`
+reads a formula's value off those tables for whole arrays of argument
+positions at once; the Płonka checks and the lattice's designation tables
+use the same two.  Over the sorted variables of an inference, ``k`` of
+them, a matrix of ``n`` elements has ``n ** k`` valuations, numbered in the
+order of ``itertools.product(elements, repeat=k)``; bit ``i`` of a
+formula's designation mask is set when the formula is designated under
+valuation ``i``.  A premise set then holds exactly on the AND of its masks
+(the full mask when it is empty), and the inference fails on whatever of
+that lies outside the conclusion's mask; the lowest such bit is the first
 countermodel in valuation order.
 
 Matrices with an empty designated set designate nothing, so nothing is
@@ -34,6 +36,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .formulas import FragmentSpec, Formula, Signature, enumerate_fragment
 
@@ -111,33 +115,20 @@ class FiniteAlgebra:
                     raise MatrixError(f"table for {name!r} mentions unknown elements: {args} -> {out}")
 
     @cached_property
-    def element_index(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    @cached_property
-    def _flat_tables(self) -> dict[str, tuple[int, tuple[int, ...]]]:
-        """Per connective, its arity and its outputs as element positions.
-
-        The outputs run over argument tuples in ``itertools.product`` order,
-        so the arguments at positions ``p_1 .. p_a`` select the entry
-        ``sum(p_i * n ** (a - i))``.
-        """
-        return _build_flat_tables(self, self.element_index)
+    def index_tables(self) -> dict[str, np.ndarray]:
+        """Each connective's table as an ``(n,) * arity`` array of element positions."""
+        return _build_index_tables(self)
 
 
-def _build_flat_tables(
-    algebra: FiniteAlgebra, index: Mapping[str, int]
-) -> dict[str, tuple[int, tuple[int, ...]]]:
-    """:attr:`FiniteAlgebra._flat_tables` for the element positions ``index``,
-    built without caching it on the algebra."""
+def _build_index_tables(algebra: FiniteAlgebra) -> dict[str, np.ndarray]:
+    """:attr:`FiniteAlgebra.index_tables`, built without caching it on the algebra."""
+    elements = algebra.elements
+    position = {e: p for p, e in enumerate(elements)}
     return {
-        name: (
-            arity,
-            tuple(
-                index[algebra.tables[name][args]]
-                for args in itertools.product(algebra.elements, repeat=arity)
-            ),
-        )
+        name: np.array(
+            [position[algebra.tables[name][args]] for args in itertools.product(elements, repeat=arity)],
+            dtype=np.intp,
+        ).reshape((len(elements),) * arity)
         for name, arity in algebra.signature.connectives
     }
 
@@ -163,6 +154,11 @@ class FiniteMatrix:
     def constrains(self) -> bool:
         """False when every element is designated (the matrix rules nothing out)."""
         return self.designated != frozenset(self.algebra.elements)
+
+    @cached_property
+    def designated_bools(self) -> np.ndarray:
+        """Per element position, whether that element is designated."""
+        return np.array([e in self.designated for e in self.algebra.elements], dtype=bool)
 
 
 def evaluate(algebra: FiniteAlgebra, formula: Formula, valuation: Valuation) -> str:
@@ -197,67 +193,31 @@ def _check_class(matrices: Sequence[FiniteMatrix]) -> tuple[FiniteMatrix, ...]:
     return mats
 
 
-@lru_cache(maxsize=64)
-def _variable_slices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Bit-sliced value vectors of ``k`` variables over ``n`` elements.
+def _evaluate_indices(
+    tables: Mapping[str, np.ndarray], formula: Formula, valuation: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """:func:`evaluate` on arrays of element positions, broadcast together.
 
-    Entry ``[j][e]`` has bit ``i`` set when the ``i``-th valuation of
-    ``itertools.product(range(n), repeat=k)`` gives variable ``j`` the
-    ``e``-th element.  Variable ``j`` holds each element for a block of
-    ``n ** (k - 1 - j)`` consecutive valuations, and the ``n`` blocks repeat
-    ``n ** j`` times, so each slice is one block shifted into place and
-    copied by multiplying with a repunit.
-    """
-    out = []
-    for j in range(k):
-        block = n ** (k - 1 - j)
-        period = block * n
-        repunit = ((1 << period * n ** j) - 1) // ((1 << period) - 1)
-        out.append(tuple((((1 << block) - 1) << block * e) * repunit for e in range(n)))
-    return tuple(out)
-
-
-def _value_slices(
-    algebra: FiniteAlgebra,
-    formula: Formula,
-    variables: Mapping[str, Sequence[int]],
-    full: int,
-) -> Sequence[int]:
-    """The bit-sliced value vector of ``formula``, built bottom-up.
-
-    Entry ``e`` has bit ``i`` set when ``formula`` takes the ``e``-th element
-    under the ``i``-th valuation; ``variables`` maps each variable to its
-    slices and ``full`` has one bit per valuation.  A connective reads its
-    flat table at the element positions of its arguments.
+    ``tables`` are :attr:`FiniteAlgebra.index_tables`.  Heads are checked in
+    the same pre-order as :func:`evaluate`, so a formula outside the
+    signature raises the same error.  A formula of constants only comes out
+    0-d.
     """
     if formula.args is None:
-        return variables[formula.head]
-    entry = algebra._flat_tables.get(formula.head)
-    if entry is None or entry[0] != len(formula.args):
+        return valuation[formula.head]
+    table = tables.get(formula.head)
+    if table is None or table.ndim != len(formula.args):
         raise MatrixError(f"formula head {formula.head!r} does not fit the algebra signature")
-    arity, table = entry
-    args = [_value_slices(algebra, a, variables, full) for a in formula.args]
-    n = len(algebra.elements)
-    out = [0] * n
-    if arity == 1:
-        for e, bits in enumerate(args[0]):
-            out[table[e]] |= bits
-    elif arity == 2:
-        right = args[1]
-        for e, left in enumerate(args[0]):
-            if left:
-                row = e * n
-                for f, bits in enumerate(right):
-                    out[table[row + f]] |= left & bits
-    else:
-        # Any other arity, a constant included: its one empty argument
-        # tuple holds under every valuation.
-        for position, parts in enumerate(itertools.product(*args)):
-            bits = full
-            for part in parts:
-                bits &= part
-            out[table[position]] |= bits
-    return out
+    return table[tuple(_evaluate_indices(tables, a, valuation) for a in formula.args)]
+
+
+@lru_cache(maxsize=64)
+def _valuation_grid(n: int, k: int) -> np.ndarray:
+    """Row ``j`` is variable ``j``'s element position under each valuation of
+    ``itertools.product(range(n), repeat=k)``."""
+    grid = np.indices((n,) * k).reshape(k, n**k)
+    grid.flags.writeable = False
+    return grid
 
 
 def _designation_masks(
@@ -270,15 +230,13 @@ def _designation_masks(
     k = len(variables)
     out = []
     for matrix in matrices:
-        algebra = matrix.algebra
-        n = len(algebra.elements)
-        slices = dict(zip(variables, _variable_slices(n, k)))
-        values = _value_slices(algebra, formula, slices, (1 << n**k) - 1)
-        mask = 0
-        for element, bits in zip(algebra.elements, values):
-            if element in matrix.designated:
-                mask |= bits
-        out.append(mask)
+        n = len(matrix.algebra.elements)
+        valuation = dict(zip(variables, _valuation_grid(n, k)))
+        values = _evaluate_indices(matrix.algebra.index_tables, formula, valuation)
+        bits = matrix.designated_bools[values]
+        if bits.ndim == 0:  # a formula of constants only
+            bits = np.full(n**k, bits)
+        out.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
     return tuple(out)
 
 
@@ -419,19 +377,20 @@ class MatrixOracle(LogicOracle):
     """The consequence relation induced by a finite class of matrices.
 
     A query over the sorted variables ``v_1 .. v_k`` of its formulas is
-    answered with designation masks: in a matrix of ``n`` elements, bit ``i``
-    of a formula's mask is set when the formula is designated under the
-    ``i``-th valuation of ``itertools.product(elements, repeat=k)`` (``v_k``
-    varies fastest).  The inference holds when, in every matrix, the AND of
-    the premise masks, started from the full mask of ``n ** k`` bits, has no
-    bit outside the conclusion's mask.  The oracle caches two things: one
-    mask per matrix for each (formula, variable tuple) it has seen, so a
-    formula is evaluated once per valuation space however many queries it
-    appears in, and the answer to each (premises, conclusion) it was asked.
-    The answers are the only query cache of a tower: the left filter, the
-    right step's fresh-variable query and a meet's two sides all end in
-    queries to their leaves, and those are what repeat.  Neither cache is
-    bounded.
+    answered with designation masks: in a matrix of ``n`` elements, each
+    formula is evaluated once on the grid of all ``n ** k`` valuations (in
+    ``itertools.product(elements, repeat=k)`` order, ``v_k`` varying
+    fastest) with :func:`_evaluate_indices`, and bit ``i`` of its mask is
+    set when the value under the ``i``-th valuation is designated.  The
+    inference holds when, in every matrix, the AND of the premise masks,
+    started from the full mask of ``n ** k`` bits, has no bit outside the
+    conclusion's mask.  The oracle caches two things: one mask per matrix
+    for each (formula, variable tuple) it has seen, so a formula is
+    evaluated once per valuation space however many queries it appears in,
+    and the answer to each (premises, conclusion) it was asked.  The
+    answers are the only query cache of a tower: the left filter, the right
+    step's fresh-variable query and a meet's two sides all end in queries
+    to their leaves, and those are what repeat.  Neither cache is bounded.
     """
 
     def __init__(self, matrices: Sequence[FiniteMatrix], label: str = "base"):
@@ -619,8 +578,15 @@ def load_matrix_file(path) -> FiniteMatrix:
 
 
 def format_matrix(matrix: FiniteMatrix) -> str:
-    """Canonical text form; parse and format round-trip byte-identically."""
+    """Canonical text form; parse and format round-trip byte-identically.
+
+    An element name that the parser would split or drop (empty, or holding
+    whitespace, ``,``, ``#`` or ``->``) is refused.
+    """
     algebra = matrix.algebra
+    for e in algebra.elements:
+        if not e or any(c.isspace() for c in e) or any(s in e for s in (",", "#", "->")):
+            raise MatrixFormatError(f"element {e!r} cannot be written to a matrix file")
     lines = []
     lines.append("signature: " + ", ".join(f"{n}/{a}" for n, a in algebra.signature.connectives))
     lines.append("elements: " + ", ".join(algebra.elements))

@@ -24,8 +24,9 @@ decomposition: a constant would need a home component below all others,
 which the plain construction does not provide.
 
 Every law check and table build works on element-index tables: numpy
-arrays of element positions read from ``FiniteAlgebra._flat_tables``, a
-k-ary table having shape ``(n,) * k``.  A check over the argument tuples
+arrays of element positions, ``FiniteAlgebra.index_tables``, a k-ary table
+having shape ``(n,) * k``, and formulas are evaluated on them with
+``matrices._evaluate_indices``.  A check over the argument tuples
 of ``itertools.product`` is split into one C-ordered block per leading
 argument, so the first True of the first failing block (``argmax``) is the
 counterexample the product loop would meet first, and a block holds
@@ -49,9 +50,9 @@ from .matrices import (
     LogicOracle,
     MatrixError,
     MatrixFormatError,
-    _build_flat_tables,
+    _build_index_tables,
+    _evaluate_indices,
     _read_text,
-    evaluate,
     format_matrix,
     load_matrix_file,
 )
@@ -115,35 +116,6 @@ def _first_in_blocks(
     return None
 
 
-def _index_tables(algebra: FiniteAlgebra) -> dict[str, np.ndarray]:
-    """Each connective's table as an ``(n,) * arity`` array of element positions."""
-    n = len(algebra.elements)
-    return {
-        name: np.array(flat, dtype=np.intp).reshape((n,) * arity)
-        for name, (arity, flat) in algebra._flat_tables.items()
-    }
-
-
-def _evaluate_indices(
-    algebra: FiniteAlgebra,
-    tables: Mapping[str, np.ndarray],
-    formula: Formula,
-    valuation: Mapping[str, np.ndarray],
-) -> np.ndarray:
-    """:func:`evaluate` on arrays of element positions, broadcast together.
-
-    Heads are checked in the same pre-order as :func:`evaluate`, so a
-    formula outside the signature raises the same error.
-    """
-    if formula.is_variable:
-        return valuation[formula.head]
-    arity = algebra.signature.arity(formula.head)
-    if arity is None or arity != len(formula.args):
-        raise MatrixError(f"formula head {formula.head!r} does not fit the algebra signature")
-    args = tuple(_evaluate_indices(algebra, tables, a, valuation) for a in formula.args)
-    return tables[formula.head][args]
-
-
 def _join_index(lattice: "FiniteSemilattice") -> np.ndarray:
     """The join table as index positions: ``[p, q]`` is the join's position."""
     position = {i: p for p, i in enumerate(lattice.indices)}
@@ -154,15 +126,13 @@ def _join_index(lattice: "FiniteSemilattice") -> np.ndarray:
 
 
 def _component_tables(algebra: FiniteAlgebra) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-    """Element positions and flat index tables of a system's component.
+    """Element positions and index tables of a system's component.
 
     Built per call rather than read from the algebra's cached
-    ``element_index`` and ``_flat_tables``: components live as long as
-    their system, and a cache on each one would grow every system kept.
+    ``index_tables``: components live as long as their system, and a cache
+    on each one would grow every system kept.
     """
-    position = {e: p for p, e in enumerate(algebra.elements)}
-    tables = _build_flat_tables(algebra, position)
-    return position, {name: np.array(flat, dtype=np.intp) for name, (_, flat) in tables.items()}
+    return {e: p for p, e in enumerate(algebra.elements)}, _build_index_tables(algebra)
 
 
 @dataclass(frozen=True)
@@ -375,10 +345,10 @@ def _strictly_below(lattice: FiniteSemilattice) -> np.ndarray:
     return (join == positions[None, :]) & (positions[:, None] != positions[None, :])
 
 
-def _stacked_tables(flats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Flat tables one after another, and where each starts."""
-    starts = np.cumsum([0] + [len(flat) for flat in flats[:-1]])
-    return np.concatenate(flats), starts
+def _stacked_tables(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables flattened one after another, and where each starts."""
+    starts = np.cumsum([0] + [table.size for table in tables[:-1]])
+    return np.concatenate([table.reshape(-1) for table in tables]), starts
 
 
 def _apply(
@@ -439,7 +409,7 @@ def _hom_failures(
         )
         pending = np.ones(len(targets), dtype=bool)
         for name, arity in connectives:
-            local = tables[p][name].reshape((size,) * arity)
+            local = tables[p][name]
             component = np.array(targets).reshape((len(targets),) + (1,) * arity)
             grids = np.ix_(*(np.arange(size),) * arity)
             pushed = _apply(stacked[name], sizes, component, [images[:, g] for g in grids])
@@ -531,7 +501,7 @@ def plonka_sum(system: DirectSystem) -> FiniteMatrix | FiniteAlgebra:
     leq = join == np.arange(len(indices))[None, :]
 
     algebras = [system.components[i].algebra for i in indices]
-    positions, flats = zip(*map(_component_tables, algebras))
+    positions, component_tables = zip(*map(_component_tables, algebras))
     sizes = np.array([len(a.elements) for a in algebras])
     offsets = np.cumsum(sizes) - sizes
     elements = [f"{i}.{a}" for i, algebra in zip(indices, algebras) for a in algebra.elements]
@@ -554,7 +524,7 @@ def plonka_sum(system: DirectSystem) -> FiniteMatrix | FiniteAlgebra:
         target = component_of[args[0]]
         for arg in args[1:]:
             target = join[target, component_of[arg]]
-        stacked = _stacked_tables([flat[name] for flat in flats])
+        stacked = _stacked_tables([t[name] for t in component_tables])
         local = _apply(stacked, sizes, target, [pushed[arg, target] for arg in args])
         values = offsets[target] + local
         tables[name] = dict(
@@ -626,7 +596,7 @@ def _product_table(algebra: FiniteAlgebra, term: Formula) -> np.ndarray:
     left, right = partition_variables(term)
     positions = np.arange(len(algebra.elements))
     valuation = {left: positions[:, None], right: positions[None, :]}
-    return _evaluate_indices(algebra, _index_tables(algebra), term, valuation)
+    return _evaluate_indices(algebra.index_tables, term, valuation)
 
 
 def check_partition_function(
@@ -674,7 +644,7 @@ def check_partition_function(
     bad3 = triple(_first_in_blocks(n, lambda a: dot[a][dot] != dot[a][dot.T]))
     report.results.append(AxiomResult("P3 right commutation", bad3 is None, bad3))
 
-    tables = _index_tables(algebra)
+    tables = algebra.index_tables
     for name, arity in algebra.signature.connectives:
         if arity == 0:
             continue
@@ -834,22 +804,20 @@ def check_regular_identity(
     sorted variables, one block per value of the first variable, so a
     block holds ``n ** (k - 1)`` entries for k variables.  The
     counterexample is the first failing valuation in
-    ``itertools.product`` order.
+    ``itertools.product`` order.  With no variables every block is the
+    one empty valuation.
     """
     regular = left.variables == right.variables
     names = sorted(left.variables | right.variables)
-    if not names:
-        holds = evaluate(algebra, left, {}) == evaluate(algebra, right, {})
-        return RegularIdentityReport(left, right, regular, holds, None if holds else {})
     elements = algebra.elements
-    tables = _index_tables(algebra)
+    tables = algebra.index_tables
     rest = np.ix_(*(np.arange(len(elements)),) * (len(names) - 1))
     shape = (len(elements),) * len(rest)
 
     def differs(a):
         valuation = dict(zip(names, (a, *rest)))
-        lhs = _evaluate_indices(algebra, tables, left, valuation)
-        rhs = _evaluate_indices(algebra, tables, right, valuation)
+        lhs = _evaluate_indices(tables, left, valuation)
+        rhs = _evaluate_indices(tables, right, valuation)
         return np.broadcast_to(lhs != rhs, shape)
 
     hit = _first_in_blocks(len(elements), differs)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vilogic.formulas import (
@@ -42,7 +42,7 @@ from vilogic.matrices import (
     all_valuations,
     evaluate,
 )
-from vilogic.plonka import _index_tables, canonical_chain_matrix
+from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
     FULL_SIGNATURE,
     b2_and_or_matrix,
@@ -238,19 +238,26 @@ def random_matrices(draw):
 TOWERS_UP_TO_3 = st.text(alphabet="lr", max_size=3)
 
 
+# ``above`` steps are taken over the meet, as in r(meet(lr,rl)), so the
+# vector engine's tower walk meets a meet below a left or right step.
 @settings(max_examples=120, deadline=None)
 @given(
     random_matrices(),
     TOWERS_UP_TO_3,
     TOWERS_UP_TO_3,
     st.one_of(st.none(), TOWERS_UP_TO_3),
+    st.text(alphabet="lr", max_size=2),
 )
-def test_engines_agree_on_random_matrices(matrix, first, second, meet_with):
+@example(b2_matrix(), "rl", "l", "r", "r")
+@example(b3_matrix(), "rl", "lr", "rl", "r")
+@example(pwk_matrix(), "rl", "", "r", "rl")
+@example(b2_matrix(), "lr", "", "l", "r")
+def test_engines_agree_on_random_matrices(matrix, first, second, meet_with, above):
     base = MatrixOracle((matrix,), label="M")
     a = derive_sequence(base, first)
     b = derive_sequence(base, second)
     if meet_with is not None:
-        b = intersect(b, derive_sequence(base, meet_with))
+        b = derive_sequence(intersect(b, derive_sequence(base, meet_with)), above)
     exhaustive = compare(a, b, TINY, engine="exhaustive")
     vector = compare(a, b, TINY, engine="vector")
     assert exhaustive.relation == vector.relation
@@ -898,12 +905,10 @@ def _reference_designation_bools(matrix, formulas, variables):
     k = len(variables)
     coords = np.indices((n,) * k).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
     values = {}
-    tables = _index_tables(algebra)
+    tables = algebra.index_tables
     for position, v in enumerate(variables):
         values[var(v)] = coords[position]
-    designated = np.zeros(n, dtype=bool)
-    for e in matrix.designated:
-        designated[algebra.element_index[e]] = True
+    designated = np.array([e in matrix.designated for e in algebra.elements])
     out = np.empty((len(formulas), coords.shape[1] if k else 1), dtype=bool)
     for row, formula in enumerate(formulas):
         if formula not in values:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from vilogic.formulas import (
     FragmentSpec,
     Signature,
     app,
+    enumerate_fragment,
     fresh_variable,
     parse_formula,
     var,
@@ -23,6 +27,7 @@ from vilogic.matrices import (
     MatrixError,
     MatrixFormatError,
     MatrixOracle,
+    _designation_masks,
     all_valuations,
     entails,
     evaluate,
@@ -33,6 +38,7 @@ from vilogic.matrices import (
     load_matrix_file,
     parse_matrix_text,
 )
+from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
     FULL_SIGNATURE,
     b2_and_or_matrix,
@@ -120,6 +126,21 @@ def test_format_parse_round_trip_is_exact():
         again = parse_matrix_text(text)
         assert again == matrix
         assert format_matrix(again) == text
+
+
+@pytest.mark.parametrize("name", ["a b", "a,b", "a#", "a->b", ""])
+def test_format_refuses_element_names_the_parser_would_split(name):
+    algebra = b2_matrix().algebra
+    renamed = {"0": name, "1": "1"}
+    tables = {
+        table: {tuple(renamed[a] for a in args): renamed[out] for args, out in entries.items()}
+        for table, entries in algebra.tables.items()
+    }
+    matrix = FiniteMatrix(
+        FiniteAlgebra(algebra.signature, (name, "1"), tables), frozenset({"1"})
+    )
+    with pytest.raises(MatrixFormatError, match=re.escape(repr(name))):
+        format_matrix(matrix)
 
 
 def test_load_matrix_file(tmp_path):
@@ -242,6 +263,20 @@ def _constant_matrix():
     return FiniteMatrix(FiniteAlgebra(signature, algebra.elements, tables), frozenset({"1"}))
 
 
+def _ternary_matrix():
+    """B3's tables plus ``t`` naming 1 and a ternary ``ite``: its second
+    argument when the first is designated, else its third."""
+    matrix = b3_matrix()
+    algebra = matrix.algebra
+    signature = Signature(FULL_SIGNATURE.connectives + (("t", 0), ("ite", 3)))
+    ite = {
+        (a, b, c): b if a in matrix.designated else c
+        for a, b, c in itertools.product(algebra.elements, repeat=3)
+    }
+    tables = dict(algebra.tables, t={(): "1"}, ite=ite)
+    return FiniteMatrix(FiniteAlgebra(signature, algebra.elements, tables), matrix.designated)
+
+
 _WK = wk_algebra()
 DIFFERENTIAL_CLASSES = {
     "B3": (b3_matrix(),),
@@ -249,6 +284,7 @@ DIFFERENTIAL_CLASSES = {
     "CL": (b2_matrix(),),
     "CL+B3": (b2_matrix(), b3_matrix()),
     "constant": (_constant_matrix(),),
+    "ternary": (_ternary_matrix(),),
     "empty": (FiniteMatrix(_WK, frozenset()),),
     "full": (FiniteMatrix(_WK, frozenset(_WK.elements)),),
 }
@@ -265,31 +301,35 @@ def reference_countermodel(matrices, premises, conclusion):
     return None
 
 
-_CONSTANT_SIGNATURE = DIFFERENTIAL_CLASSES["constant"][0].signature
 _SHARED_ORACLES = {name: MatrixOracle(m) for name, m in DIFFERENTIAL_CLASSES.items()}
 
 
-def _mentions(formula, head):
-    return formula.head == head and formula.args is not None or any(
-        _mentions(a, head) for a in formula.args or ()
-    )
+def _heads(formula):
+    if formula.args is None:
+        return set()
+    return {formula.head}.union(*map(_heads, formula.args))
 
 
 @st.composite
 def inferences(draw):
     """0-3 premises and a conclusion over x, y, z in and/or/not; in half of
-    the draws the constant t is a leaf too, and the conclusion may be a
-    variable fresh to the premises, as in is_antitheorem."""
+    the draws the constant t is a leaf too, in half the ternary ite is a
+    connective too, and the conclusion may be a variable fresh to the
+    premises, as in is_antitheorem."""
     leaves = [var("x"), var("y"), var("z")]
     if draw(st.booleans()):
         leaves.append(app("t"))
+    ternary = draw(st.booleans())
 
     def extend(children):
-        return st.one_of(
+        options = [
             st.builds(lambda a, b: app("and", a, b), children, children),
             st.builds(lambda a, b: app("or", a, b), children, children),
             st.builds(lambda a: app("not", a), children),
-        )
+        ]
+        if ternary:
+            options.append(st.builds(lambda *abc: app("ite", *abc), children, children, children))
+        return st.one_of(options)
 
     formulas = st.recursive(st.sampled_from(leaves), extend, max_leaves=5)
     premises = tuple(draw(st.lists(formulas, max_size=3)))
@@ -303,9 +343,9 @@ def inferences(draw):
 @given(inferences())
 def test_masks_match_the_per_valuation_reference(inference):
     premises, conclusion = inference
-    uses_t = any(_mentions(f, "t") for f in (*premises, conclusion))
+    heads = set().union(*map(_heads, (*premises, conclusion)))
     for name, matrices in DIFFERENTIAL_CLASSES.items():
-        if uses_t and matrices[0].signature != _CONSTANT_SIGNATURE:
+        if not heads <= set(matrices[0].signature.names):
             with pytest.raises(MatrixError):
                 find_countermodel(matrices, premises, conclusion)
             continue
@@ -315,6 +355,32 @@ def test_masks_match_the_per_valuation_reference(inference):
         assert MatrixOracle(matrices).entails(premises, conclusion) == (expected is None), name
         # Again through an oracle whose mask cache is already warm.
         assert _SHARED_ORACLES[name].entails(premises, conclusion) == (expected is None), name
+
+
+PINNED_MATRICES = {
+    "CL": b2_matrix(),
+    "B3": b3_matrix(),
+    "PWK": pwk_matrix(),
+    **{
+        f"chain[{seq or 'base'}]": canonical_chain_matrix(b2_matrix(), seq)
+        for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl")
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_MATRICES))
+def test_mask_bit_i_is_the_ith_valuation(name):
+    # Bit i of a designation mask is the i-th valuation of all_valuations,
+    # over variables the formula may leave unused.
+    matrix = PINNED_MATRICES[name]
+    variables = ("w", "x", "y")
+    spec = FragmentSpec(variables=("x", "y"), max_depth=2, max_premises=0)
+    for formula in enumerate_fragment(matrix.signature, spec)[::5]:
+        (mask,) = _designation_masks((matrix,), formula, variables)
+        for i, valuation in enumerate(all_valuations(matrix.algebra, variables)):
+            designated = evaluate(matrix.algebra, formula, valuation) in matrix.designated
+            assert (mask >> i & 1) == designated, (formula, valuation)
+        assert mask >> i + 1 == 0
 
 
 def test_masks_decide_inferences_without_variables():

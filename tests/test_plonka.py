@@ -6,7 +6,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vilogic.formulas import FragmentSpec, enumerate_fragment, parse_formula
@@ -752,10 +752,19 @@ TWO_VARIABLE_TERMS = tuple(
 IDENTITY_SIDES = enumerate_fragment(FULL_SIGNATURE, FragmentSpec(("x", "y", "z"), 1, 0))
 
 
+CONSTANT_SIGNATURE = Signature(FULL_SIGNATURE.connectives + (("t", 0),))
+# Sides of the constant t alone, which have no variables, and one mixing it with x.
+CONSTANT_SIDES = tuple(
+    parse_formula(text, CONSTANT_SIGNATURE)
+    for text in ("t", "not(t)", "and(t, not(t))", "or(t, x)")
+)
+
+
 @st.composite
-def random_algebras(draw, max_size=6):
-    """An algebra with uniformly random tables over and/or/not or and/or."""
-    signature = draw(st.sampled_from([FULL_SIGNATURE, AND_OR_SIGNATURE]))
+def random_algebras(draw, max_size=6, signatures=(FULL_SIGNATURE, AND_OR_SIGNATURE)):
+    """An algebra with uniformly random tables over one of ``signatures``
+    (by default and/or/not or and/or)."""
+    signature = draw(st.sampled_from(signatures))
     size = draw(st.integers(1, max_size))
     elements = tuple(draw(st.permutations([f"e{k}" for k in range(size)])))
     tables = {}
@@ -895,12 +904,25 @@ def test_semilattice_laws_match_reference(case):
         assert str(excinfo.value) == expected
 
 
+_WK_CONSTANT = FiniteAlgebra(
+    CONSTANT_SIGNATURE, wk_algebra().elements, dict(wk_algebra().tables, t={(): "1"})
+)
+_SIDES = st.one_of(st.sampled_from(IDENTITY_SIDES), st.sampled_from(CONSTANT_SIDES))
+
+
+# Constant sides over an algebra without ``t`` raise the same MatrixError
+# on both paths.
 @settings(max_examples=150, deadline=None)
 @given(
-    st.one_of(random_algebras(), sum_algebras()),
-    st.sampled_from(IDENTITY_SIDES),
-    st.sampled_from(IDENTITY_SIDES),
+    st.one_of(
+        random_algebras(), sum_algebras(), random_algebras(signatures=(CONSTANT_SIGNATURE,))
+    ),
+    _SIDES,
+    _SIDES,
 )
+@example(_WK_CONSTANT, CONSTANT_SIDES[0], CONSTANT_SIDES[1])
+@example(_WK_CONSTANT, CONSTANT_SIDES[0], CONSTANT_SIDES[0])
+@example(_WK_CONSTANT, CONSTANT_SIDES[2], CONSTANT_SIDES[1])
 def test_regular_identity_matches_reference(algebra, left, right):
     new = _outcome(check_regular_identity, left, right, algebra)
     assert new == _outcome(reference_check_regular_identity, left, right, algebra)

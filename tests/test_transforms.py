@@ -23,6 +23,7 @@ from vilogic.matrices import (
     NONE_PROVEN,
     UNKNOWN,
     WITNESS,
+    AntitheoremInfo,
     FiniteMatrix,
     MatrixOracle,
     all_valuations,
@@ -162,6 +163,31 @@ def test_left_tower_over_an_all_designated_base_is_unknown(cl_oracle):
     left = derive_sequence(meet, "l")
     assert left.antitheorem_info.status == NONE_PROVEN
     assert not is_antitheorem(left, (P("x"), P("not(x)")))
+
+
+def _with_witness(text):
+    """A CL oracle whose antitheorem analysis is pinned to the set ``{text}``."""
+    oracle = MatrixOracle((b2_matrix(),), label="CL'")
+    oracle.__dict__["antitheorem_info"] = AntitheoremInfo(WITNESS, frozenset({P(text)}))
+    return oracle
+
+
+def test_meet_antitheorem_info_merges_witnesses_or_is_unknown(cl_oracle):
+    found = cl_oracle.antitheorem_info.witness
+    # Both sides have a witness in the one variable x: the meet has their union.
+    info = intersect(cl_oracle, derive_sequence(cl_oracle, "r")).antitheorem_info
+    assert info == AntitheoremInfo(WITNESS, found)
+    meet = intersect(cl_oracle, _with_witness("and(x, not(x))"))
+    info = meet.antitheorem_info
+    assert info == AntitheoremInfo(WITNESS, found | {P("and(x, not(x))")})
+    assert is_antitheorem(meet, info.witness)
+    # Witnesses in two variables between them give no witness for the meet.
+    assert intersect(cl_oracle, _with_witness("and(y, not(y))")).antitheorem_info.status == UNKNOWN
+    # Neither side proves absence and one side is unknown.
+    algebra = b2_matrix().algebra
+    everything = MatrixOracle((FiniteMatrix(algebra, frozenset(algebra.elements)),), label="T")
+    unknown = intersect(derive_sequence(everything, "l"), cl_oracle)
+    assert unknown.antitheorem_info == AntitheoremInfo(UNKNOWN)
 
 
 def test_right_tower_keeps_base_antitheorems(cl_oracle):
