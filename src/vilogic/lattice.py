@@ -23,53 +23,35 @@ witness lists after the first:
     pattern in every matrix under every valuation of the fragment
     variables).  Two premise sets hitting the same groups get identical
     answers from every transform tower, so the first disagreement over group
-    representatives is the first disagreement overall.  Towers are evaluated
-    with numpy bit-set arithmetic instead of per-query oracle calls, and
+    representatives is the first disagreement overall.  A premise row is a
+    set of at most ``max_premises`` classes.  Towers are evaluated with
+    numpy bit-set arithmetic instead of per-query oracle calls, and
     interpreted structurally: a left step intersects the premise projection
     mask with the conclusion's variable mask, a right step adds the
     variable-coverage test and the fresh-variable (explosive premise set)
     branch, and matrix leaves reduce to bit tests against per-valuation
-    designation sets.  Premise rows are every combination of at most
-    ``max_premises`` classes, built block by block with numpy.  Restricting
-    the rows to a variable mask keeps exactly the rows whose members all lie
-    inside it, so each row's projection is numbered by the colex rank of its
-    kept members, with no sort and no hashing.  Arrays are as narrow as the
-    input allows: class ids and variable masks in the smallest unsigned type
-    that holds them, row indices in ``int32`` while the row count fits,
-    valuation bit sets in one byte or whole ``uint64`` words.
+    designation sets.
     One run compares any number of pairs on one context.  Its outer loop
-    runs over chunks of conclusion classes: classes with one variable mask,
-    at most 8 to a chunk.  A left step meets the premise mask with the
-    conclusion's mask, so every class of a chunk walks a tower through the
-    same masks, and one walk carries one answer bit per class in a byte per
-    premise row.  A leaf builds the chunk's bits on the distinct projected
-    rows and expands them once; the right step's coverage test and
-    fresh-variable branch do not depend on the class and act on all bits.
-    One memo per chunk, shared by every pair run on the context, holds
-    each subtree's answers, so a tower that appears in many pairs is still
-    walked once per chunk.
-    Memory: the premise blocks live for the whole run.  Each premise
-    variable mask keeps, while chunks still read it, its projection (the
-    distinct projected rows and one index per premise row), its expanded
-    premise mask, its leaf conjunctions and its fresh answers; a mask's
-    state is dropped after its last chunk.  The full mask keeps every row
-    whole, so it has no projection and reads the blocks row by row; a mask
-    with no class inside keeps no index, as every row projects to the
-    empty row, and its expanded arrays are one value broadcast read-only
-    over the rows.  Projections, expansions and the full mask's arrays are
-    built in slices of ``_SLICE_ROWS`` rows, so their temporaries are
-    bounded by the slice, not by the number of premise rows.
+    runs over chunks of at most 8 conclusion classes with one variable mask
+    t.  A chunk reads a premise row at the masks F (full), t and 0 only,
+    through its component at each: the AND of its members' designation
+    rows there and the OR of their variable masks.  So the walk runs on the
+    rows' states, the distinct component triples, with one answer bit per
+    class in a byte per state, and a DP counts the rows on each state; over
+    CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  One memo
+    per chunk, shared by every pair, holds each subtree's answers.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
 order, and the vector engine reports the first structurally distinct
-disagreements in exactly that order.  It tallies a chunk whole, per pair
-and side: one popcount gives the number of disagreeing (row, class) pairs,
-and a scan for the first nonzero rows gives at least the chunk's first
-``max_witnesses`` pairs in (row, class) order.  The pairs of all chunks are
-then sorted and capped, which leaves the first ``max_witnesses`` overall.
-Every witness leaving this module is re-validated against the real oracles
-before it is reported.
+disagreements in exactly that order.  It tallies a chunk per pair and side
+on its states: each state's rows times its disagreeing bits gives the
+number of disagreeing (row, class) pairs, and a descent through the states
+finds the chunk's first ``max_witnesses`` disagreeing rows in row order,
+which hold at least its first ``max_witnesses`` pairs.  The pairs of all
+chunks are then sorted and capped, which leaves the first
+``max_witnesses`` overall.  Every witness leaving this module is
+re-validated against the real oracles before it is reported.
 """
 
 from __future__ import annotations
@@ -324,98 +306,280 @@ def _nonzero_rows(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _appended_classes(rows: np.ndarray, n_classes: int, index_dtype):
-    """Per row: the first class ``_next_block`` appends to it, and how many."""
-    if rows.shape[1]:
-        first = rows[:, -1].astype(index_dtype) + 1
-    else:
-        first = np.zeros(len(rows), dtype=index_dtype)
-    return first, n_classes - first
-
-
-def _next_block(rows: np.ndarray, n_classes: int, index_dtype) -> np.ndarray:
-    """Premise rows one member longer than ``rows``, in combinations order.
-
-    Each row is repeated once for every class above its last member, and
-    that class is appended.  Rows are stored column by column, so that a
-    slot is one contiguous array.
-    """
-    first, counts = _appended_classes(rows, n_classes, index_dtype)
-    grown = np.empty(
-        (int(counts.sum()), rows.shape[1] + 1), dtype=rows.dtype, order="F"
-    )
-    for j in range(rows.shape[1]):
-        grown[:, j] = np.repeat(rows[:, j], counts)
-    # Row t of group i gets class first[i] + (t - start of group i).
-    shift = first - (np.cumsum(counts, dtype=index_dtype) - counts)
-    grown[:, -1] = np.arange(len(grown), dtype=index_dtype) + np.repeat(shift, counts)
-    return grown
-
-
 def _byte_mask(bools: np.ndarray) -> np.ndarray:
     """0xFF where ``bools`` is True, 0x00 elsewhere: one answer for every bit."""
     return bools.view(np.uint8) * np.uint8(0xFF)
 
 
-# Rows per slice of the vector engine's row-wise work: projecting, expanding
-# and building the full mask's arrays write their output one slice at a time,
-# so that their temporaries cover a slice, never the whole premise-row set.
-_SLICE_ROWS = 1 << 18
+def _intern(known: np.ndarray, candidates: np.ndarray):
+    """Ids for the byte rows ``candidates`` among the distinct rows ``known``.
+
+    A known row's id is its position; the distinct rows not known get the
+    next free ids.  Returns the candidates' ids and, for each new id, the
+    position of one candidate that holds it.  A row is keyed by itself when
+    it fits in 8 bytes, else by a hash of its words, checked against the
+    rows and replaced by the whole row on a collision.
+    """
+    width = known.shape[1]
+    pad = ((0, 0), (0, -width % 8))
+    words = [np.pad(rows, pad).view(np.uint64) for rows in (known, candidates)]
+    if words[0].shape[1] > 1:
+        odd = np.arange(1, 2 * words[0].shape[1], 2, dtype=np.uint64)
+        words = [w @ (odd * np.uint64(0x9E3779B97F4A7C15)) for w in words]
+    ids, where = _intern_keys(*(w.ravel() for w in words))
+    if not np.array_equal(np.concatenate([known, candidates[where]])[ids], candidates):
+        whole = np.dtype((np.void, width))
+        ids, where = _intern_keys(known.view(whole).ravel(), candidates.view(whole).ravel())
+    return ids, where
 
 
-def _slices(count: int) -> list[slice]:
-    """``range(count)`` cut into slices of ``_SLICE_ROWS`` rows."""
-    return [
-        slice(lo, min(lo + _SLICE_ROWS, count)) for lo in range(0, count, _SLICE_ROWS)
-    ]
+def _intern_keys(known: np.ndarray, candidates: np.ndarray):
+    """:func:`_intern` on keys that are equal exactly when their rows are."""
+    distinct = np.unique(candidates)
+    seen = np.sort(known)
+    at = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
+    merged = np.concatenate([known, distinct[seen[at] != distinct]])
+    order = np.argsort(merged)
+    ids = order[np.searchsorted(merged[order], candidates)]
+    new = np.flatnonzero(ids >= len(known))
+    where = np.empty(len(merged) - len(known), dtype=np.intp)
+    where[ids[new] - len(known)] = new
+    return ids, where
+
+
+def _group_sums(keys: np.ndarray, owner: np.ndarray, counts: np.ndarray, space: int):
+    """The distinct ``keys`` (in ``range(space)``), ascending, each with the
+    exact sum of ``counts[owner[i]]`` over its entries i.  A key and its
+    owner are packed into one ``int64`` and sorted as values when they fit,
+    several times faster than an argsort."""
+    width = len(counts)
+    if space * width < 1 << 63:
+        keys, owner = np.divmod(np.sort(keys * width + owner), width)
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys, owner = keys[order], owner[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    if not len(starts):
+        return keys, counts[:0]
+    return keys[starts], np.add.reduceat(counts[owner], starts)
+
+
+# Premise-row extensions (or component words) built at once: it bounds the
+# temporaries of the count DP and the component build, not their work.
+_GROW_BLOCK = 1 << 15
+# The largest state-key space whose row counts are summed in one dense array
+# (16 MB), when it is also at most four times the entries summed.
+_DENSE_KEYS = 1 << 21
 
 
 @dataclass
-class _MaskState:
-    """What the walk caches for one premise variable mask, all built on
-    first use: the projection ``(slots, inverse)`` (never for the full
-    mask), the expanded premise mask, the leaf conjunction per matrix id and
-    the fresh answers per subtree.  :meth:`_VectorContext.retire` drops all
-    of it at once."""
+class _Components:
+    """What the walk reads of premise sets at one variable mask I: per
+    component, the AND per matrix of the packed designation rows of the
+    members inside I (``conj``) and the OR of their variable masks
+    (``vmask``).  Component 0 is the empty set's.  ``trans[a, c]`` is a's
+    component after adding class c (a itself for c outside I), for every
+    component first reached with fewer than ``max_size`` members."""
 
-    projection: tuple | None = None
-    premise_mask: np.ndarray | None = None
-    conjunctions: dict[int, np.ndarray] = field(default_factory=dict)
-    fresh: dict[tuple, np.ndarray] = field(default_factory=dict)
+    conj: list[np.ndarray]
+    vmask: np.ndarray
+    trans: np.ndarray
+
+
+class _StateSpace:
+    """The premise-row states that the chunks of one conclusion mask t read.
+
+    A row's state key is the mixed-radix code of its component ids at the
+    masks F, t and 0 (see :class:`_VectorContext`), but for a mask with one
+    component.  ``keys`` holds every key a row reaches, ascending, and a
+    state's id is its position there; ``ids[I]`` gives each state's
+    component id at mask I, and ``counts[size, s]`` the exact number of
+    rows of ``size`` members on state s.  A DP over (state, largest member)
+    groups counts them: a group grows only by the classes above its largest
+    member, as rows do in ``combinations`` order, so it counts each row
+    once and touches no more entries than there are rows."""
+
+    def __init__(self, context: "_VectorContext", tmask: int):
+        self.tmask = tmask
+        self.n_classes = n = context.n_classes
+        masks = tuple(dict.fromkeys((context.full_mask, tmask, 0)))
+        # A mask with one component (no class inside) adds nothing to a key.
+        keyed = [m for m in masks if m == masks[0] or len(context.components(m).vmask) > 1]
+        components = [context.components(vmask) for vmask in keyed]
+        radix = [len(comps.vmask) for comps in components]
+        place = [math.prod(radix[j + 1:]) for j in range(len(radix))]
+        self.key_space = math.prod(radix)
+        self.digits = list(zip(place, radix))
+        if self.key_space * (n + 1) >= 1 << 63:
+            raise LatticeError("too many premise-set components to number in 64 bits")
+        # Per mask, each extended component's transitions as key shares.
+        self.steps = [
+            comps.trans.astype(np.int64) * digit
+            for comps, digit in zip(components, place)
+        ]
+        level_keys = [np.zeros(1, dtype=np.int64)]
+        level_counts = [np.ones(1, dtype=np.int64)]
+        key, last, count = level_keys[0], np.full(1, -1, dtype=np.int64), level_counts[0]
+        for size in range(1, context.max_size + 1):
+            if size == context.max_size:
+                key, count = self._grow(key, last, count, 1)
+            else:
+                groups, count = self._grow(key, last, count, n)
+                key, last = np.divmod(groups, n)
+                # Groups come sorted by state key: sum each run.
+                starts = np.flatnonzero(np.diff(key, prepend=-1))
+                level_keys.append(key[starts])
+                level_counts.append(np.add.reduceat(count, starts))
+        if context.max_size:
+            level_keys.append(key)
+            level_counts.append(count)
+        self.keys = np.unique(np.concatenate(level_keys))
+        self.counts = np.zeros((len(level_keys), len(self.keys)), dtype=np.int64)
+        for size, (keys, counts) in enumerate(zip(level_keys, level_counts)):
+            self.counts[size, np.searchsorted(self.keys, keys)] = counts
+        covered = int(self.counts.sum())
+        if covered != context.n_premise_rows:
+            raise LatticeError(
+                f"state counts cover {covered} premise rows of mask {tmask}, "
+                f"not {context.n_premise_rows}"
+            )
+        self.ids = dict.fromkeys(masks, np.zeros(len(self.keys), dtype=np.int64))
+        self.ids.update(zip(keyed, self.decode(self.keys)))
+        self.fresh: dict[tuple, np.ndarray] = {}
+        # The empty set's state is 0; its states after adding each class.
+        self.root = self._grown(np.zeros(1, dtype=np.intp))[0]
+
+    def decode(self, keys: np.ndarray) -> list[np.ndarray]:
+        """Per mask, the component ids of state ``keys``."""
+        return [keys // place % radix for place, radix in self.digits]
+
+    def _grow(self, key, last, count, stride: int):
+        """Every group grown by each class above its largest member.
+
+        Returns the distinct grown keys with their row counts.  A key is
+        ``stride * state key + added class`` when ``stride`` is
+        ``n_classes``, and the state key when it is 1.  Groups are grown
+        ``_GROW_BLOCK`` rows at a time and the blocks' sums merged.
+        """
+        n = self.n_classes
+        # Entry t of a group's run adds class last + 1 + t: its flat index
+        # into a step table is the group's row offset plus t.
+        rows = [ids * n + last + 1 for ids in self.decode(key)]
+        reps = n - 1 - last
+        ends = np.cumsum(reps)
+        space = self.key_space * stride
+        dense = None
+        if stride == 1 and space <= min(_DENSE_KEYS, 4 * int(ends[-1])):
+            dense = np.zeros(space, dtype=np.int64)
+        parts = []
+        lo = 0
+        while lo < len(key):
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(int(np.searchsorted(ends, done + _GROW_BLOCK, side="right")), lo + 1)
+            block = reps[lo:hi]
+            run = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
+            grown = sum(
+                step.take(np.repeat(row[lo:hi], block) + run)
+                for row, step in zip(rows, self.steps)
+            )
+            if dense is not None:
+                np.add.at(dense, grown, np.repeat(count[lo:hi], block))
+            else:
+                if stride != 1:
+                    grown = grown * stride + np.repeat(last[lo:hi] + 1, block) + run
+                owner = np.repeat(np.arange(lo, hi), block)
+                parts.append(_group_sums(grown, owner, count, space))
+            lo = hi
+        if dense is not None:
+            keys = np.flatnonzero(dense)
+            return keys, dense[keys]
+        if len(parts) == 1:
+            return parts[0]
+        keys = np.concatenate([keys for keys, _ in parts])
+        sums = np.concatenate([sums for _, sums in parts])
+        return _group_sums(keys, np.arange(len(keys)), sums, space)
+
+    def _grown(self, states: np.ndarray) -> np.ndarray:
+        """Each of ``states`` after adding every class: a ``(len(states),
+        n_classes)`` table of state ids."""
+        ids = self.decode(self.keys[states])
+        keys = sum(step[comp] for comp, step in zip(ids, self.steps))
+        return np.searchsorted(self.keys, keys)
+
+    def witnesses(self, only: np.ndarray, chunk: tuple[int, ...], sizes, cap: int):
+        """``(size, members, class)`` for every bit of ``only`` set on the
+        first ``cap`` rows of the given ascending sizes with any bit set."""
+        rows: list[tuple[tuple[int, ...], int]] = []
+        bad = only != 0
+        for size in sizes:
+            if len(rows) < cap:
+                rows += self.first_rows(bad, size, cap - len(rows))
+        return [
+            (len(members), members, target)
+            for members, state in rows
+            for bit, target in enumerate(chunk)
+            if only[state] >> bit & 1
+        ]
+
+    def first_rows(self, bad: np.ndarray, size: int, cap: int):
+        """The first ``cap`` rows of ``size`` members, in ``combinations``
+        order, on a state where ``bad`` holds: ``(members, state)`` pairs.
+        ``reach[r][s]`` is the largest class c such that a set on state s
+        can end on a bad state by adding c and then r - 1 classes above c;
+        -1 when none can.  So a set with largest member m has a completion
+        exactly when ``reach[r][s] > m``, and the descent, taking the
+        smallest class that keeps one, never enters a dead branch.
+        """
+        if size == 0:
+            return [((), 0)] if bad[0] else []
+        if size == 1:
+            classes = np.flatnonzero(bad[self.root])[:cap].tolist()
+            return [((c,), int(self.root[c])) for c in classes]
+        n = self.n_classes
+        classes = np.arange(n)
+        reach = [np.where(bad, n, -1)]
+        block = max(1, _GROW_BLOCK // n)
+        for r in range(1, size):
+            states = np.flatnonzero(self.counts[size - r])
+            top = np.full(len(self.keys), -1)
+            for lo in range(0, len(states), block):
+                part = states[lo:lo + block]
+                ok = reach[-1][self._grown(part)] > classes
+                has = ok.any(axis=1)
+                top[part[has]] = n - 1 - np.argmax(ok[has, ::-1], axis=1)
+            reach.append(top)
+        found: list[tuple[tuple[int, ...], int]] = []
+        # Depth first, smallest class first: sets to extend, the next on top.
+        # A loop, not a recursive closure, which would keep ``self`` alive
+        # in a reference cycle until the cyclic collector runs.
+        stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        while stack and len(found) < cap:
+            state, members = stack.pop()
+            left = size - len(members)
+            if not left:
+                found.append((members, state))
+                continue
+            row = self._grown(np.array([state]))[0] if members else self.root
+            start = members[-1] + 1 if members else 0
+            keep = np.flatnonzero(reach[left - 1][row[start:]] > classes[start:]) + start
+            # Each class kept leads to a row, so later ones are never reached.
+            keep = keep[: cap - len(found)].tolist()
+            stack.extend((int(row[c]), members + (c,)) for c in reversed(keep))
+        return found
 
 
 class _VectorContext:
     """Shared numpy state for comparing towers over one matrix collection.
 
-    Every array built for one premise variable mask lives in that mask's
-    :class:`_MaskState`.  A chunk of conclusion classes with mask t reads
-    only three masks: the full mask, where every walk starts; t, because a
-    left step meets the premise mask with t and a right step keeps it, so
-    from the full mask the walk only reaches t; and 0, because the fresh
-    answers after a left step are read at mask 0.  :meth:`chunks` puts all
-    chunks of one mask next to each other, so once the last chunk of mask
-    t is walked no later chunk reads t's state again, unless t is the full
-    mask or 0, and :meth:`retire` may drop it.
-
-    Memory.  The premise ``blocks`` stay for the context's life.  Each
-    mask has a row space: the distinct projected rows of its projection,
-    or, for the full mask, the premise rows themselves.  Its leaf
-    conjunctions hold one packed row per row of that space; its premise
-    mask and each of its fresh answers hold one value per premise row.  A
-    mask other than the full mask also keeps its projection: ``slots``, one
-    column per distinct projected row, and ``inverse``, one index per
-    premise row, except when no class lies inside the mask.  Then every row
-    projects to the empty row and there is no ``inverse``: an answer is one
-    value broadcast read-only over the rows, with no row-sized copy.  So
-    the cached premise masks and answers may be read-only; the walk writes
-    only into arrays it has just built.  The full mask keeps every row
-    whole, so its projection is the identity and is never built: its
-    conjunctions and premise mask are read from ``blocks`` row by row, and
-    its leaves expand nothing.  Every temporary of a projection, an expansion or a
-    row-space array covers one slice of ``_SLICE_ROWS`` rows (a projection
-    slice covers at most ``max(_SLICE_ROWS, n_classes)`` rows), so the
-    peak is the live state plus a few slices, never a second premise-row
-    set.  The walk's own per-row answers are not sliced.
+    A chunk of conclusion classes with mask t reads premise rows at three
+    variable masks only: the full mask F, where every walk starts; t,
+    because a left step meets the premise mask with t and a right step
+    keeps it; and 0, where the fresh answers after a left step are read.
+    At each mask a row is read through its component there
+    (:class:`_Components`), so the walk runs on the rows' states
+    (:class:`_StateSpace`), never on rows.  Memory: every mask's components
+    live for the context's life, and only the state space of the mask being
+    walked is held; none of it grows with the number of premise rows.
     """
 
     def __init__(
@@ -445,288 +609,167 @@ class _VectorContext:
         for t in range(n):
             key = (int(self.fmask[t]),) + tuple(p[t].tobytes() for p in packed)
             class_of[t] = keys.setdefault(key, len(keys))
-        self.class_of = class_of
         self.n_classes = len(keys)
         reps = np.full(self.n_classes, -1, dtype=np.int64)
         for t in range(n - 1, -1, -1):
             reps[class_of[t]] = t
         self.rep_index = reps
         self.rep_mask = self.fmask[reps].astype(np.min_scalar_type(self.full_mask))
+        self.rep_packed = [p[reps] for p in packed]
+        self.row_bytes = [-(-db.shape[1] // 8) for db in self.des_bool]
         self.rep_not_packed = [_pack_rows(~db[reps]) for db in self.des_bool]
         self.all_designated = [not m.constrains for m in self.matrices]
-        # Per-slot tables: class ``n_classes`` marks an empty slot and reads
-        # as using no variable and as designated under every valuation.
-        self._slot_mask = np.append(self.rep_mask, self.rep_mask.dtype.type(0))
-        self._slot_des = [
-            np.vstack([p[reps], np.full((1, p.shape[1]), ~p.dtype.type(0))])
-            for p in packed
-        ]
 
         self.max_size = min(fragment.max_premises, self.n_classes)
         self.n_premise_rows = sum(
             math.comb(self.n_classes, size) for size in range(self.max_size + 1)
         )
-        self.index_dtype = (
-            np.int32 if self.n_premise_rows <= np.iinfo(np.int32).max else np.int64
-        )
-        self.class_dtype = np.min_scalar_type(self.n_classes)
-        rows = np.zeros((1, 0), dtype=self.class_dtype)
-        blocks = [(0, 0, rows)]
-        for size in range(1, self.max_size + 1):
-            offset = blocks[-1][0] + len(rows)
-            rows = _next_block(rows, self.n_classes, self.index_dtype)
-            blocks.append((offset, size, rows))
-        self.blocks = blocks
-        self._masks: dict[int, _MaskState] = {}
+        if self.n_premise_rows >= 1 << 60:  # a chunk's pairs must fit an int64
+            raise LatticeError(f"{self.n_premise_rows} premise rows are too many to count")
+        self._components: dict[int, _Components] = {}
 
-    # -- per-mask state -----------------------------------------------------
+    def components(self, vmask: int) -> _Components:
+        """The components at ``vmask``, built on first use level by level:
+        level p adds every class inside ``vmask`` to the components first
+        reached at level p - 1, up to ``max_size`` or until nothing is new.
+        The full mask's are found by their rows; any other mask's are the
+        full mask's components of the sets inside it."""
+        cached = self._components.get(vmask)
+        if cached is None:
+            if vmask == self.full_mask:
+                cached = self._full_components()
+            else:
+                cached = self._restricted_components(vmask)
+            self._components[vmask] = cached
+        return cached
 
-    def _state(self, vmask: int) -> _MaskState:
-        state = self._masks.get(vmask)
-        if state is None:
-            state = self._masks[vmask] = _MaskState()
-        return state
+    def _restricted_components(self, vmask: int) -> _Components:
+        full = self.components(self.full_mask)
+        inside = np.flatnonzero((self.rep_mask | vmask) == vmask)
+        # A full-mask component's id here, or -1 while it is not reached.
+        local = np.full(len(full.vmask), -1, dtype=np.int32)
+        local[0] = 0
+        found = [np.zeros(1, dtype=np.intp)]
+        trans = []
+        frontier = found[0]
+        for _ in range(self.max_size):
+            if not len(frontier):
+                break
+            reached = full.trans[frontier][:, inside]
+            new = np.unique(reached[local[reached] < 0])
+            local[new] = np.arange(len(new)) + sum(map(len, found))
+            row = np.repeat(local[frontier][:, None], self.n_classes, axis=1)
+            row[:, inside] = local[reached]
+            trans.append(row)
+            found.append(new)
+            frontier = new
+        ids = np.concatenate(found)
+        trans = np.vstack(trans) if trans else full.trans[:1]
+        return _Components([c[ids] for c in full.conj], full.vmask[ids], trans)
 
-    def retire(self, vmask: int) -> None:
-        """Drop mask ``vmask``'s state once its last chunk is walked.
-
-        The full mask and 0 stay, because every later chunk may read them.
-        """
-        if vmask not in (self.full_mask, 0):
-            self._masks.pop(vmask, None)
-
-    # -- projections --------------------------------------------------------
-
-    def _projection(self, vmask: int):
-        """Premise rows restricted to the classes whose variables lie in vmask.
-
-        Never built for the full mask, whose projection is the identity.
-        Returns ``(slots, inverse)``.  ``slots`` is a ``(max_size,
-        n_distinct)`` array: column ``i`` lists the members of distinct
-        projected row ``i`` in ascending order, padded with ``n_classes``.
-        ``inverse`` maps every premise row to its distinct projected row.
-        When no class lies in vmask, every row projects to the empty row,
-        the only column of ``slots``, and ``inverse`` is None.
-
-        Let I be the classes inside vmask.  A row C projects to C ∩ I, a
-        subset of I with at most ``max_size`` members.  Every such subset is
-        itself a premise row, kept whole by the projection, so the distinct
-        projected rows are exactly the rows whose members all lie in I.
-        Number them by size, then by colex rank: writing the members of
-        C ∩ I as positions p_0 < p_1 < ... within I, the id is
-        ``offset[m] + sum_j comb(p_j, j + 1)`` for m = |C ∩ I|, where
-        ``offset[m]`` counts the subsets of I smaller than m.  The colex rank
-        is a bijection from the m-subsets of I onto ``range(comb(|I|, m))``,
-        so the ids are a bijection onto the distinct projected rows.  A row
-        of block s is kept whole exactly when it keeps s members, that is
-        when its id is at least ``offset[s]``.
-
-        Block s is derived from block s - 1, not rebuilt slot by slot.  A
-        row of block s is its prefix row in block s - 1 plus one class c
-        above the prefix's last member (``_next_block``).  The members kept
-        from the prefix come first in the row, so if the prefix keeps m
-        members, the row keeps m + 1 and adds comb(pos_I(c), m + 1) to the
-        rank when c lies in I, and is the prefix's projection otherwise.
-        So the row's id is the prefix's id plus ``delta[m, c]``, which is
-        ``comb(|I|, m) + comb(pos_I(c), m + 1)`` for c in I and 0 for c
-        outside.  Nothing is sorted, and m is read back from the prefix's id
-        as the number of ``offset[1:]`` entries at or below it.
-        ``_next_block`` repeats each prefix row in place, so a slice of
-        block s - 1 gives one contiguous slice of block s, at most
-        ``n_classes`` times as long.  Prefixes are read in slices of
-        ``_SLICE_ROWS // n_classes`` rows (at least one), so every
-        temporary covers at most ``max(_SLICE_ROWS, n_classes)`` rows.
-        """
-        state = self._state(vmask)
-        if state.projection is not None:
-            return state.projection
+    def _full_components(self) -> _Components:
         n = self.n_classes
-        inside = (self.rep_mask | vmask) == vmask
-        n_inside = int(inside.sum())
-        sizes = [math.comb(n_inside, m) for m in range(self.max_size + 1)]
-        slots = np.full((self.max_size, sum(sizes)), n, dtype=self.class_dtype)
-        if not n_inside:
-            state.projection = (slots, None)
-            return state.projection
-        offset = np.cumsum([0] + sizes)
-        position = np.cumsum(inside) - 1
-        delta = np.zeros((self.max_size, n), dtype=self.index_dtype)
-        for m in range(self.max_size):
-            delta[m, inside] = [
-                sizes[m] + math.comb(int(p), m + 1) for p in position[inside]
-            ]
-        # One flat lookup ``delta[n * m + c]`` per row.
-        delta = delta.ravel()
-        inverse = np.empty(self.n_premise_rows, dtype=self.index_dtype)
-        inverse[0] = 0
-        stride = max(1, _SLICE_ROWS // n)
-        pairs = zip(self.blocks, self.blocks[1:])
-        for (before, _, prefixes), (start, size, rows) in pairs:
-            lo = 0
-            for head in range(0, len(prefixes), stride):
-                prefix = prefixes[head:head + stride]
-                _, counts = _appended_classes(prefix, n, self.index_dtype)
-                hi = lo + int(counts.sum())
-                ids = inverse[before + head:before + head + len(prefix)]
-                kept = np.searchsorted(offset[1:], ids, side="right")
-                cursor = np.repeat(kept * n, counts) + rows[lo:hi, -1]
-                out = inverse[start + lo:start + hi]
-                np.add(np.repeat(ids, counts), delta.take(cursor), out=out)
-                whole = out >= offset[size]
-                slots[:size, out[whole]] = rows[lo:hi][whole].T
-                lo = hi
-        state.projection = (slots, inverse)
-        return state.projection
+        inside = np.arange(n)
+        conj = [_pack_rows(np.ones((1, db.shape[1]), dtype=bool)) for db in self.des_bool]
+        masks = np.zeros(1, dtype=self.rep_mask.dtype)
+        keys = self._component_keys(conj, masks)
+        trans = []
+        frontier = np.arange(1)
+        # Frontier components grown at once, so that a block's rows hold
+        # about ``_GROW_BLOCK`` words.
+        words = sum(p.shape[1] for p in self.rep_packed) + 1
+        step = max(1, _GROW_BLOCK // (words * max(1, len(inside))))
+        for _ in range(self.max_size):
+            if not len(frontier):
+                break
+            known = len(masks)
+            for lo in range(0, len(frontier), step):
+                block = frontier[lo:lo + step]
+                grown = [
+                    (c[block][:, None] & p[inside]).reshape(-1, p.shape[1])
+                    for c, p in zip(conj, self.rep_packed)
+                ]
+                grown_mask = (masks[block][:, None] | self.rep_mask[inside]).ravel()
+                grown_keys = self._component_keys(grown, grown_mask)
+                ids, new = _intern(keys, grown_keys)
+                row = np.repeat(block.astype(np.int32)[:, None], n, axis=1)
+                row[:, inside] = ids.reshape(len(block), len(inside))
+                trans.append(row)
+                conj = [np.concatenate([c, g[new]]) for c, g in zip(conj, grown)]
+                masks = np.concatenate([masks, grown_mask[new]])
+                keys = np.concatenate([keys, grown_keys[new]])
+            frontier = np.arange(known, len(masks))
+        if not trans:
+            trans.append(np.zeros((1, n), dtype=np.int32))
+        return _Components(conj, masks, np.vstack(trans))
 
-    # -- row spaces ---------------------------------------------------------
-    #
-    # A mask's leaf conjunctions and compact answers are indexed by its row
-    # space: the premise rows for the full mask, the distinct projected rows
-    # for any other mask.  ``_expand`` takes them to one value per premise row.
-
-    def _row_count(self, vmask: int) -> int:
-        if vmask == self.full_mask:
-            return self.n_premise_rows
-        return self._projection(vmask)[0].shape[1]
-
-    def _members(self, vmask: int):
-        """vmask's row space slice by slice: pairs ``(rows, members)``, where
-        ``members[j]`` holds member j of every row in ``rows``.  A projection
-        pads short rows with ``n_classes``; the full mask reads ``blocks``."""
-        if vmask != self.full_mask:
-            slots, _ = self._projection(vmask)
-            for rows in _slices(slots.shape[1]):
-                yield rows, slots[:, rows]
-            return
-        for start, _, block in self.blocks:
-            for rows in _slices(len(block)):
-                yield slice(start + rows.start, start + rows.stop), block[rows].T
-
-    def _expand(self, compact: np.ndarray, vmask: int) -> np.ndarray:
-        """One value per row of vmask's row space, to one per premise row."""
-        if vmask == self.full_mask:
-            return compact
-        _, inverse = self._projection(vmask)
-        if inverse is None:
-            # Every row projects to the empty row: one value, broadcast
-            # read-only over the rows, not a row-sized copy.
-            return np.broadcast_to(compact[0], (self.n_premise_rows,))
-        out = np.empty(self.n_premise_rows, dtype=compact.dtype)
-        for rows in _slices(self.n_premise_rows):
-            out[rows] = compact.take(inverse[rows])
-        return out
-
-    def _premise_mask(self, vmask: int) -> np.ndarray:
-        """Variable mask of each projected premise row, expanded to full rows."""
-        state = self._state(vmask)
-        if state.premise_mask is not None:
-            return state.premise_mask
-        compact = np.zeros(self._row_count(vmask), dtype=self.rep_mask.dtype)
-        for rows, members in self._members(vmask):
-            piece = compact[rows]
-            for column in members:
-                piece |= self._slot_mask[column]
-        state.premise_mask = self._expand(compact, vmask)
-        return state.premise_mask
-
-    def _leaf_conjunction(self, matrix_id: int, vmask: int) -> np.ndarray:
-        """Per row of vmask's row space: valuations designating every member.
-
-        Rows wider than a byte carry padding bits past the last valuation.
-        Padding stays sound: it is 0 in every class's row, in both
-        ``_slot_des`` and ``rep_not_packed``, so ``conj & rep_not`` never
-        sees it.  An all-ones ``conj`` keeps padding ones only in the empty
-        row, and that row is satisfiable anyway.
-        """
-        conjunctions = self._state(vmask).conjunctions
-        cached = conjunctions.get(matrix_id)
-        if cached is not None:
-            return cached
-        table = self._slot_des[matrix_id]
-        out = np.empty((self._row_count(vmask), table.shape[1]), dtype=table.dtype)
-        for rows, members in self._members(vmask):
-            piece = out[rows]
-            piece[:] = table[-1]
-            for column in members:
-                piece &= table[column]
-        conjunctions[matrix_id] = out
-        return out
+    def _component_keys(self, conj: list[np.ndarray], masks: np.ndarray) -> np.ndarray:
+        """One byte row per component, equal exactly when the components
+        are: its conjunctions' bytes up to the last valuation, and its
+        variable mask."""
+        parts = [c.view(np.uint8)[:, :size] for c, size in zip(conj, self.row_bytes)]
+        return np.hstack(parts + [masks.reshape(-1, 1).view(np.uint8)])
 
     # -- tree evaluation -----------------------------------------------------
 
     def _leaf_real(
-        self, matrix_ids: tuple[int, ...], vmask: int, chunk: tuple[int, ...]
+        self, matrix_ids: tuple[int, ...], vmask: int, chunk: tuple[int, ...], space
     ) -> np.ndarray:
-        """Bit i of each premise row: the leaf's answer for class ``chunk[i]``.
+        """Bit i of each state: the leaf's answer for class ``chunk[i]``.
 
-        In one matrix a row entails a class when every valuation that
-        designates all the row's members designates the class too.  The
-        bits are built and ANDed across the leaf's matrices on vmask's row
-        space, then expanded to every premise row once.
+        In one matrix a set entails a class when every valuation that
+        designates all its members designates the class too.  The bits are
+        built and ANDed across the leaf's matrices on the components at
+        vmask, then read for every state.
+
+        Packed rows carry padding bits past the last valuation.  They are 0
+        in every row, the empty set's component included, so they never
+        change an answer or tell two components apart.
         """
-        tables = [
-            (self._leaf_conjunction(m, vmask), self.rep_not_packed[m])
-            for m in matrix_ids
-        ]
-        held = np.empty(len(tables[0][0]), dtype=np.uint8)
-        for rows in _slices(len(held)):
-            fails = np.zeros(rows.stop - rows.start, dtype=np.uint8)
-            for conj, rep_not in tables:
-                piece = conj[rows]
-                for bit, target in enumerate(chunk):
-                    bad = _nonzero_rows(piece & rep_not[target])
-                    fails |= bad.view(np.uint8) << np.uint8(bit)
-            np.invert(fails, out=held[rows])
-        return self._expand(held, vmask)
+        comps = self.components(vmask)
+        fails = np.zeros(len(comps.vmask), dtype=np.uint8)
+        for m in matrix_ids:
+            conj, rep_not = comps.conj[m], self.rep_not_packed[m]
+            for bit, target in enumerate(chunk):
+                bad = _nonzero_rows(conj & rep_not[target])
+                fails |= bad.view(np.uint8) << np.uint8(bit)
+        return np.invert(fails).take(space.ids[vmask])
 
-    def _leaf_fresh(self, matrix_ids: tuple[int, ...], vmask: int):
-        conjs = [
-            self._leaf_conjunction(m, vmask)
-            for m in matrix_ids
-            if not self.all_designated[m]
-        ]
-        if not conjs:
-            return np.full(self.n_premise_rows, 0xFF, dtype=np.uint8)
-        ok = np.empty(len(conjs[0]), dtype=np.uint8)
-        for rows in _slices(len(ok)):
-            satisfiable = _nonzero_rows(conjs[0][rows])
-            for conj in conjs[1:]:
-                satisfiable |= _nonzero_rows(conj[rows])
-            ok[rows] = _byte_mask(~satisfiable)
-        return self._expand(ok, vmask)
-
-    def fresh_answers(self, tree, vmask: int) -> np.ndarray:
+    def fresh_answers(self, tree, vmask: int, space: _StateSpace) -> np.ndarray:
         """Answers for a conclusion variable foreign to the whole fragment.
 
-        One byte per premise row, 0xFF or 0x00, so it serves every class of
-        a chunk at once.  The result is cached and may be a read-only
-        broadcast (see :meth:`_expand`): never write into it.
+        One byte per state, 0xFF or 0x00, so it serves every class of a
+        chunk at once.  The result is cached on ``space``: never write into
+        it.
         """
-        fresh = self._state(vmask).fresh
-        cached = fresh.get(tree)
+        cached = space.fresh.get((tree, vmask))
         if cached is not None:
             return cached
         tag = tree[0]
         if tag == "leaf":
-            out = self._leaf_fresh(tree[1], vmask)
+            comps = self.components(vmask)
+            satisfiable = np.zeros(len(comps.vmask), dtype=bool)
+            for m in tree[1]:
+                if not self.all_designated[m]:
+                    satisfiable |= _nonzero_rows(comps.conj[m])
+            out = _byte_mask(~satisfiable).take(space.ids[vmask])
         elif tag == "l":
-            out = self.fresh_answers(tree[1], 0)
+            out = self.fresh_answers(tree[1], 0, space)
         elif tag == "r":
-            out = self.fresh_answers(tree[1], vmask)
+            out = self.fresh_answers(tree[1], vmask, space)
         else:
-            out = self.fresh_answers(tree[1][0], vmask) & self.fresh_answers(
-                tree[1][1], vmask
+            out = self.fresh_answers(tree[1][0], vmask, space) & self.fresh_answers(
+                tree[1][1], vmask, space
             )
-        fresh[tree] = out
+        space.fresh[(tree, vmask)] = out
         return out
 
     def chunks(self) -> list[tuple[int, ...]]:
         """Conclusion classes grouped by variable mask, at most 8 per group.
 
         Classes ascend within a group.  Groups of one mask follow each
-        other, and masks come in the order of their first class.  So a
-        mask's chunks are walked in one stretch, after which only the full
-        mask and 0 of its state are read again (see the class docstring).
+        other, and masks come in the order of their first class, so one
+        mask's state space serves all its chunks in one stretch.
         """
         by_mask: dict[int, list[int]] = {}
         for target, tmask in enumerate(self.rep_mask.tolist()):
@@ -737,61 +780,55 @@ class _VectorContext:
             for i in range(0, len(targets), 8)
         ]
 
-    def chunk_answers(self, tree, chunk: tuple[int, ...], memo: dict) -> np.ndarray:
+    def chunk_answers(
+        self, tree, chunk: tuple[int, ...], space: _StateSpace, memo: dict
+    ) -> np.ndarray:
         """Answers of ``tree`` for a chunk of conclusion classes.
 
-        One ``uint8`` per premise row; bit i answers class ``chunk[i]``, and
-        bits past the chunk's length are meaningless.  ``chunk`` comes from
-        :meth:`chunks`, so its classes share one variable mask.  ``memo``
-        holds the answers of every (subtree, premise mask) walked for this
-        chunk; pass the same dict for every tree walked for it.
+        One ``uint8`` per state of ``space``, the state space of the chunk's
+        mask; bit i answers class ``chunk[i]``, and bits past the chunk's
+        length are meaningless.  ``chunk`` comes from :meth:`chunks`, so its
+        classes share one variable mask.  ``memo`` holds the answers of
+        every (subtree, premise mask) walked for this chunk; pass the same
+        dict for every tree walked for it.
         """
-        return self._walk(tree, self.full_mask, chunk, self.chunk_mask(chunk), memo)
+        return self._walk(tree, self.full_mask, chunk, space, memo)
 
     def chunk_mask(self, chunk: tuple[int, ...]) -> int:
         """The variable mask that every class of ``chunk`` shares."""
         return int(self.rep_mask[chunk[0]])
 
     def _walk(
-        self, node, vmask: int, chunk: tuple[int, ...], tmask: int, memo: dict
+        self, node, vmask: int, chunk: tuple[int, ...], space: _StateSpace, memo: dict
     ) -> np.ndarray:
         # A method, not a closure: a self-referencing nested function would
         # keep the memo's arrays alive until the cyclic collector runs.
-        # Memoized and cached answers may be read-only broadcasts (see
-        # ``_expand``), so each in-place step below writes into a new array.
+        # Memoized and cached answers are shared, so each in-place step
+        # below writes into a new array.
         key = (node, vmask)
         hit = memo.get(key)
         if hit is not None:
             return hit
         tag = node[0]
+        tmask = space.tmask
         if tag == "leaf":
-            out = self._leaf_real(node[1], vmask, chunk)
+            out = self._leaf_real(node[1], vmask, chunk, space)
         elif tag == "l":
-            out = self._walk(node[1], vmask & tmask, chunk, tmask, memo)
+            out = self._walk(node[1], vmask & tmask, chunk, space, memo)
         elif tag == "r":
-            out = _byte_mask((self._premise_mask(vmask) & tmask) == tmask)
-            out &= self._walk(node[1], vmask, chunk, tmask, memo)
-            out |= self.fresh_answers(node[1], vmask)
+            covered = (self.components(vmask).vmask & tmask) == tmask
+            out = _byte_mask(covered).take(space.ids[vmask])
+            out &= self._walk(node[1], vmask, chunk, space, memo)
+            out |= self.fresh_answers(node[1], vmask, space)
         else:
-            out = self._walk(node[1][0], vmask, chunk, tmask, memo) & self._walk(
-                node[1][1], vmask, chunk, tmask, memo
+            out = self._walk(node[1][0], vmask, chunk, space, memo) & self._walk(
+                node[1][1], vmask, chunk, space, memo
             )
         memo[key] = out
         return out
 
-    # -- decoding ------------------------------------------------------------
-
-    def premise_formulas(self, row: int) -> tuple[Formula, ...]:
-        for offset, size, combos in self.blocks:
-            if row < offset + len(combos):
-                ids = combos[row - offset]
-                return tuple(
-                    self.formulas[int(self.rep_index[c])] for c in ids
-                )
-        raise LatticeError(f"premise row {row} out of range")
-
-    def conclusion_formula(self, target: int) -> Formula:
-        return self.formulas[int(self.rep_index[target])]
+    def representative(self, c: int) -> Formula:
+        return self.formulas[int(self.rep_index[c])]
 
 
 # ---------------------------------------------------------------------------
@@ -810,12 +847,11 @@ def _vector_verdicts(
     Every oracle must be a tower over one signature.  The context covers
     the matrices of all pairs.  The outer loop runs over chunks of
     conclusion classes, so a subtree is walked once per chunk however many
-    pairs contain it.  After the last chunk of a mask, that mask's state is
-    retired.
-    Each chunk is tallied whole, per pair and side: the count of its
-    disagreeing (row, class) pairs, and at least its first
-    ``max_witnesses`` of them (see :func:`_tally`).  Each side's pairs are
-    then sorted and capped.
+    pairs contain it.  Each chunk is tallied per pair and side, and its
+    first ``max_witnesses`` disagreeing rows each give at least one pair, so
+    they hold its first ``max_witnesses`` pairs.  Each side's pairs are
+    sorted and capped, and once a side holds ``max_witnesses`` no chunk is
+    searched past the size of its last.
     """
     if not pairs:
         return []
@@ -828,17 +864,30 @@ def _vector_verdicts(
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
     for tmask, group in itertools.groupby(context.chunks(), context.chunk_mask):
+        space = None  # the last mask's states go before the next are built
+        space = _StateSpace(context, tmask)
         for chunk in group:
             memo: dict = {}
             in_chunk = np.uint8((1 << len(chunk)) - 1)
             for (tree_a, tree_b), count, sides in zip(trees, counts, found):
-                ans_a = context.chunk_answers(tree_a, chunk, memo)
-                ans_b = context.chunk_answers(tree_b, chunk, memo)
+                ans_a = context.chunk_answers(tree_a, chunk, space, memo)
+                ans_b = context.chunk_answers(tree_b, chunk, space, memo)
                 for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
-                    n_found, first = _tally(mine, other, in_chunk, chunk, max_witnesses)
-                    count[side] += n_found
-                    sides[side].extend(first)
-        context.retire(tmask)
+                    only = np.invert(other)
+                    only &= mine
+                    only &= in_chunk
+                    # Per size: each state's rows times its set bits.
+                    by_size = space.counts @ np.bitwise_count(only)
+                    count[side] += int(by_size.sum())
+                    sizes = np.flatnonzero(by_size).tolist()
+                    if not (sizes and max_witnesses):
+                        continue
+                    held = sides[side]
+                    if len(held) >= max_witnesses:
+                        held.sort()
+                        del held[max_witnesses:]
+                        sizes = [size for size in sizes if size <= held[-1][0]]
+                    held += space.witnesses(only, chunk, sizes, max_witnesses)
     return [
         _verdict(
             a, b, fragment, "vector",
@@ -849,76 +898,14 @@ def _vector_verdicts(
     ]
 
 
-def _popcount(bits: np.ndarray) -> int:
-    """Set bits in a contiguous ``uint8`` array: whole ``uint64`` words,
-    then the byte tail."""
-    whole = len(bits) - len(bits) % 8
-    total = int(np.bitwise_count(bits[:whole].view(np.uint64)).sum())
-    if whole < len(bits):
-        total += int(np.bitwise_count(bits[whole:]).sum())
-    return total
-
-
-def _tally(
-    mine: np.ndarray,
-    other: np.ndarray,
-    in_chunk: np.uint8,
-    chunk: tuple[int, ...],
-    cap: int,
-) -> tuple[int, list[tuple[int, int]]]:
-    """The ``(row, class)`` pairs of ``chunk`` whose bit is set in ``mine``
-    and clear in ``other``: how many there are, and at least the first
-    ``cap`` of them in ``(row, class)`` order.
-
-    Bits past the chunk's length are garbage, so ``in_chunk`` masks them
-    before anything is counted.  The count is one popcount per slice.  The
-    pairs are found by scanning for nonzero rows in a growing window and
-    taking every set bit of each row found, until ``cap`` pairs are held.
-    Classes ascend with their bits, so ``(row, bit)`` order is
-    ``(row, class)`` order.
-
-    A superset of the first ``cap`` pairs is all a caller needs: the
-    caller sorts every tally's pairs and keeps the first ``cap``.  Each of
-    those lies in some tally, and fewer than ``cap`` pairs of that tally
-    come before it, so it is among that tally's own first ``cap``.
-
-    Rows are read in slices of ``_SLICE_ROWS``, so the temporaries cover a
-    slice, never the whole premise-row set.
-    """
-    count = 0
-    pairs: list[tuple[int, int]] = []
-    for rows in _slices(len(mine)):
-        only = np.invert(other[rows])
-        only &= mine[rows]
-        only &= in_chunk
-        found = _popcount(only)
-        count += found
-        # A dense disagreement ends within the first small window; one
-        # flatnonzero over the whole slice would index every row of it.
-        start, window = 0, 64
-        while found and len(pairs) < cap and start < len(only):
-            stop = min(start + window, len(only))
-            # Each row found holds at least one pair.
-            hits = np.flatnonzero(only[start:stop])[: cap - len(pairs)] + start
-            for row, byte in zip(hits.tolist(), only[hits].tolist()):
-                pairs.extend(
-                    (rows.start + row, target)
-                    for bit, target in enumerate(chunk)
-                    if byte >> bit & 1
-                )
-                if len(pairs) >= cap:
-                    break
-            start, window = stop, 4 * window
-    return count, pairs
-
-
 def _decode_witnesses(
-    context: _VectorContext, found: list[tuple[int, int]], cap: int
+    context: _VectorContext, found: list[tuple[int, tuple, int]], cap: int
 ) -> list[Inference]:
     found.sort()
+    rep = context.representative
     return [
-        Inference(context.premise_formulas(row), context.conclusion_formula(target))
-        for row, target in found[:cap]
+        Inference(tuple(map(rep, members)), rep(target))
+        for _, members, target in found[:cap]
     ]
 
 

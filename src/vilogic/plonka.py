@@ -973,7 +973,18 @@ def load_system_file(path) -> DirectSystem:
 
 
 def dump_system_files(system: DirectSystem, directory, basename: str) -> Path:
-    """Write a system and its component matrices; returns the system path."""
+    """Write a system and its component matrices; returns the system path.
+
+    An index must read back as one token of every line it appears on and
+    name a file beside the system file, so it is refused before anything is
+    written if it is empty or holds whitespace, ``,``, ``#``, ``->``, ``:``
+    or a path separator.
+    """
+    for i in system.semilattice.indices:
+        if not i or any(c.isspace() for c in i) or any(
+            s in i for s in (",", "#", "->", ":", "/", "\\")
+        ):
+            raise MatrixFormatError(f"index {i!r} cannot be written to a system file")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"kind: {system.kind}"]

@@ -8,13 +8,25 @@ from typing import Iterable, Mapping, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from vilogic.formulas import Formula, app, substitute, var, vars_of_set
+from vilogic.formulas import (
+    Formula,
+    FragmentSpec,
+    app,
+    enumerate_fragment,
+    fragment_subsets,
+    substitute,
+    var,
+    vars_of_set,
+)
+from vilogic.lattice import Inference
 from vilogic.matrices import (
     FiniteAlgebra,
     FiniteMatrix,
     LogicOracle,
     MatrixError,
     MatrixOracle,
+    all_valuations,
+    evaluate,
 )
 from vilogic.plonka import DirectSystem, FiniteSemilattice, trivial_matrix
 from vilogic.presets import (
@@ -80,6 +92,54 @@ def explain_left_of_right(
             if vars_of_set(combo) == goal and base.entails(combo, conclusion):
                 return frozenset(combo)
     return None
+
+
+def tower_matrices(oracle: LogicOracle) -> list[FiniteMatrix]:
+    """Every matrix at the leaves of a matrix, left, right and meet tower."""
+    if isinstance(oracle, MatrixOracle):
+        return list(oracle.matrices)
+    if hasattr(oracle, "base"):
+        return tower_matrices(oracle.base)
+    return tower_matrices(oracle.first) + tower_matrices(oracle.second)
+
+
+def class_row_reference(
+    a: LogicOracle, b: LogicOracle, fragment: FragmentSpec, cap: int
+) -> tuple[tuple[int, int], tuple[Inference, ...], tuple[Inference, ...]]:
+    """The vector engine's counts and witnesses, by brute force at its
+    granularity: ``((ab, ba), witnesses_ab, witnesses_ba)``.
+
+    Formulas are grouped into classes by their variable set and their
+    designation under every valuation of the fragment variables in every
+    matrix of both towers; a class's representative is its first formula.
+    Premise sets of representatives come by size, then in ``combinations``
+    order, and both real oracles are asked about every representative
+    conclusion.  Each disagreement counts once; the first ``cap`` of each
+    way are kept in that order.
+    """
+    matrices = tower_matrices(a) + tower_matrices(b)
+    representatives: dict[tuple, Formula] = {}
+    for formula in enumerate_fragment(a.signature, fragment):
+        key = (formula.variables,) + tuple(
+            tuple(
+                evaluate(m.algebra, formula, valuation) in m.designated
+                for valuation in all_valuations(m.algebra, fragment.variables)
+            )
+            for m in matrices
+        )
+        representatives.setdefault(key, formula)
+    reps = tuple(representatives.values())
+    counts = [0, 0]
+    witnesses: tuple[list, list] = ([], [])
+    for premises in fragment_subsets(reps, fragment.max_premises):
+        for conclusion in reps:
+            in_a = a.entails(premises, conclusion)
+            if in_a != b.entails(premises, conclusion):
+                side = 0 if in_a else 1
+                counts[side] += 1
+                if len(witnesses[side]) < cap:
+                    witnesses[side].append(Inference(premises, conclusion))
+    return tuple(counts), tuple(witnesses[0]), tuple(witnesses[1])
 
 
 def homomorphism_counterexample(

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
+import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,6 @@ from vilogic.formulas import (
     FragmentSpec,
     Signature,
     enumerate_fragment,
-    fragment_subsets,
     parse_formula,
     var,
 )
@@ -39,8 +41,6 @@ from vilogic.matrices import (
     FiniteAlgebra,
     FiniteMatrix,
     MatrixOracle,
-    all_valuations,
-    evaluate,
 )
 from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
@@ -53,6 +53,8 @@ from vilogic.presets import (
     sigma_set,
 )
 from vilogic.transforms import derive_sequence, intersect
+
+from conftest import class_row_reference
 
 
 def P(text):
@@ -101,34 +103,6 @@ def test_one_step_towers_incomparable_with_exact_witnesses():
     assert verdict.engine == "vector"
 
 
-def _class_reference_counts(a, b, fragment, matrices):
-    """(ab, ba) disagreements counted per class pattern, as the vector
-    engine counts them, by direct evaluation and direct oracle queries.
-
-    Formulas are keyed by their variable set and by their designation under
-    every valuation of the fragment variables in every matrix; both oracles
-    are asked once per representative premise set and conclusion.
-    """
-    representatives = {}
-    for formula in enumerate_fragment(a.signature, fragment):
-        key = (formula.variables,) + tuple(
-            tuple(
-                evaluate(m.algebra, formula, valuation) in m.designated
-                for valuation in all_valuations(m.algebra, fragment.variables)
-            )
-            for m in matrices
-        )
-        representatives.setdefault(key, formula)
-    reps = tuple(representatives.values())
-    counts = [0, 0]
-    for premises in fragment_subsets(reps, fragment.max_premises):
-        for conclusion in reps:
-            in_a = a.entails(premises, conclusion)
-            if in_a != b.entails(premises, conclusion):
-                counts[0 if in_a else 1] += 1
-    return tuple(counts)
-
-
 def test_engines_agree_on_relation_and_first_witness():
     left = derive_sequence(CL, "l")
     right = derive_sequence(CL, "r")
@@ -142,9 +116,9 @@ def test_engines_agree_on_relation_and_first_witness():
     firsts_ba = {v.witnesses_ba[0] for v in by_engine.values()}
     assert len(firsts_ab) == 1
     assert len(firsts_ba) == 1
-    assert by_engine["vector"].disagreements == _class_reference_counts(
-        left, right, TINY, CL.matrices
-    )
+    assert by_engine["vector"].disagreements == class_row_reference(
+        left, right, TINY, 0
+    )[0]
 
 
 CL_B3 = MatrixOracle((b2_matrix(), b3_matrix()), label="CL+B3")
@@ -177,7 +151,7 @@ def test_vector_and_class_engines_count_alike_with_meet_towers(spec):
     separated = 0
     for a, b in pairs:
         vector = compare(towers[a], towers[b], spec, engine="vector")
-        expected = _class_reference_counts(towers[a], towers[b], spec, CL_B3.matrices)
+        expected = class_row_reference(towers[a], towers[b], spec, 0)[0]
         assert vector.disagreements == expected, (a, b)
         separated += any(vector.disagreements)
     assert separated
@@ -457,163 +431,6 @@ def test_build_lattice_verdicts_match_standalone_compare(base, label):
         assert report.verdicts[index].to_json() == alone.to_json(), (id_a, id_b)
 
 
-PROJECTION_CASES = pytest.mark.parametrize(
-    "matrices, fragment",
-    [
-        ((b2_matrix(),), DEFAULT_FRAGMENT),
-        ((b2_matrix(), b3_matrix()), DEFAULT_FRAGMENT),
-        # More premises than classes: rows stop at the class count.
-        ((b2_matrix(),), FragmentSpec(variables=("x",), max_depth=1, max_premises=4)),
-    ],
-    ids=["CL", "CL+B3", "CL-few-classes"],
-)
-# Tiny odd slices put slice boundaries inside every block, projection and
-# expansion.  At 5 rows each prefix row of a projection gets a slice of its
-# own; at 151 a slice holds several.
-TINY_SLICES = pytest.mark.parametrize("slice_rows", [5, 151])
-
-
-@PROJECTION_CASES
-def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
-    context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
-    n = context.n_classes
-    rows = []
-    for offset, size, block in context.blocks:
-        assert offset == len(rows)
-        expected = list(itertools.combinations(range(n), size))
-        assert block.dtype == np.min_scalar_type(n)
-        assert [tuple(row) for row in block.tolist()] == expected
-        rows.extend(expected)
-    assert len(rows) == context.n_premise_rows
-    assert rows[-1] == tuple(range(n - min(fragment.max_premises, n), n))
-
-    masks = context.rep_mask.tolist()
-    designated = [db[context.rep_index] for db in context.des_bool]
-    for vmask in range(context.full_mask + 1):
-        inside = {c for c in range(n) if masks[c] | vmask == vmask}
-        if vmask == context.full_mask:
-            # The identity: the row space is the premise rows themselves.
-            ids = range(len(rows))
-            decoded = rows
-        else:
-            slots, inverse = context._projection(vmask)
-            # No inverse exactly when no class lies inside: every row then
-            # projects to the one empty row.
-            assert (inverse is None) == (not inside)
-            if inverse is None:
-                ids = [0] * len(rows)
-            else:
-                assert inverse.dtype == np.int32
-                ids = inverse.tolist()
-            decoded = [
-                tuple(c for c in column if c != n) for column in slots.T.tolist()
-            ]
-        premise_mask = context._premise_mask(vmask).tolist()
-        id_of: dict[tuple, int] = {}
-        for row, row_id, row_mask in zip(rows, ids, premise_mask):
-            kept = tuple(c for c in row if c in inside)
-            # Rows share an id exactly when they keep the same members.
-            assert id_of.setdefault(kept, row_id) == row_id
-            bits = 0
-            for c in kept:
-                bits |= masks[c]
-            assert row_mask == bits
-        assert len(set(id_of.values())) == len(id_of) == len(decoded)
-        for kept, row_id in id_of.items():
-            assert decoded[row_id] == kept
-        # Leaf conjunctions: per row of the row space, the valuations that
-        # designate every member.
-        for matrix_id, table in enumerate(designated):
-            conj = context._leaf_conjunction(matrix_id, vmask)
-            assert len(conj) == len(decoded)
-            bits = np.unpackbits(conj.view(np.uint8), axis=1)[:, : table.shape[1]]
-            expected = np.array(
-                [np.logical_and.reduce(table[list(kept)], axis=0) for kept in decoded]
-            )
-            assert np.array_equal(bits.astype(bool), expected), (vmask, matrix_id)
-    assert context._masks[context.full_mask].projection is None
-
-
-@TINY_SLICES
-@PROJECTION_CASES
-def test_sliced_projections_match_the_set_reference(
-    monkeypatch, matrices, fragment, slice_rows
-):
-    monkeypatch.setattr(lattice_module, "_SLICE_ROWS", slice_rows)
-    test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
-
-
-# The per-class tower walk the vector engine ran before it walked chunks of
-# classes: one bool per premise row, one walk per conclusion class.
-
-
-def _reference_expand(context, values, vmask):
-    """Values on vmask's row space, one per premise row, by fancy indexing.
-
-    The full mask's row space is the premise rows themselves."""
-    if vmask == context.full_mask:
-        assert len(values) == context.n_premise_rows
-        return values
-    _, inverse = context._projection(vmask)
-    if inverse is None:
-        inverse = np.zeros(context.n_premise_rows, dtype=np.intp)
-    return values[inverse]
-
-
-def _reference_leaf_real(context, matrix_ids, vmask, target):
-    result = None
-    for matrix_id in matrix_ids:
-        conj = context._leaf_conjunction(matrix_id, vmask)
-        not_target = context.rep_not_packed[matrix_id][target]
-        bad = (conj & not_target).any(axis=1)
-        ok = _reference_expand(context, ~bad, vmask)
-        result = ok if result is None else (result & ok)
-    return result
-
-
-def _reference_fresh(context, tree, vmask):
-    tag = tree[0]
-    if tag == "l":
-        return _reference_fresh(context, tree[1], 0)
-    if tag == "r":
-        return _reference_fresh(context, tree[1], vmask)
-    if tag == "meet":
-        return _reference_fresh(context, tree[1][0], vmask) & _reference_fresh(
-            context, tree[1][1], vmask
-        )
-    result = None
-    for matrix_id in tree[1]:
-        if context.all_designated[matrix_id]:
-            ok = np.ones(context.n_premise_rows, dtype=bool)
-        else:
-            conj = context._leaf_conjunction(matrix_id, vmask)
-            ok = _reference_expand(context, ~conj.any(axis=1), vmask)
-        result = ok if result is None else (result & ok)
-    return result
-
-
-def _reference_walk(context, node, vmask, target, tmask, memo):
-    key = (node, vmask)
-    if key in memo:
-        return memo[key]
-    tag = node[0]
-    if tag == "leaf":
-        out = _reference_leaf_real(context, node[1], vmask, target)
-    elif tag == "l":
-        out = _reference_walk(context, node[1], vmask & tmask, target, tmask, memo)
-    elif tag == "r":
-        covered = (context._premise_mask(vmask) & tmask) == tmask
-        out = (
-            covered & _reference_walk(context, node[1], vmask, target, tmask, memo)
-        ) | _reference_fresh(context, node[1], vmask)
-    else:
-        out = _reference_walk(
-            context, node[1][0], vmask, target, tmask, memo
-        ) & _reference_walk(context, node[1][1], vmask, target, tmask, memo)
-    memo[key] = out
-    return out
-
-
 def _boolean_ring_matrix():
     """Two elements, ``and`` as conjunction, ``or`` as exclusive or, ``not``
     as the identity.  Over x, y at depth 2 the formulas using both variables
@@ -639,6 +456,7 @@ def _constant_matrix():
 
 
 XY2 = FragmentSpec(variables=("x", "y"), max_depth=2, max_premises=2)
+XY2_3 = FragmentSpec(variables=("x", "y"), max_depth=2, max_premises=3)
 XYZ1 = FragmentSpec(variables=("x", "y", "z"), max_depth=1, max_premises=2)
 CHUNK_CASES = {
     # name: (matrices, fragment, mask group sizes)
@@ -649,6 +467,172 @@ CHUNK_CASES = {
     "ring": ((_boolean_ring_matrix(),), XY2, [2, 2, 8]),
     "CL[and,or]": ((b2_and_or_matrix(),), XY2, [1, 1, 4]),
 }
+
+StateSpace = lattice_module._StateSpace
+
+
+# The set reference for the state engine: every premise row as a tuple of
+# class ids, in the engine's row order, and its component at a mask computed
+# from its members: the AND of their designation rows inside the mask, per
+# matrix, and the OR of their variable masks.
+
+
+def _reference_rows(context):
+    return [
+        row
+        for size in range(context.max_size + 1)
+        for row in itertools.combinations(range(context.n_classes), size)
+    ]
+
+
+def _reference_component(context, row, vmask):
+    masks = context.rep_mask.tolist()
+    kept = [c for c in row if masks[c] | vmask == vmask]
+    union = 0
+    for c in kept:
+        union |= masks[c]
+    conj = tuple(
+        tuple(np.logical_and.reduce(db[context.rep_index[kept]], axis=0).tolist())
+        for db in context.des_bool
+    )
+    return conj, union
+
+
+def _engine_component(context, vmask, comp):
+    comps = context.components(vmask)
+    conj = []
+    for m, db in enumerate(context.des_bool):
+        bits = np.unpackbits(comps.conj[m][comp].view(np.uint8))[: db.shape[1]]
+        conj.append(tuple(bits.astype(bool).tolist()))
+    return tuple(conj), int(comps.vmask[comp])
+
+
+def _row_states(context, space):
+    """Every premise row and the state it lands on, found by value: the
+    state whose components at F, t and 0 equal the row's own."""
+    for vmask in space.ids:
+        values = [
+            _engine_component(context, vmask, comp)
+            for comp in range(len(context.components(vmask).vmask))
+        ]
+        assert len(set(values)) == len(values), vmask
+    state_of = {}
+    for state in range(len(space.keys)):
+        value = tuple(
+            _engine_component(context, vmask, int(ids[state]))
+            for vmask, ids in space.ids.items()
+        )
+        assert state_of.setdefault(value, state) == state
+    rows = _reference_rows(context)
+    states = [
+        state_of[tuple(_reference_component(context, row, vmask) for vmask in space.ids)]
+        for row in rows
+    ]
+    return rows, states
+
+
+PROJECTION_CASES = pytest.mark.parametrize(
+    "matrices, fragment",
+    [
+        ((b2_matrix(),), XY2_3),
+        ((b2_matrix(), b3_matrix()), XY2_3),
+        # More premises than classes: rows stop at the class count.
+        ((b2_matrix(),), FragmentSpec(variables=("x",), max_depth=1, max_premises=4)),
+    ],
+    ids=["CL", "CL+B3", "CL-few-classes"],
+)
+# Tiny odd blocks put block boundaries inside every level of the count DP
+# and of the component build.  At 5 entries a block holds one frontier
+# component and a few extensions; at 151 it holds several groups' rows.
+TINY_SLICES = pytest.mark.parametrize("slice_rows", [5, 151])
+
+
+@PROJECTION_CASES
+def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
+    # For every conclusion mask t, every premise row lands on the state whose
+    # components at F, t and 0 are the row's own; states and components are
+    # distinct by value, every state is reached, and the counts per size
+    # are the rows'.
+    context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
+    n = context.n_classes
+    assert context.n_premise_rows == sum(
+        math.comb(n, size) for size in range(context.max_size + 1)
+    )
+    for tmask in sorted(set(context.rep_mask.tolist())):
+        space = StateSpace(context, tmask)
+        assert list(space.ids) == list(dict.fromkeys((context.full_mask, tmask, 0)))
+        rows, states = _row_states(context, space)
+        expected = np.zeros_like(space.counts)
+        for row, state in zip(rows, states):
+            expected[len(row), state] += 1
+        assert np.array_equal(space.counts, expected), tmask
+        assert space.counts.any(axis=0).all()
+
+
+@TINY_SLICES
+@PROJECTION_CASES
+def test_sliced_projections_match_the_set_reference(
+    monkeypatch, matrices, fragment, slice_rows
+):
+    monkeypatch.setattr(lattice_module, "_GROW_BLOCK", slice_rows)
+    test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
+
+
+# The per-class tower walk on premise rows: one bool per row, one walk per
+# conclusion class, on the rows' own components.
+
+
+def _reference_arrays(context, rows, vmask):
+    """Per row: its conjunction at vmask per matrix, as a (rows, valuations)
+    bool array, and its premise mask."""
+    masks = context.rep_mask.tolist()
+    conj = [np.ones((len(rows), db.shape[1]), dtype=bool) for db in context.des_bool]
+    premise_mask = np.zeros(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c in row:
+            if masks[c] | vmask == vmask:
+                premise_mask[i] |= masks[c]
+                for table, db in zip(conj, context.des_bool):
+                    table[i] &= db[context.rep_index[c]]
+    return conj, premise_mask
+
+
+def _reference_fresh(context, arrays, tree, vmask):
+    tag = tree[0]
+    if tag == "l":
+        return _reference_fresh(context, arrays, tree[1], 0)
+    if tag == "r":
+        return _reference_fresh(context, arrays, tree[1], vmask)
+    if tag == "meet":
+        return _reference_fresh(context, arrays, tree[1][0], vmask) & _reference_fresh(
+            context, arrays, tree[1][1], vmask
+        )
+    conj, _ = arrays(vmask)
+    return np.logical_and.reduce([
+        np.ones(len(conj[m]), dtype=bool)
+        if context.all_designated[m] else ~conj[m].any(axis=1)
+        for m in tree[1]
+    ])
+
+
+def _reference_walk(context, arrays, node, vmask, target, tmask):
+    tag = node[0]
+    if tag == "leaf":
+        conj, _ = arrays(vmask)
+        designated = [db[context.rep_index[target]] for db in context.des_bool]
+        return np.logical_and.reduce(
+            [~(conj[m] & ~designated[m]).any(axis=1) for m in node[1]]
+        )
+    if tag == "l":
+        return _reference_walk(context, arrays, node[1], vmask & tmask, target, tmask)
+    if tag == "r":
+        covered = (arrays(vmask)[1] & tmask) == tmask
+        return (
+            covered & _reference_walk(context, arrays, node[1], vmask, target, tmask)
+        ) | _reference_fresh(context, arrays, node[1], vmask)
+    return _reference_walk(
+        context, arrays, node[1][0], vmask, target, tmask
+    ) & _reference_walk(context, arrays, node[1][1], vmask, target, tmask)
 
 
 @pytest.mark.parametrize("name", list(CHUNK_CASES))
@@ -682,24 +666,35 @@ def test_chunked_walk_matches_the_per_class_walk(name):
     if name == "constant":
         assert 0 in groups
 
-    for chunk in chunks:
-        tmask = masks[chunk[0]]
-        memo = {}
-        for tree in trees:
-            bits = context.chunk_answers(tree, chunk, memo)
-            assert bits.dtype == np.uint8 and bits.shape == (context.n_premise_rows,)
-            for bit, target in enumerate(chunk):
-                expected = _reference_walk(
-                    context, tree, context.full_mask, target, tmask, {}
-                )
-                got = (bits >> bit) & 1 == 1
-                assert np.array_equal(got, expected), (tree, target)
+    rows = _reference_rows(context)
+    cache: dict[int, tuple] = {}
+
+    def arrays(vmask):
+        if vmask not in cache:
+            cache[vmask] = _reference_arrays(context, rows, vmask)
+        return cache[vmask]
+
+    for tmask, group in groups.items():
+        space = StateSpace(context, tmask)
+        _, states = _row_states(context, space)
+        for chunk in group:
+            memo = {}
+            for tree in trees:
+                bits = context.chunk_answers(tree, chunk, space, memo)
+                assert bits.dtype == np.uint8 and bits.shape == (len(space.keys),)
+                per_row = bits[states]
+                for bit, target in enumerate(chunk):
+                    expected = _reference_walk(
+                        context, arrays, tree, context.full_mask, target, tmask
+                    )
+                    got = (per_row >> bit) & 1 == 1
+                    assert np.array_equal(got, expected), (tree, target)
 
 
 @TINY_SLICES
 @pytest.mark.parametrize("name", list(CHUNK_CASES))
 def test_sliced_chunked_walk_matches_the_per_class_walk(monkeypatch, name, slice_rows):
-    monkeypatch.setattr(lattice_module, "_SLICE_ROWS", slice_rows)
+    monkeypatch.setattr(lattice_module, "_GROW_BLOCK", slice_rows)
     test_chunked_walk_matches_the_per_class_walk(name)
 
 
@@ -707,7 +702,7 @@ def test_sliced_chunked_walk_matches_the_per_class_walk(monkeypatch, name, slice
     "base, fragment",
     [
         (CL_B3, DEFAULT_FRAGMENT),
-        # Classes of mask 0, walked last: their state must outlive the walk.
+        # Classes of mask 0, walked last.
         (MatrixOracle((_constant_matrix(),), label="constant"), TINY),
     ],
     ids=["CL+B3", "constant"],
@@ -715,8 +710,10 @@ def test_sliced_chunked_walk_matches_the_per_class_walk(monkeypatch, name, slice
 def test_vector_walk_projects_each_mask_once_and_retires_it(
     monkeypatch, base, fragment
 ):
-    # A chunk of mask t reads only the full mask, t and 0, so once the walk
-    # has left t nothing may keep t's arrays alive or build them again.
+    # A chunk of mask t reads only the masks F, t and 0, and the chunks of
+    # one mask are walked in one stretch.  So every mask's components are
+    # built once, every conclusion mask's state space is built once, and
+    # each is gone, without the cyclic collector, before the next is built.
     oracles = [
         derive_sequence(base, "".join(seq))
         for length in range(4)
@@ -724,175 +721,138 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
     ]
     meet = intersect(derive_sequence(base, "lr"), derive_sequence(base, "rl"))
     pairs = [(oracle, meet) for oracle in oracles]
-    arrays: dict[tuple, weakref.ref] = {}
-    builds: dict[int, int] = {}
+    spaces: list[weakref.ref] = []
     walked: list[int] = []
     contexts: list[_VectorContext] = []
+    builds: list[int] = []
+    original_init = StateSpace.__init__
 
-    def tracked(name, key_of, array_of):
+    def init(self, context, tmask):
+        assert all(ref() is None for ref in spaces), tmask
+        original_init(self, context, tmask)
+        spaces.append(weakref.ref(self))
+        walked.append(tmask)
+        contexts.append(context)
+
+    monkeypatch.setattr(StateSpace, "__init__", init)
+    for name in ("_full_components", "_restricted_components"):
         original = getattr(_VectorContext, name)
 
-        def wrapper(self, *args):
-            result = original(self, *args)
-            key = (name,) + key_of(*args)
-            seen = arrays.get(key)
-            if seen is None or seen() is not array_of(result):
-                if name == "_projection":
-                    builds[key[1]] = builds.get(key[1], 0) + 1
-                arrays[key] = weakref.ref(array_of(result))
-            return result
+        def build(self, *args, _original=original):
+            builds.append(args[0] if args else self.full_mask)
+            return _original(self, *args)
 
-        monkeypatch.setattr(_VectorContext, name, wrapper)
-
-    # A projection is tracked by its slots: a mask with no class inside
-    # has no inverse.
-    tracked("_projection", lambda vmask: (vmask,), lambda r: r[0])
-    tracked("_premise_mask", lambda vmask: (vmask,), lambda r: r)
-    tracked("_leaf_conjunction", lambda m, vmask: (vmask, m), lambda r: r)
-    original_answers = _VectorContext.chunk_answers
-
-    def chunk_answers(self, tree, chunk, memo):
-        result = original_answers(self, tree, chunk, memo)
-        tmask = int(self.rep_mask[chunk[0]])
-        if not walked or walked[-1] != tmask:
-            walked.append(tmask)
-            contexts.append(self)
-        alive = {key[1] for key, ref in arrays.items() if ref() is not None}
-        assert alive <= {0, self.full_mask, tmask}, (tmask, alive)
-        return result
-
-    monkeypatch.setattr(_VectorContext, "chunk_answers", chunk_answers)
-    verdicts = lattice_module._vector_verdicts(pairs, fragment, 3)
-    assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
-    # Every conclusion mask is walked in one stretch, every mask but the
-    # full one is projected once, the full mask never, and afterwards only
-    # the full mask and 0 hold state.
+        monkeypatch.setattr(_VectorContext, name, build)
+    gc.disable()
+    try:
+        verdicts = lattice_module._vector_verdicts(pairs, fragment, 3)
+        assert spaces[-1]() is None
+    finally:
+        gc.enable()
     context = contexts[0]
-    assert sorted(walked) == sorted(set(context.rep_mask.tolist()))
-    assert builds == {vmask: 1 for vmask in range(context.full_mask)}
-    assert set(context._masks) == {0, context.full_mask}
-    assert context._masks[context.full_mask].projection is None
+    assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
+    assert walked == list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
+    assert sorted(builds) == sorted(set(walked) | {0, context.full_mask})
 
 
-def test_vector_context_temporaries_stay_within_two_slices():
-    # Traced bytes a projection, a row-space build or a tally allocates
-    # beyond what is live when it returns.  Before rows were sliced, a
-    # projection here allocated 23.9 MB over its 4.9 MB output; sliced, the
-    # largest is 2.4 MB, an expansion's ``intp`` copy of one slice of
-    # ``inverse``.  A tally over whole rows built two row-sized bytes per
-    # class and, where every row disagrees, 9.8 MB of row indices.
+def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
+    # Traced bytes that building components or a state space, or searching
+    # its witnesses, allocates beyond what is live when it returns.  Their
+    # work grows with the premise rows, but it is done in blocks of
+    # ``_GROW_BLOCK`` entries: at premises=4 (1.2 M rows), with blocks of
+    # 4096, the largest is 0.9 MB (a state space's build), where one
+    # row-sized int64 array is 9.7 MB.
+    monkeypatch.setattr(lattice_module, "_GROW_BLOCK", 1 << 12)
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
     context = _VectorContext(CL.signature, spec, (b2_matrix(),))
-    bound = 2 * lattice_module._SLICE_ROWS * np.dtype(np.intp).itemsize
-    assert context.n_premise_rows > 4 * lattice_module._SLICE_ROWS
-    chunk = context.chunks()[0]
-    leaf = ("leaf", (0,))
-    in_chunk = np.uint8((1 << len(chunk)) - 1)
-    every_row = np.full(context.n_premise_rows, in_chunk, dtype=np.uint8)
-    no_row = np.zeros_like(every_row)
+    bound = 2 << 20
+    assert context.n_premise_rows * 8 > 4 * bound
 
     def temporaries(method, *args):
         tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
         result = method(*args)
         live, peak = tracemalloc.get_traced_memory()
-        del result
-        return peak - live
+        return result, peak - max(before, live)
 
     tracemalloc.start()
     try:
-        for vmask in range(context.full_mask + 1):
-            steps = [
-                (context._premise_mask, vmask),
-                (context._leaf_conjunction, 0, vmask),
-                (context._leaf_real, (0,), vmask, chunk),
-                (context.fresh_answers, leaf, vmask),
-            ]
-            if vmask != context.full_mask:
-                steps.insert(0, (context._projection, vmask))
-            for method, *args in steps:
-                assert temporaries(method, *args) < bound, (method.__name__, vmask)
-        tally = (lattice_module._tally, every_row, no_row, in_chunk, chunk, 5)
-        assert temporaries(*tally) < bound
+        masks = sorted(set(context.rep_mask.tolist()) | {0})
+        for vmask in sorted(masks, reverse=True):
+            _, extra = temporaries(context.components, vmask)
+            assert extra < bound, ("components", vmask, extra)
+        for chunk in context.chunks():
+            space, extra = temporaries(StateSpace, context, context.chunk_mask(chunk))
+            assert extra < bound, ("states", chunk, extra)
+            every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
+            sizes = range(context.max_size + 1)
+            found, extra = temporaries(space.witnesses, every, chunk, sizes, 5)
+            assert extra < bound, ("witnesses", chunk, extra)
+            # Every (row, class) pair disagrees: the first rows are the empty
+            # set and the first four classes, each with the whole chunk.
+            first = [(), (0,), (1,), (2,), (3,)]
+            assert found == [(len(row), row, c) for row in first for c in chunk]
     finally:
         tracemalloc.stop()
-    # Every (row, class) pair disagrees; the slices' row numbers are offset
-    # back to whole-row numbers.
-    count, pairs = tally[0](*tally[1:])
-    assert count == len(chunk) * context.n_premise_rows
-    assert sorted(pairs)[:5] == sorted(itertools.product(range(5), chunk))[:5]
-    # The full mask's projection would be the identity: it is never built.
-    assert context._masks[context.full_mask].projection is None
 
 
-# The per-class tally the vector engine ran before it tallied whole chunks:
-# per class of the chunk, its disagreement count and its first ``cap`` rows.
+# Tallies and witness searches on random disagreements over real state
+# spaces, checked row by row against the set reference.
+
+TALLY_CASES = {
+    "CL": ((b2_matrix(),), XY2_3),
+    "constant": ((_constant_matrix(),), FragmentSpec(("x", "y"), 1, 3)),
+}
 
 
-def _reference_tally(mine, other, in_chunk, chunk, cap):
-    counts = [0] * len(chunk)
-    first: list[list[int]] = [[] for _ in chunk]
-    for rows in lattice_module._slices(len(mine)):
-        only = mine[rows] & (other[rows] ^ in_chunk)
-        if not only.any():
-            continue
-        hit = np.empty_like(only)
-        for bit, kept in enumerate(first):
-            np.right_shift(only, np.uint8(bit), out=hit)
-            hit &= np.uint8(1)
-            if len(kept) < cap:
-                found = np.flatnonzero(hit.view(bool))
-                counts[bit] += len(found)
-                kept.extend((found[: cap - len(kept)] + rows.start).tolist())
-            else:
-                counts[bit] += int(np.count_nonzero(hit))
-    return [(target, counts[bit], first[bit]) for bit, target in enumerate(chunk)]
+@functools.lru_cache(maxsize=None)
+def _tally_context(name):
+    matrices, fragment = TALLY_CASES[name]
+    return _VectorContext(matrices[0].algebra.signature, fragment, matrices)
+
+
+@functools.lru_cache(maxsize=None)
+def _tally_space(name, tmask):
+    context = _tally_context(name)
+    space = StateSpace(context, tmask)
+    return space, _row_states(context, space)
 
 
 @st.composite
 def tally_inputs(draw):
-    """Answer bytes for one chunk, garbage in the bits past its length.
-
-    A row disagrees (has some chunk bit set in ``mine`` and clear in
-    ``other``) with the drawn density; every other row agrees on the chunk.
-    """
-    length = draw(st.integers(1, 8))
-    chunk = tuple(sorted(draw(
-        st.lists(st.integers(0, 60), min_size=length, max_size=length, unique=True)
-    )))
-    n_rows = draw(st.integers(0, 600))
+    """A context, one of its chunks and a disagreement density."""
+    name = draw(st.sampled_from(sorted(TALLY_CASES)))
+    chunk = draw(st.sampled_from(_tally_context(name).chunks()))
     density = draw(st.sampled_from([0.0, 0.005, 0.05, 0.3, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    in_chunk = np.uint8((1 << length) - 1)
-    mine = rng.integers(0, 256, n_rows, dtype=np.uint8)
-    other = rng.integers(0, 256, n_rows, dtype=np.uint8)
-    disagree = rng.random(n_rows) < density
-    other[~disagree] |= mine[~disagree] & in_chunk
-    bit = np.left_shift(1, rng.integers(0, length, n_rows)).astype(np.uint8)
-    mine[disagree] |= bit[disagree]
-    other[disagree] &= ~bit[disagree]
-    return mine, other, in_chunk, chunk
+    return name, chunk, density, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    inputs=tally_inputs(),
-    cap=st.integers(0, 6),
-    slice_rows=st.sampled_from([1, 3, 7, 13, 257, 511]),
-)
-def test_whole_chunk_tally_matches_the_per_class_tally(inputs, cap, slice_rows):
-    mine, other, in_chunk, chunk = inputs
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lattice_module, "_SLICE_ROWS", slice_rows)
-        count, pairs = lattice_module._tally(mine, other, in_chunk, chunk, cap)
-        reference = _reference_tally(mine, other, in_chunk, chunk, cap)
-    assert count == sum(n for _, n, _ in reference)
-    merged = sorted((row, target) for target, _, rows in reference for row in rows)
-    assert sorted(pairs)[:cap] == merged[:cap]
-    # Every pair returned is a real disagreement, returned once.
-    assert len(set(pairs)) == len(pairs)
-    for row, target in pairs:
-        bit = chunk.index(target)
-        assert mine[row] >> bit & 1 and not other[row] >> bit & 1
+@settings(max_examples=200, deadline=None)
+@given(inputs=tally_inputs(), cap=st.integers(0, 6))
+def test_whole_chunk_tally_matches_the_per_class_tally(inputs, cap):
+    # Each state disagrees with the drawn density, on random bits of the
+    # chunk.  The count is each row's disagreeing bits summed over the rows;
+    # the witnesses are every pair of the first ``cap`` disagreeing rows, in
+    # row order.
+    name, chunk, density, seed = inputs
+    context = _tally_context(name)
+    space, (rows, states) = _tally_space(name, context.chunk_mask(chunk))
+    rng = np.random.default_rng(seed)
+    in_chunk = np.uint8((1 << len(chunk)) - 1)
+    only = rng.integers(0, 256, len(space.keys), dtype=np.uint8) & in_chunk
+    only[rng.random(len(only)) >= density] = 0
+    by_size = space.counts @ np.bitwise_count(only)
+    assert int(by_size.sum()) == sum(int(only[state]).bit_count() for state in states)
+    bad_rows = [(row, state) for row, state in zip(rows, states) if only[state]]
+    sizes = np.flatnonzero(by_size).tolist()
+    assert sizes == sorted({len(row) for row, _ in bad_rows})
+    expected = [
+        (len(row), row, target)
+        for row, state in bad_rows[:cap]
+        for bit, target in enumerate(chunk)
+        if only[state] >> bit & 1
+    ]
+    assert space.witnesses(only, chunk, sizes, cap) == expected
 
 
 # The designation table as it was built before formulas were evaluated in
@@ -946,13 +906,17 @@ def test_designation_bools_match_the_per_formula_build(name, variables, depth):
 
 
 def test_a_mask_with_no_class_inside_expands_to_one_broadcast_value():
-    # Over CL every class has a variable, so every premise row projects to
-    # the empty row at mask 0: its answers are one value, not a row copy.
+    # Over CL every class has a variable, so at mask 0 every premise row has
+    # the empty set's component: one component that no class moves, read by
+    # every state, and its answers are one value over all states.
     context = _VectorContext(CL.signature, TINY, (b2_matrix(),))
-    assert context._projection(0)[1] is None
-    for expanded in (context._premise_mask(0), context.fresh_answers(("leaf", (0,)), 0)):
-        assert expanded.shape == (context.n_premise_rows,)
-        assert expanded.strides == (0,) and not expanded.flags.writeable
+    zero = context.components(0)
+    assert len(zero.vmask) == 1 and not zero.trans.any()
+    for tmask in set(context.rep_mask.tolist()):
+        space = StateSpace(context, tmask)
+        assert len(space.keys) > 1 and not space.ids[0].any()
+        fresh = context.fresh_answers(("leaf", (0,)), 0, space)
+        assert fresh.shape == (len(space.keys),) and len(set(fresh.tolist())) == 1
 
 
 def test_compare_at_four_premises_matches_pinned_scale_reference():
@@ -965,6 +929,140 @@ def test_compare_at_four_premises_matches_pinned_scale_reference():
     for a, b in (("lr", "rl"), ("rlr", "meet(lr,rl)")):
         verdict = compare(towers[a], towers[b], spec)
         assert verdict.to_json() == expected[f"{a} vs {b}"], (a, b)
+
+
+def test_lr_against_rl_at_five_premises_keeps_the_witnesses_of_three_and_four():
+    # 17.3 M premise rows; the row engine gave exactly this verdict in 3.7 s.
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=5)
+    refs = json.loads((REFS / "scale.json").read_text(encoding="utf-8"))
+    verdict = compare(derive_sequence(CL, "lr"), derive_sequence(CL, "rl"), spec)
+    assert verdict.relation == "incomparable"
+    assert verdict.disagreements == (67_036_254, 1_934_436)
+    got = verdict.to_json()
+    for premises in (3, 4):
+        pinned = refs[f"vars=x,y,z;depth=2;premises={premises}"]["lr vs rl"]
+        for key in ("witnesses_only_in_a", "witnesses_only_in_b"):
+            assert got[key] == pinned[key], (premises, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(CHUNK_CASES)), random_matrices()),
+    st.integers(2, 3),
+    TOWERS_UP_TO_3,
+    TOWERS_UP_TO_3,
+    st.one_of(st.none(), TOWERS_UP_TO_3),
+    st.text(alphabet="lr", max_size=2),
+)
+@example("CL", 3, "lr", "rl", None, "")
+@example("CL+B3", 3, "rl", "r", "l", "r")
+@example("chain-5", 3, "l", "rl", "lr", "l")
+@example("constant", 3, "rl", "lr", "rl", "r")
+@example("ring", 3, "r", "l", None, "")
+@example("CL[and,or]", 3, "lr", "", "l", "r")
+@example("CL", 2, "rl", "", "l", "r")
+@example("CL+B3", 2, "lr", "l", None, "")
+@example("chain-5", 2, "r", "lr", "rl", "r")
+@example("constant", 2, "l", "r", None, "")
+@example("ring", 2, "rl", "lr", "r", "l")
+@example("CL[and,or]", 2, "r", "rl", None, "")
+def test_state_engine_matches_the_class_row_reference(
+    case, premises, first, second, meet_with, above
+):
+    # Counts and every witness up to the cap, against the premise sets of
+    # class representatives queried on the real oracles.
+    if isinstance(case, str):
+        matrices, fragment, _ = CHUNK_CASES[case]
+    else:
+        matrices, fragment = (case,), TINY
+    fragment = replace(fragment, max_premises=premises)
+    base = MatrixOracle(matrices, label="M")
+    a = derive_sequence(base, first)
+    b = derive_sequence(base, second)
+    if meet_with is not None:
+        b = derive_sequence(intersect(b, derive_sequence(base, meet_with)), above)
+    verdict = compare(a, b, fragment, max_witnesses=8)
+    counts, witnesses_ab, witnesses_ba = class_row_reference(a, b, fragment, 8)
+    assert verdict.disagreements == counts
+    assert verdict.witnesses_ab == witnesses_ab
+    assert verdict.witnesses_ba == witnesses_ba
+
+
+def test_more_premises_than_classes_counts_every_subset_exactly():
+    # Rows stop at the class count: every subset of the 6 classes, 2**6 rows.
+    spec = replace(TINY, max_premises=50)
+    context = _VectorContext(CL.signature, spec, (b2_matrix(),))
+    n = context.n_classes
+    assert context.max_size == n and context.n_premise_rows == 2**n
+    for tmask in set(context.rep_mask.tolist()):
+        space = StateSpace(context, tmask)
+        assert space.counts.sum(axis=1).tolist() == [math.comb(n, k) for k in range(n + 1)]
+    a, b = derive_sequence(CL, "lr"), derive_sequence(CL, "rl")
+    verdict = compare(a, b, spec, max_witnesses=8)
+    counts, witnesses_ab, witnesses_ba = class_row_reference(a, b, spec, 8)
+    assert verdict.disagreements == counts
+    assert (verdict.witnesses_ab, verdict.witnesses_ba) == (witnesses_ab, witnesses_ba)
+    # Over CL's 74 default classes, 2**74 rows: a chunk's pair count could
+    # overflow 64 bits, so the fragment is refused up front.
+    with pytest.raises(LatticeError, match="too many to count"):
+        compare(a, b, FragmentSpec(max_premises=74))
+
+
+def test_interning_wide_rows_survives_a_hash_collision():
+    # Rows of two words (w0, w1) hash to (w0 + 3 * w1) * C modulo 2**64, so
+    # (10, 5) and (7, 6) collide; the check must catch it and number the
+    # rows by their bytes.
+    def rows(*pairs):
+        return np.array(pairs, dtype=np.uint64).view(np.uint8)
+
+    ids, where = lattice_module._intern(rows((10, 5)), rows((7, 6), (10, 5), (7, 6)))
+    assert ids.tolist() == [1, 0, 1] and where.tolist() in ([0], [2])
+    ids, where = lattice_module._intern(rows((10, 5)), rows((10, 5), (1, 2)))
+    assert ids.tolist() == [0, 1] and where.tolist() == [1]
+
+
+def test_state_counts_that_miss_a_row_raise(monkeypatch):
+    original = lattice_module._group_sums
+
+    def lossy(*args):
+        keys, sums = original(*args)
+        sums[:1] -= 1
+        return keys, sums
+
+    monkeypatch.setattr(lattice_module, "_group_sums", lossy)
+    with pytest.raises(LatticeError, match="premise rows of mask"):
+        compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"), TINY)
+
+
+def _traced_peak(job):
+    tracemalloc.start()
+    try:
+        result = job()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reproduce_figure_three_peaks_within_eleven_megabytes():
+    # The row engine peaked at 8.8 MB traced here; its seven matrices give
+    # 10,853 states per conclusion mask, one per premise row class pattern.
+    report, peak = _traced_peak(lambda: reproduce_figure(3))
+    assert report.lattice.verdicts
+    assert peak <= 11e6, peak
+
+
+@pytest.mark.parametrize(
+    "a, b, relation", [("lr", "rl", "incomparable"), ("rlr", "meet", "equal")]
+)
+def test_six_premises_compare_within_32_megabytes(a, b, relation):
+    # 2.0e8 premise rows, which the row engine cannot build; over CL the
+    # states saturate at a few hundred to a thousand per conclusion mask.
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=6)
+    towers = {seq: derive_sequence(CL, seq) for seq in ("lr", "rl", "rlr")}
+    towers["meet"] = intersect(towers["lr"], towers["rl"])
+    verdict, peak = _traced_peak(lambda: compare(towers[a], towers[b], spec))
+    assert verdict.relation == relation
+    assert peak <= 32e6, peak
 
 
 def test_compare_builds_each_oracle_tree_once(monkeypatch):
@@ -989,10 +1087,12 @@ def test_target_answers_memo_is_freed_without_the_cyclic_collector():
     table = []
     tree = _oracle_tree(derive_sequence(CL, "rl"), table)
     context = _VectorContext(CL.signature, TINY, table)
+    chunk = context.chunks()[0]
+    space = StateSpace(context, context.chunk_mask(chunk))
     gc.disable()
     try:
         memo = {}
-        result = context.chunk_answers(tree, context.chunks()[0], memo)
+        result = context.chunk_answers(tree, chunk, space, memo)
         assert memo[(tree, context.full_mask)] is result
         ref = weakref.ref(result)
         del memo, result

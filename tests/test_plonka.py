@@ -14,6 +14,7 @@ from vilogic.matrices import (
     FiniteAlgebra,
     FiniteMatrix,
     MatrixError,
+    MatrixFormatError,
     MatrixOracle,
     Signature,
     evaluate,
@@ -341,6 +342,27 @@ def test_system_files_round_trip(tmp_path):
     loaded = load_system_file(path)
     assert plonka_sum(loaded) == plonka_sum(system)
     assert validate_system(loaded).ok
+
+
+def _one_component_system(index):
+    lattice = FiniteSemilattice((index,), {(index, index): index})
+    return DirectSystem(lattice, {index: b2_matrix()}, {}, kind="l")
+
+
+@pytest.mark.parametrize("index", ["", "a b", "a\tb", "a,b", "i#", "a->b", "a:b", "a/b", "a\\b"])
+def test_dump_refuses_an_index_the_system_file_cannot_hold(tmp_path, index):
+    # Each of these used to dump and then fail to load (bad or missing join
+    # entry), or to write a component outside the directory.
+    with pytest.raises(MatrixFormatError, match="index"):
+        dump_system_files(_one_component_system(index), tmp_path / "out", "sys")
+    assert not (tmp_path / "out").exists()
+
+
+def test_dump_round_trips_a_one_component_system(tmp_path):
+    system = _one_component_system("top-1")
+    loaded = load_system_file(dump_system_files(system, tmp_path, "sys"))
+    assert loaded.semilattice.indices == ("top-1",)
+    assert plonka_sum(loaded) == plonka_sum(system)
 
 
 def test_system_file_parser_rejects_bad_join_table(tmp_path):
