@@ -347,6 +347,11 @@ def _intern_keys(known: np.ndarray, candidates: np.ndarray):
     return ids, where
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal sorted ``keys`` starts (``np.diff`` is slower)."""
+    return np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
+
+
 def _group_sums(keys: np.ndarray, owner: np.ndarray, counts: np.ndarray, space: int):
     """The distinct ``keys`` (in ``range(space)``), ascending, each with the
     exact sum of ``counts[owner[i]]`` over its entries i.  A key and its
@@ -358,7 +363,7 @@ def _group_sums(keys: np.ndarray, owner: np.ndarray, counts: np.ndarray, space: 
     else:
         order = np.argsort(keys, kind="stable")
         keys, owner = keys[order], owner[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = _run_starts(keys)
     if not len(starts):
         return keys, counts[:0]
     return keys[starts], np.add.reduceat(counts[owner], starts)
@@ -368,7 +373,7 @@ def _group_sums(keys: np.ndarray, owner: np.ndarray, counts: np.ndarray, space: 
 # temporaries of the count DP and the component build, not their work.
 _GROW_BLOCK = 1 << 15
 # The largest state-key space whose row counts are summed in one dense array
-# (16 MB), when it is also at most four times the entries summed.
+# (16 MB), when it is at most 4x the entries summed: sorting wins past that.
 _DENSE_KEYS = 1 << 21
 
 
@@ -413,29 +418,23 @@ class _StateSpace:
         if self.key_space * (n + 1) >= 1 << 63:
             raise LatticeError("too many premise-set components to number in 64 bits")
         # Per mask, each extended component's transitions as key shares.
-        self.steps = [
-            comps.trans.astype(np.int64) * digit
-            for comps, digit in zip(components, place)
-        ]
-        level_keys = [np.zeros(1, dtype=np.int64)]
-        level_counts = [np.ones(1, dtype=np.int64)]
-        key, last, count = level_keys[0], np.full(1, -1, dtype=np.int64), level_counts[0]
+        self.steps = [c.trans.astype(np.int64) * d for c, d in zip(components, place)]
+        # Per size, the distinct state keys its rows reach and their counts.
+        levels = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+        key, count = levels[0]
+        last = np.full(1, -1, dtype=np.int64)
         for size in range(1, context.max_size + 1):
             if size == context.max_size:
-                key, count = self._grow(key, last, count, 1)
+                levels.append(self._grow(key, last, count, 1))
             else:
                 groups, count = self._grow(key, last, count, n)
                 key, last = np.divmod(groups, n)
                 # Groups come sorted by state key: sum each run.
-                starts = np.flatnonzero(np.diff(key, prepend=-1))
-                level_keys.append(key[starts])
-                level_counts.append(np.add.reduceat(count, starts))
-        if context.max_size:
-            level_keys.append(key)
-            level_counts.append(count)
-        self.keys = np.unique(np.concatenate(level_keys))
-        self.counts = np.zeros((len(level_keys), len(self.keys)), dtype=np.int64)
-        for size, (keys, counts) in enumerate(zip(level_keys, level_counts)):
+                starts = _run_starts(key)
+                levels.append((key[starts], np.add.reduceat(count, starts)))
+        self.keys = np.unique(np.concatenate([keys for keys, _ in levels]))
+        self.counts = np.zeros((len(levels), len(self.keys)), dtype=np.int64)
+        for size, (keys, counts) in enumerate(levels):
             self.counts[size, np.searchsorted(self.keys, keys)] = counts
         covered = int(self.counts.sum())
         if covered != context.n_premise_rows:
@@ -462,9 +461,9 @@ class _StateSpace:
         ``_GROW_BLOCK`` rows at a time and the blocks' sums merged.
         """
         n = self.n_classes
-        # Entry t of a group's run adds class last + 1 + t: its flat index
-        # into a step table is the group's row offset plus t.
-        rows = [ids * n + last + 1 for ids in self.decode(key)]
+        rows = [ids * n for ids in self.decode(key)]
+        # A group's entries add the classes above its largest member, so its
+        # run ends on class n - 1: entry e adds class e - ends[group] + n.
         reps = n - 1 - last
         ends = np.cumsum(reps)
         space = self.key_space * stride
@@ -477,16 +476,16 @@ class _StateSpace:
             done = int(ends[lo - 1]) if lo else 0
             hi = max(int(np.searchsorted(ends, done + _GROW_BLOCK, side="right")), lo + 1)
             block = reps[lo:hi]
-            run = np.arange(int(block.sum())) - np.repeat(np.cumsum(block) - block, block)
+            added = np.arange(done, int(ends[hi - 1])) - np.repeat(ends[lo:hi] - n, block)
             grown = sum(
-                step.take(np.repeat(row[lo:hi], block) + run)
+                step.take(np.repeat(row[lo:hi], block) + added)
                 for row, step in zip(rows, self.steps)
             )
             if dense is not None:
                 np.add.at(dense, grown, np.repeat(count[lo:hi], block))
             else:
                 if stride != 1:
-                    grown = grown * stride + np.repeat(last[lo:hi] + 1, block) + run
+                    grown = grown * stride + added
                 owner = np.repeat(np.arange(lo, hi), block)
                 parts.append(_group_sums(grown, owner, count, space))
             lo = hi
@@ -532,9 +531,6 @@ class _StateSpace:
         """
         if size == 0:
             return [((), 0)] if bad[0] else []
-        if size == 1:
-            classes = np.flatnonzero(bad[self.root])[:cap].tolist()
-            return [((c,), int(self.root[c])) for c in classes]
         n = self.n_classes
         classes = np.arange(n)
         reach = [np.where(bad, n, -1)]
@@ -669,7 +665,6 @@ class _VectorContext:
 
     def _full_components(self) -> _Components:
         n = self.n_classes
-        inside = np.arange(n)
         conj = [_pack_rows(np.ones((1, db.shape[1]), dtype=bool)) for db in self.des_bool]
         masks = np.zeros(1, dtype=self.rep_mask.dtype)
         keys = self._component_keys(conj, masks)
@@ -678,7 +673,7 @@ class _VectorContext:
         # Frontier components grown at once, so that a block's rows hold
         # about ``_GROW_BLOCK`` words.
         words = sum(p.shape[1] for p in self.rep_packed) + 1
-        step = max(1, _GROW_BLOCK // (words * max(1, len(inside))))
+        step = max(1, _GROW_BLOCK // (words * max(1, n)))
         for _ in range(self.max_size):
             if not len(frontier):
                 break
@@ -686,15 +681,13 @@ class _VectorContext:
             for lo in range(0, len(frontier), step):
                 block = frontier[lo:lo + step]
                 grown = [
-                    (c[block][:, None] & p[inside]).reshape(-1, p.shape[1])
+                    (c[block][:, None] & p).reshape(-1, p.shape[1])
                     for c, p in zip(conj, self.rep_packed)
                 ]
-                grown_mask = (masks[block][:, None] | self.rep_mask[inside]).ravel()
+                grown_mask = (masks[block][:, None] | self.rep_mask).ravel()
                 grown_keys = self._component_keys(grown, grown_mask)
                 ids, new = _intern(keys, grown_keys)
-                row = np.repeat(block.astype(np.int32)[:, None], n, axis=1)
-                row[:, inside] = ids.reshape(len(block), len(inside))
-                trans.append(row)
+                trans.append(ids.reshape(len(block), n).astype(np.int32))
                 conj = [np.concatenate([c, g[new]]) for c, g in zip(conj, grown)]
                 masks = np.concatenate([masks, grown_mask[new]])
                 keys = np.concatenate([keys, grown_keys[new]])
@@ -868,14 +861,17 @@ def _vector_verdicts(
         space = _StateSpace(context, tmask)
         for chunk in group:
             memo: dict = {}
+            # Witnesses per (disagreement bytes, sizes): pairs share them.
+            searched: dict = {}
             in_chunk = np.uint8((1 << len(chunk)) - 1)
             for (tree_a, tree_b), count, sides in zip(trees, counts, found):
                 ans_a = context.chunk_answers(tree_a, chunk, space, memo)
                 ans_b = context.chunk_answers(tree_b, chunk, space, memo)
-                for side, (mine, other) in enumerate(((ans_a, ans_b), (ans_b, ans_a))):
-                    only = np.invert(other)
-                    only &= mine
-                    only &= in_chunk
+                differ = (ans_a ^ ans_b) & in_chunk
+                if not differ.any():
+                    continue
+                for side, mine in enumerate((ans_a, ans_b)):
+                    only = differ & mine
                     # Per size: each state's rows times its set bits.
                     by_size = space.counts @ np.bitwise_count(only)
                     count[side] += int(by_size.sum())
@@ -887,7 +883,10 @@ def _vector_verdicts(
                         held.sort()
                         del held[max_witnesses:]
                         sizes = [size for size in sizes if size <= held[-1][0]]
-                    held += space.witnesses(only, chunk, sizes, max_witnesses)
+                    key = (only.tobytes(), tuple(sizes))
+                    if key not in searched:
+                        searched[key] = space.witnesses(only, chunk, sizes, max_witnesses)
+                    held += searched[key]
     return [
         _verdict(
             a, b, fragment, "vector",

@@ -578,6 +578,14 @@ def test_sliced_projections_match_the_set_reference(
     test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
 
 
+@PROJECTION_CASES
+def test_sorted_last_level_sums_match_the_set_reference(monkeypatch, matrices, fragment):
+    # These key spaces are small enough for the dense sum; with no dense
+    # space allowed, every last size is summed by sorting instead.
+    monkeypatch.setattr(lattice_module, "_DENSE_KEYS", 0)
+    test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
+
+
 # The per-class tower walk on premise rows: one bool per row, one walk per
 # conclusion class, on the rows' own components.
 
