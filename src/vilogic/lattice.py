@@ -38,19 +38,23 @@ witness lists after the first:
     rows there and the OR of their variable masks.  So the walk runs on the
     rows' states, the distinct component triples, with one answer bit per
     class in a byte per state, and a DP counts the rows on each state; over
-    CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  One memo
-    per chunk, shared by every pair, holds each subtree's answers.
+    CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  The
+    full mask's components are found breadth first from the empty set's,
+    each block of candidates looked up in one sorted index of the known
+    components' keys; every other mask's follow from them.  One memo per
+    chunk, shared by every pair, holds each subtree's answers.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
 order, and the vector engine reports the first structurally distinct
 disagreements in exactly that order.  It tallies a chunk per pair and side
 on its states: each state's rows times its disagreeing bits gives the
-number of disagreeing (row, class) pairs, and a descent through the states
-finds the chunk's first ``max_witnesses`` disagreeing rows in row order,
-which hold at least its first ``max_witnesses`` pairs.  The pairs of all
-chunks are then sorted and capped, which leaves the first
-``max_witnesses`` overall.  Every witness leaving this module is
+number of disagreeing (row, class) pairs, a float64 product while every
+sum stays below 2**53 (so exact), an int64 one past that.  A descent
+through the states finds the chunk's first ``max_witnesses`` disagreeing
+rows in row order, which hold at least its first ``max_witnesses`` pairs.
+The pairs of all chunks are then sorted and capped, which leaves the
+first ``max_witnesses`` overall.  Every witness leaving this module is
 re-validated against the real oracles before it is reported.
 """
 
@@ -249,37 +253,47 @@ def _variable_masks(formulas: Sequence[Formula], variables: Sequence[str]):
 
 
 def _designation_bools(
-    matrix: FiniteMatrix, formulas: Sequence[Formula], variables: Sequence[str]
-) -> np.ndarray:
-    """(n_formulas, n_valuations) designation table, valuations in product order.
+    matrices: Sequence[FiniteMatrix], formulas: Sequence[Formula], variables: Sequence[str]
+) -> list[np.ndarray]:
+    """Per matrix, the (n_formulas, n_valuations) designation table,
+    valuations in product order.
 
     Element positions are evaluated one run at a time: a run of consecutive
     formulas with one depth and one head takes one fancy index into the
     head's table, and a constant's run broadcasts its table value.
     ``enumerate_fragment`` emits one run per depth and connective.  A
-    formula's arguments must be variables or earlier formulas.
+    formula's arguments must be variables or earlier formulas.  The runs'
+    argument rows are found once, for every matrix.
     """
-    algebra = matrix.algebra
-    n = len(algebra.elements)
     k = len(variables)
-    tables = algebra.index_tables
     n_formulas = len(formulas)
     # One row per formula, then one per variable's coordinates.
-    values = np.empty((n_formulas + k, n**k), dtype=np.intp)
-    values[n_formulas:] = _valuation_grid(n, k)
     row = {var(v): n_formulas + i for i, v in enumerate(variables)}
+    runs = []  # (start, stop, head, argument rows), head None for a variable
     start = 0
     for (_, head), run in itertools.groupby(formulas, lambda f: (f.depth, f.head)):
         run = list(run)
         stop = start + len(run)
         if run[0].is_variable:
-            values[start:stop] = values[row[run[0]]]
+            runs.append((start, stop, None, row[run[0]]))
         else:
             args = np.array([[row[a] for a in f.args] for f in run], dtype=np.intp)
-            values[start:stop] = tables[head][tuple(values[column] for column in args.T)]
+            runs.append((start, stop, head, args.T))
         row.update(zip(run, range(start, stop)))
         start = stop
-    return matrix.designated_bools[values[:n_formulas]]
+    out = []
+    for matrix in matrices:
+        n = len(matrix.algebra.elements)
+        tables = matrix.algebra.index_tables
+        values = np.empty((n_formulas + k, n**k), dtype=np.intp)
+        values[n_formulas:] = _valuation_grid(n, k)
+        for start, stop, head, args in runs:
+            if head is None:
+                values[start:stop] = values[args]
+            else:
+                values[start:stop] = tables[head][tuple(values[column] for column in args)]
+        out.append(matrix.designated_bools[values[:n_formulas]])
+    return out
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -311,45 +325,82 @@ def _byte_mask(bools: np.ndarray) -> np.ndarray:
     return bools.view(np.uint8) * np.uint8(0xFF)
 
 
-def _intern(known: np.ndarray, candidates: np.ndarray):
-    """Ids for the byte rows ``candidates`` among the distinct rows ``known``.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-    A known row's id is its position; the distinct rows not known get the
-    next free ids.  Returns the candidates' ids and, for each new id, the
-    position of one candidate that holds it.  A row is keyed by itself when
-    it fits in 8 bytes, else by a hash of its words, checked against the
-    rows and replaced by the whole row on a collision.
+
+def _row_keys(conj: list[np.ndarray], masks: np.ndarray, row_bytes: list[int]):
+    """One ``uint64`` key per component row (``conj`` per matrix, ``masks``).
+
+    When a row's bytes fit in 8, the key is the row itself, its columns
+    side by side.  A wider row's key mixes its word columns (xor, multiply,
+    fold the high bits down), so equal rows get equal keys but distinct
+    rows may share one.
     """
-    width = known.shape[1]
-    pad = ((0, 0), (0, -width % 8))
-    words = [np.pad(rows, pad).view(np.uint64) for rows in (known, candidates)]
-    if words[0].shape[1] > 1:
-        odd = np.arange(1, 2 * words[0].shape[1], 2, dtype=np.uint64)
-        words = [w @ (odd * np.uint64(0x9E3779B97F4A7C15)) for w in words]
-    ids, where = _intern_keys(*(w.ravel() for w in words))
-    if not np.array_equal(np.concatenate([known, candidates[where]])[ids], candidates):
-        whole = np.dtype((np.void, width))
-        ids, where = _intern_keys(known.view(whole).ravel(), candidates.view(whole).ravel())
-    return ids, where
+    key = np.zeros(len(masks), dtype=np.uint64)
+    if sum(row_bytes) + masks.itemsize <= 8:
+        # Each matrix is one column, 0 past its row's bytes on a
+        # little-endian machine; the build's check catches a clash anyway.
+        shift = 0
+        columns = [c[:, 0] for c in conj] + [masks]
+        for column, size in zip(columns, row_bytes + [masks.itemsize]):
+            key |= column.astype(np.uint64) << np.uint64(shift)
+            shift += 8 * size
+        return key
+    for column in [c[:, j] for c in conj for j in range(c.shape[1])] + [masks]:
+        key ^= column
+        key *= _MIX
+        key ^= key >> np.uint64(29)
+    return key
 
 
-def _intern_keys(known: np.ndarray, candidates: np.ndarray):
-    """:func:`_intern` on keys that are equal exactly when their rows are."""
-    distinct = np.unique(candidates)
-    seen = np.sort(known)
-    at = np.searchsorted(seen, distinct).clip(max=len(seen) - 1)
-    merged = np.concatenate([known, distinct[seen[at] != distinct]])
-    order = np.argsort(merged)
-    ids = order[np.searchsorted(merged[order], candidates)]
-    new = np.flatnonzero(ids >= len(known))
-    where = np.empty(len(merged) - len(known), dtype=np.intp)
-    where[ids[new] - len(known)] = new
-    return ids, where
+def _byte_keys(conj: list[np.ndarray], masks: np.ndarray, row_bytes: list[int]):
+    """One ``np.void`` key per row: its designation rows' bytes (``conj``,
+    per matrix) up to the last valuation and its variable mask, equal
+    exactly when the rows are."""
+    parts = [c.view(np.uint8)[:, :size] for c, size in zip(conj, row_bytes)]
+    rows = np.hstack(parts + [masks.reshape(-1, 1).view(np.uint8)])
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _index_block(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray, known: int):
+    """Ids for a block of candidate ``keys`` against ``index``: the keys of
+    the ``known`` components, ascending, and each one's id.
+
+    A key not in the index gets the next free id, in the order of its first
+    candidate.  Returns the candidates' ids, the first candidate holding each
+    new id, and the index with the new keys merged in.
+    """
+    index_keys, index_ids = index
+    order = np.argsort(keys)
+    runs = np.append(_run_starts(keys[order]), len(keys))
+    distinct = keys[order[runs[:-1]]]
+    # Only the distinct keys, ascending: far faster than every candidate.
+    at = np.searchsorted(index_keys, distinct)
+    run_ids = index_ids.take(at, mode="clip")
+    new = np.flatnonzero(index_keys.take(at, mode="clip") != distinct)
+    first = np.minimum.reduceat(order, runs[:-1])[new]
+    rank = np.argsort(first)
+    run_ids[new[rank]] = np.arange(known, known + len(new))
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = np.repeat(run_ids, np.diff(runs))
+    merged = (
+        np.insert(index_keys, at[new], distinct[new]),
+        np.insert(index_ids, at[new], run_ids[new]),
+    )
+    return ids, first[rank], merged
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal sorted ``keys`` starts (``np.diff`` is slower)."""
     return np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending.  Sorting beats ``np.unique``,
+    whose hash table is slower on these integer keys and whose first call
+    imports ``numpy.ma``."""
+    values = np.sort(values)
+    return values[_run_starts(values)]
 
 
 def _group_sums(keys: np.ndarray, owner: np.ndarray, counts: np.ndarray, space: int):
@@ -375,6 +426,8 @@ _GROW_BLOCK = 1 << 15
 # The largest state-key space whose row counts are summed in one dense array
 # (16 MB), when it is at most 4x the entries summed: sorting wins past that.
 _DENSE_KEYS = 1 << 21
+# float64 holds every integer below this exactly.
+_FLOAT_EXACT = 1 << 53
 
 
 @dataclass
@@ -432,7 +485,7 @@ class _StateSpace:
                 # Groups come sorted by state key: sum each run.
                 starts = _run_starts(key)
                 levels.append((key[starts], np.add.reduceat(count, starts)))
-        self.keys = np.unique(np.concatenate([keys for keys, _ in levels]))
+        self.keys = _distinct(np.concatenate([keys for keys, _ in levels]))
         self.counts = np.zeros((len(levels), len(self.keys)), dtype=np.int64)
         for size, (keys, counts) in enumerate(levels):
             self.counts[size, np.searchsorted(self.keys, keys)] = counts
@@ -442,6 +495,11 @@ class _StateSpace:
                 f"state counts cover {covered} premise rows of mask {tmask}, "
                 f"not {context.n_premise_rows}"
             )
+        # Tally weights: a chunk marks at most 8 classes per row, so every
+        # partial sum of a tally is at most 8 * rows, and a float64 product,
+        # faster than an int64 one, is exact below 2**53.
+        exact = 8 * context.n_premise_rows < _FLOAT_EXACT
+        self.weights = self.counts.astype(np.float64) if exact else self.counts
         self.ids = dict.fromkeys(masks, np.zeros(len(self.keys), dtype=np.int64))
         self.ids.update(zip(keyed, self.decode(self.keys)))
         self.fresh: dict[tuple, np.ndarray] = {}
@@ -504,6 +562,11 @@ class _StateSpace:
         ids = self.decode(self.keys[states])
         keys = sum(step[comp] for comp, step in zip(ids, self.steps))
         return np.searchsorted(self.keys, keys)
+
+    def tally(self, only: np.ndarray) -> np.ndarray:
+        """Per size, the (row, class) pairs marked by ``only``'s bits: each
+        state's rows times its set bits, exact in either dtype."""
+        return self.weights @ np.bitwise_count(only)
 
     def witnesses(self, only: np.ndarray, chunk: tuple[int, ...], sizes, cap: int):
         """``(size, members, class)`` for every bit of ``only`` set on the
@@ -591,28 +654,23 @@ class _VectorContext:
         self.k = len(self.variables)
         self.full_mask = (1 << self.k) - 1
         self.formulas = enumerate_fragment(signature, fragment)
-        n = len(self.formulas)
         self.fmask = np.array(
             _variable_masks(self.formulas, self.variables), dtype=np.int64
         )
-        self.des_bool = [
-            _designation_bools(m, self.formulas, self.variables) for m in self.matrices
-        ]
+        self.des_bool = _designation_bools(self.matrices, self.formulas, self.variables)
         packed = [_pack_rows(db) for db in self.des_bool]
+        self.row_bytes = [-(-db.shape[1] // 8) for db in self.des_bool]
 
-        keys: dict[tuple, int] = {}
-        class_of = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            key = (int(self.fmask[t]),) + tuple(p[t].tobytes() for p in packed)
-            class_of[t] = keys.setdefault(key, len(keys))
-        self.n_classes = len(keys)
-        reps = np.full(self.n_classes, -1, dtype=np.int64)
-        for t in range(n - 1, -1, -1):
-            reps[class_of[t]] = t
+        # A class's formulas share their variable mask and designation rows,
+        # so their byte keys.  Its first formula represents it, and classes
+        # are numbered in that order.
+        keys = _byte_keys(packed, self.fmask, self.row_bytes)
+        order = np.argsort(keys, kind="stable")
+        reps = np.sort(order[_run_starts(keys[order])])
+        self.n_classes = len(reps)
         self.rep_index = reps
         self.rep_mask = self.fmask[reps].astype(np.min_scalar_type(self.full_mask))
         self.rep_packed = [p[reps] for p in packed]
-        self.row_bytes = [-(-db.shape[1] // 8) for db in self.des_bool]
         self.rep_not_packed = [_pack_rows(~db[reps]) for db in self.des_bool]
         self.all_designated = [not m.constrains for m in self.matrices]
 
@@ -628,7 +686,8 @@ class _VectorContext:
         """The components at ``vmask``, built on first use level by level:
         level p adds every class inside ``vmask`` to the components first
         reached at level p - 1, up to ``max_size`` or until nothing is new.
-        The full mask's are found by their rows; any other mask's are the
+        The full mask's are found by their rows, through one sorted index
+        of their keys (:meth:`_grow_components`); any other mask's are the
         full mask's components of the sets inside it."""
         cached = self._components.get(vmask)
         if cached is None:
@@ -652,7 +711,7 @@ class _VectorContext:
             if not len(frontier):
                 break
             reached = full.trans[frontier][:, inside]
-            new = np.unique(reached[local[reached] < 0])
+            new = _distinct(reached[local[reached] < 0])
             local[new] = np.arange(len(new)) + sum(map(len, found))
             row = np.repeat(local[frontier][:, None], self.n_classes, axis=1)
             row[:, inside] = local[reached]
@@ -664,44 +723,57 @@ class _VectorContext:
         return _Components([c[ids] for c in full.conj], full.vmask[ids], trans)
 
     def _full_components(self) -> _Components:
+        """The full mask's components, keyed by :func:`_row_keys`.  Every
+        candidate is checked against the component its key names; when two
+        distinct rows share a hash key, the build starts again keyed by
+        whole row bytes (:func:`_byte_keys`), so no result rests on a hash."""
+        for key_of in (_row_keys, _byte_keys):
+            built = self._grow_components(key_of)
+            if built is not None:
+                return built
+        raise LatticeError("a whole-byte component key named another row")
+
+    def _grow_components(self, key_of) -> _Components | None:
+        """The full mask's components, or None when a candidate's key names
+        a component with another row.  Each block of candidates is looked
+        up in one sorted index of the known components' keys, kept across
+        blocks (:func:`_index_block`); new components are numbered in the
+        order of their first candidate."""
         n = self.n_classes
         conj = [_pack_rows(np.ones((1, db.shape[1]), dtype=bool)) for db in self.des_bool]
         masks = np.zeros(1, dtype=self.rep_mask.dtype)
-        keys = self._component_keys(conj, masks)
+        index = (key_of(conj, masks, self.row_bytes), np.zeros(1, dtype=np.int64))
         trans = []
-        frontier = np.arange(1)
         # Frontier components grown at once, so that a block's rows hold
-        # about ``_GROW_BLOCK`` words.
+        # about ``_GROW_BLOCK`` words.  Each level's frontier is the id
+        # range of the components the level before it found.
         words = sum(p.shape[1] for p in self.rep_packed) + 1
         step = max(1, _GROW_BLOCK // (words * max(1, n)))
+        start, stop = 0, 1
         for _ in range(self.max_size):
-            if not len(frontier):
-                break
-            known = len(masks)
-            for lo in range(0, len(frontier), step):
-                block = frontier[lo:lo + step]
+            for lo in range(start, stop, step):
+                block = slice(lo, min(lo + step, stop))
                 grown = [
-                    (c[block][:, None] & p).reshape(-1, p.shape[1])
+                    (c[block, None] & p).reshape(-1, p.shape[1])
                     for c, p in zip(conj, self.rep_packed)
                 ]
-                grown_mask = (masks[block][:, None] | self.rep_mask).ravel()
-                grown_keys = self._component_keys(grown, grown_mask)
-                ids, new = _intern(keys, grown_keys)
-                trans.append(ids.reshape(len(block), n).astype(np.int32))
-                conj = [np.concatenate([c, g[new]]) for c, g in zip(conj, grown)]
+                grown_mask = (masks[block, None] | self.rep_mask).ravel()
+                keys = key_of(grown, grown_mask, self.row_bytes)
+                ids, new, index = _index_block(index, keys, len(masks))
+                # ``take`` on axis 0: fancy indexing of 2-D rows is far slower.
+                conj = [
+                    np.concatenate([c, g.take(new, axis=0)]) for c, g in zip(conj, grown)
+                ]
                 masks = np.concatenate([masks, grown_mask[new]])
-                keys = np.concatenate([keys, grown_keys[new]])
-            frontier = np.arange(known, len(masks))
+                if not np.array_equal(masks[ids], grown_mask) or not all(
+                    np.array_equal(c.take(ids, axis=0), g) for c, g in zip(conj, grown)
+                ):
+                    return None
+                trans.append(ids.reshape(-1, n).astype(np.int32))
+            start, stop = stop, len(masks)
         if not trans:
             trans.append(np.zeros((1, n), dtype=np.int32))
         return _Components(conj, masks, np.vstack(trans))
-
-    def _component_keys(self, conj: list[np.ndarray], masks: np.ndarray) -> np.ndarray:
-        """One byte row per component, equal exactly when the components
-        are: its conjunctions' bytes up to the last valuation, and its
-        variable mask."""
-        parts = [c.view(np.uint8)[:, :size] for c, size in zip(conj, self.row_bytes)]
-        return np.hstack(parts + [masks.reshape(-1, 1).view(np.uint8)])
 
     # -- tree evaluation -----------------------------------------------------
 
@@ -840,9 +912,11 @@ def _vector_verdicts(
     Every oracle must be a tower over one signature.  The context covers
     the matrices of all pairs.  The outer loop runs over chunks of
     conclusion classes, so a subtree is walked once per chunk however many
-    pairs contain it.  Each chunk is tallied per pair and side, and its
-    first ``max_witnesses`` disagreeing rows each give at least one pair, so
-    they hold its first ``max_witnesses`` pairs.  Each side's pairs are
+    pairs contain it.  Each chunk is tallied per pair and side
+    (:meth:`_StateSpace.tally`: each state's rows times its disagreeing
+    bits, exact in float64 below 2**53 pairs and in int64 past that), and
+    its first ``max_witnesses`` disagreeing rows each give at least one
+    pair, so they hold its first ``max_witnesses`` pairs.  Each side's pairs are
     sorted and capped, and once a side holds ``max_witnesses`` no chunk is
     searched past the size of its last.
     """
@@ -872,8 +946,7 @@ def _vector_verdicts(
                     continue
                 for side, mine in enumerate((ans_a, ans_b)):
                     only = differ & mine
-                    # Per size: each state's rows times its set bits.
-                    by_size = space.counts @ np.bitwise_count(only)
+                    by_size = space.tally(only)
                     count[side] += int(by_size.sum())
                     sizes = np.flatnonzero(by_size).tolist()
                     if not (sizes and max_witnesses):

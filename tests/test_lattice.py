@@ -907,7 +907,7 @@ def test_designation_bools_match_the_per_formula_build(name, variables, depth):
     matrix = DESIGNATION_MATRICES[name]
     spec = FragmentSpec(variables=variables, max_depth=depth, max_premises=1)
     formulas = enumerate_fragment(matrix.algebra.signature, spec)
-    got = lattice_module._designation_bools(matrix, formulas, variables)
+    got = lattice_module._designation_bools([matrix], formulas, variables)[0]
     expected = _reference_designation_bools(matrix, formulas, variables)
     assert got.dtype == bool and got.shape == expected.shape
     assert np.array_equal(got, expected)
@@ -1016,17 +1016,150 @@ def test_more_premises_than_classes_counts_every_subset_exactly():
         compare(a, b, FragmentSpec(max_premises=74))
 
 
-def test_interning_wide_rows_survives_a_hash_collision():
-    # Rows of two words (w0, w1) hash to (w0 + 3 * w1) * C modulo 2**64, so
-    # (10, 5) and (7, 6) collide; the check must catch it and number the
-    # rows by their bytes.
-    def rows(*pairs):
-        return np.array(pairs, dtype=np.uint64).view(np.uint8)
+def test_interning_wide_rows_survives_a_hash_collision(monkeypatch):
+    # With every row keyed 0, the first candidate that differs from the empty
+    # set's component names it anyway: the build must catch that and number
+    # the components by their bytes, as the real keys do.
+    matrices, fragment, _ = CHUNK_CASES["chain-5"]
+    context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
+    assert sum(context.row_bytes) + 1 > 8  # a wide row: hashed, not itself
+    expected = context.components(context.full_mask)
 
-    ids, where = lattice_module._intern(rows((10, 5)), rows((7, 6), (10, 5), (7, 6)))
-    assert ids.tolist() == [1, 0, 1] and where.tolist() in ([0], [2])
-    ids, where = lattice_module._intern(rows((10, 5)), rows((10, 5), (1, 2)))
-    assert ids.tolist() == [0, 1] and where.tolist() == [1]
+    def colliding(conj, masks, row_bytes):
+        return np.zeros(len(masks), dtype=np.uint64)
+
+    assert context._grow_components(colliding) is None
+    by_bytes = []
+    original = lattice_module._byte_keys
+
+    def byte_keys(*args):
+        by_bytes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice_module, "_row_keys", colliding)
+    monkeypatch.setattr(lattice_module, "_byte_keys", byte_keys)
+    got = context._full_components()
+    assert by_bytes
+    assert np.array_equal(got.trans, expected.trans)
+    assert np.array_equal(got.vmask, expected.vmask)
+    assert all(np.array_equal(a, b) for a, b in zip(got.conj, expected.conj))
+
+    # One block: known row (10, 5); candidates (7, 6), (10, 5), (7, 6).  By
+    # bytes, the new row gets the next id and its first candidate holds it.
+    def rows(*pairs):
+        return np.array(pairs, dtype=np.uint64).view(np.dtype((np.void, 16))).ravel()
+
+    index_block = lattice_module._index_block
+    index = (rows((10, 5)), np.zeros(1, dtype=np.int64))
+    ids, first, index = index_block(index, rows((7, 6), (10, 5), (7, 6)), 1)
+    assert ids.tolist() == [1, 0, 1] and first.tolist() == [0]
+    ids, first, index = index_block(index, rows((10, 5), (1, 2), (7, 6)), 2)
+    assert ids.tolist() == [0, 2, 1] and first.tolist() == [1]
+    # The index ascends by bytes: (1, 2), (7, 6), (10, 5).
+    assert index[1].tolist() == [2, 1, 0]
+
+
+def _reference_full_components(context):
+    """The full mask's components by a plain breadth-first search, keyed by
+    value: per matrix, the conjunction's designation bits as an integer (bit
+    v for valuation v), and the variable mask.  Level p adds every class to
+    the components first found at level p - 1.  Returns every component's
+    key in the order found, and each expanded component's row of keys
+    after adding each class."""
+    masks = context.rep_mask.tolist()
+    bits = [
+        [sum(1 << v for v in np.flatnonzero(db[r]).tolist()) for r in context.rep_index]
+        for db in context.des_bool
+    ]
+    empty = (tuple((1 << db.shape[1]) - 1 for db in context.des_bool), 0)
+    found = {empty: None}
+    trans = {}
+    frontier = [empty]
+    for _ in range(context.max_size):
+        level = []
+        for conj, mask in frontier:
+            row = []
+            for c in range(context.n_classes):
+                key = (tuple(a & b[c] for a, b in zip(conj, bits)), mask | masks[c])
+                if key not in found:
+                    found[key] = None
+                    level.append(key)
+                row.append(key)
+            trans[(conj, mask)] = row
+        frontier = level
+    return list(found), trans
+
+
+def _figure_three_matrices():
+    table = [b2_matrix()]
+    for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl"):
+        lattice_module._intern_matrix(canonical_chain_matrix(b2_matrix(), seq), table)
+    return table
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize(
+    "matrices",
+    [(b2_matrix(),), (b2_matrix(), b3_matrix()), _figure_three_matrices()],
+    ids=["CL", "CL+B3", "figure-3"],
+)
+def test_full_components_match_a_breadth_first_reference(monkeypatch, matrices, block):
+    # Rows, variable masks and transitions equal the reference's; the ids
+    # too, since both number components in the order first found.  Blocks
+    # of 5 words round up to one frontier component each, so every level
+    # spans many blocks.
+    if block is not None:
+        monkeypatch.setattr(lattice_module, "_GROW_BLOCK", block)
+    context = _VectorContext(FULL_SIGNATURE, XY2_3, matrices)
+    comps = context.components(context.full_mask)
+    keys = []
+    for comp in range(len(comps.vmask)):
+        conj, vmask = _engine_component(context, context.full_mask, comp)
+        bits = tuple(sum(1 << v for v, b in enumerate(c) if b) for c in conj)
+        keys.append((bits, vmask))
+    found, trans = _reference_full_components(context)
+    assert keys == found
+    assert len(comps.trans) == len(trans)
+    for comp, row in enumerate(comps.trans.tolist()):
+        assert [keys[c] for c in row] == trans[keys[comp]], comp
+
+
+def test_float_tallies_equal_the_integer_products(monkeypatch):
+    # Every (pair, chunk, side) tally of figure 3 takes the float64 product,
+    # and it equals the int64 one.
+    tallies = []
+    original = StateSpace.tally
+
+    def tally(self, only):
+        got = original(self, only)
+        assert self.weights.dtype == np.float64
+        expected = self.counts @ np.bitwise_count(only)
+        assert np.array_equal(got, expected)
+        tallies.append(int(expected.sum()))
+        return got
+
+    monkeypatch.setattr(StateSpace, "tally", tally)
+    reproduce_figure(3)
+    assert len(tallies) > 100 and any(tallies)
+
+
+def test_a_context_past_the_float_guard_tallies_in_integers(monkeypatch):
+    # TINY at premises=50 has 2**6 rows: a guard at 8 * 64 sends every tally
+    # to the int64 counts, one above it to float64, and the verdicts agree
+    # with the set reference either way.
+    spec = replace(TINY, max_premises=50)
+    a, b = derive_sequence(CL, "lr"), derive_sequence(CL, "rl")
+    expected = class_row_reference(a, b, spec, 8)
+    for guard, dtype in ((8 * 64, np.int64), (8 * 64 + 1, np.float64)):
+        monkeypatch.setattr(lattice_module, "_FLOAT_EXACT", guard)
+        context = _VectorContext(CL.signature, spec, (b2_matrix(),))
+        assert context.n_premise_rows == 64
+        space = StateSpace(context, context.chunk_mask(context.chunks()[0]))
+        assert space.weights.dtype == dtype
+        assert (space.weights is space.counts) == (dtype == np.int64)
+        verdict = compare(a, b, spec, max_witnesses=8)
+        got = (verdict.disagreements, verdict.witnesses_ab, verdict.witnesses_ba)
+        assert got == expected
 
 
 def test_state_counts_that_miss_a_row_raise(monkeypatch):
