@@ -331,7 +331,8 @@ def fragment_subsets(
     """Subsets of ``formulas`` with at most ``max_size`` members.
 
     Enumerated by ascending size, combinations in index order; used by the
-    exhaustive comparison engine and by tests.
+    exhaustive comparison engine and by tests.  A ``max_size`` past the
+    formula count yields every subset and stops there.
     """
-    for size in range(0, max_size + 1):
+    for size in range(0, min(max_size, len(formulas)) + 1):
         yield from itertools.combinations(formulas, size)

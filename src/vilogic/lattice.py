@@ -41,8 +41,11 @@ witness lists after the first:
     CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  The
     full mask's components are found breadth first from the empty set's,
     each block of candidates looked up in one sorted index of the known
-    components' keys; every other mask's follow from them.  One memo per
-    chunk, shared by every pair, holds each subtree's answers.
+    components' keys.  Every other mask I filters that one table: the sets
+    on a full component all share its variable mask, so they lie inside I
+    exactly when it does, and such a component is first reached at the
+    same level at I as at F.  One memo per chunk, shared by every pair,
+    holds each subtree's answers.
 
 Witness selection is deterministic: premise subsets are enumerated by
 ascending size then combination order, conclusions in fragment enumeration
@@ -328,24 +331,11 @@ def _byte_mask(bools: np.ndarray) -> np.ndarray:
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _row_keys(conj: list[np.ndarray], masks: np.ndarray, row_bytes: list[int]):
-    """One ``uint64`` key per component row (``conj`` per matrix, ``masks``).
-
-    When a row's bytes fit in 8, the key is the row itself, its columns
-    side by side.  A wider row's key mixes its word columns (xor, multiply,
-    fold the high bits down), so equal rows get equal keys but distinct
-    rows may share one.
-    """
+def _row_keys(conj: list[np.ndarray], masks: np.ndarray):
+    """One ``uint64`` key per component row (``conj`` per matrix, ``masks``):
+    its word columns mixed (xor, multiply, fold the high bits down), so
+    equal rows get equal keys but distinct rows may share one."""
     key = np.zeros(len(masks), dtype=np.uint64)
-    if sum(row_bytes) + masks.itemsize <= 8:
-        # Each matrix is one column, 0 past its row's bytes on a
-        # little-endian machine; the build's check catches a clash anyway.
-        shift = 0
-        columns = [c[:, 0] for c in conj] + [masks]
-        for column, size in zip(columns, row_bytes + [masks.itemsize]):
-            key |= column.astype(np.uint64) << np.uint64(shift)
-            shift += 8 * size
-        return key
     for column in [c[:, j] for c in conj for j in range(c.shape[1])] + [masks]:
         key ^= column
         key *= _MIX
@@ -353,11 +343,11 @@ def _row_keys(conj: list[np.ndarray], masks: np.ndarray, row_bytes: list[int]):
     return key
 
 
-def _byte_keys(conj: list[np.ndarray], masks: np.ndarray, row_bytes: list[int]):
-    """One ``np.void`` key per row: its designation rows' bytes (``conj``,
-    per matrix) up to the last valuation and its variable mask, equal
+def _byte_keys(conj: list[np.ndarray], masks: np.ndarray):
+    """One ``np.void`` key per row: its packed designation rows' bytes
+    (``conj``, per matrix; padding bits are 0) and its variable mask, equal
     exactly when the rows are."""
-    parts = [c.view(np.uint8)[:, :size] for c, size in zip(conj, row_bytes)]
+    parts = [c.view(np.uint8) for c in conj]
     rows = np.hstack(parts + [masks.reshape(-1, 1).view(np.uint8)])
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
@@ -659,12 +649,11 @@ class _VectorContext:
         )
         self.des_bool = _designation_bools(self.matrices, self.formulas, self.variables)
         packed = [_pack_rows(db) for db in self.des_bool]
-        self.row_bytes = [-(-db.shape[1] // 8) for db in self.des_bool]
 
         # A class's formulas share their variable mask and designation rows,
         # so their byte keys.  Its first formula represents it, and classes
         # are numbered in that order.
-        keys = _byte_keys(packed, self.fmask, self.row_bytes)
+        keys = _byte_keys(packed, self.fmask)
         order = np.argsort(keys, kind="stable")
         reps = np.sort(order[_run_starts(keys[order])])
         self.n_classes = len(reps)
@@ -683,12 +672,15 @@ class _VectorContext:
         self._components: dict[int, _Components] = {}
 
     def components(self, vmask: int) -> _Components:
-        """The components at ``vmask``, built on first use level by level:
-        level p adds every class inside ``vmask`` to the components first
-        reached at level p - 1, up to ``max_size`` or until nothing is new.
-        The full mask's are found by their rows, through one sorted index
-        of their keys (:meth:`_grow_components`); any other mask's are the
-        full mask's components of the sets inside it."""
+        """The components at ``vmask``, built on first use.  The full mask's
+        are found breadth first by their rows, through one sorted index of
+        their keys (:meth:`_grow_components`); any other mask's are the full
+        components whose variable mask lies inside ``vmask``, in ascending
+        full id, with transitions read off the full table.  The sets on a
+        full component all share its variable mask, so they lie inside
+        ``vmask`` exactly when it does; and such a component is first reached
+        at the same level there as at F, so it has a ``trans`` row in both
+        tables or in neither, and breadth-first ids keep its order."""
         cached = self._components.get(vmask)
         if cached is None:
             if vmask == self.full_mask:
@@ -700,26 +692,14 @@ class _VectorContext:
 
     def _restricted_components(self, vmask: int) -> _Components:
         full = self.components(self.full_mask)
-        inside = np.flatnonzero((self.rep_mask | vmask) == vmask)
-        # A full-mask component's id here, or -1 while it is not reached.
-        local = np.full(len(full.vmask), -1, dtype=np.int32)
-        local[0] = 0
-        found = [np.zeros(1, dtype=np.intp)]
-        trans = []
-        frontier = found[0]
-        for _ in range(self.max_size):
-            if not len(frontier):
-                break
-            reached = full.trans[frontier][:, inside]
-            new = _distinct(reached[local[reached] < 0])
-            local[new] = np.arange(len(new)) + sum(map(len, found))
-            row = np.repeat(local[frontier][:, None], self.n_classes, axis=1)
-            row[:, inside] = local[reached]
-            trans.append(row)
-            found.append(new)
-            frontier = new
-        ids = np.concatenate(found)
-        trans = np.vstack(trans) if trans else full.trans[:1]
+        ids = np.flatnonzero((full.vmask | vmask) == vmask)
+        local = np.zeros(len(full.vmask), dtype=np.int32)
+        local[ids] = np.arange(len(ids))
+        rows = ids[ids < len(full.trans)]
+        # A class inside vmask takes a kept component to a kept one, so
+        # ``local`` is read only at kept ids.
+        inside = (self.rep_mask | vmask) == vmask
+        trans = np.where(inside, local[full.trans[rows]], local[rows, None])
         return _Components([c[ids] for c in full.conj], full.vmask[ids], trans)
 
     def _full_components(self) -> _Components:
@@ -742,7 +722,7 @@ class _VectorContext:
         n = self.n_classes
         conj = [_pack_rows(np.ones((1, db.shape[1]), dtype=bool)) for db in self.des_bool]
         masks = np.zeros(1, dtype=self.rep_mask.dtype)
-        index = (key_of(conj, masks, self.row_bytes), np.zeros(1, dtype=np.int64))
+        index = (key_of(conj, masks), np.zeros(1, dtype=np.int64))
         trans = []
         # Frontier components grown at once, so that a block's rows hold
         # about ``_GROW_BLOCK`` words.  Each level's frontier is the id
@@ -758,7 +738,7 @@ class _VectorContext:
                     for c, p in zip(conj, self.rep_packed)
                 ]
                 grown_mask = (masks[block, None] | self.rep_mask).ravel()
-                keys = key_of(grown, grown_mask, self.row_bytes)
+                keys = key_of(grown, grown_mask)
                 ids, new, index = _index_block(index, keys, len(masks))
                 # ``take`` on axis 0: fancy indexing of 2-D rows is far slower.
                 conj = [
@@ -1076,9 +1056,9 @@ def _verdict(
             count_ba += 1
 
     _revalidate(a, b, witnesses_ab, witnesses_ba)
-    raw_sets = sum(
-        math.comb(len(formulas), size) for size in range(0, fragment.max_premises + 1)
-    )
+    # ``comb`` is 0 past the formula count, so a huge bound sums no more.
+    top = min(fragment.max_premises, len(formulas))
+    raw_sets = sum(math.comb(len(formulas), size) for size in range(top + 1))
     return ComparisonVerdict(
         label_a=a.label,
         label_b=b.label,

@@ -168,6 +168,31 @@ def test_compare_json_output(capsys):
     assert payload["disagreements"] == [2, 18]
 
 
+def test_compare_with_a_huge_premise_bound_counts_every_subset(capsys):
+    # vars=x at depth 1 has 4 formulas: premises=4 already holds every
+    # subset, so a bound past the formula count must change nothing else.
+    outputs = []
+    for premises in ("99999999999999999999", "4"):
+        code, out, _ = run(
+            capsys,
+            "compare", "--base", B2, "--seq-a", "lr", "--seq-b", "rl",
+            "--fragment", f"vars=x;depth=1;premises={premises}", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload.pop("fragment") == f"vars=x;depth=1;premises={premises}"
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["relation"] == "equal"
+    code, out, _ = run(
+        capsys,
+        "compare", "--base", B2, "--seq-a", "lr", "--seq-b", "rl",
+        "--fragment", "vars=x;depth=1;premises=99999999999999999999",
+    )
+    assert code == 0
+    assert "grid: 16 premise sets x 4 conclusions" in out
+
+
 def test_compare_meet_side_and_witness_injection(capsys):
     witness = (
         "y, and(not(x), or(not(x), z)), and(x, or(x, z)) |- and(y, or(y, z))"

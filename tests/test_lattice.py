@@ -1016,16 +1016,34 @@ def test_more_premises_than_classes_counts_every_subset_exactly():
         compare(a, b, FragmentSpec(max_premises=74))
 
 
-def test_interning_wide_rows_survives_a_hash_collision(monkeypatch):
+@pytest.mark.parametrize(
+    "variables, every, engine",
+    [(("x",), 4, "vector"), (("x",), 4, "exhaustive"), (("x", "y"), 12, "vector")],
+)
+def test_a_huge_premise_bound_counts_as_every_subset(variables, every, engine):
+    # Depth 1 over x has 4 formulas and over x, y 12, so premises=every
+    # already holds every subset: a bound of 10**20 must give the same
+    # verdict, without summing or enumerating 10**20 sizes.
+    a, b = derive_sequence(CL, "l"), derive_sequence(CL, "r")
+    spec = FragmentSpec(variables=variables, max_depth=1, max_premises=every)
+    huge, bounded = (
+        compare(a, b, replace(spec, max_premises=p), engine=engine) for p in (10**20, every)
+    )
+    assert replace(huge, fragment=spec) == bounded
+    assert bounded.checked_premise_sets == 2**every
+
+
+@pytest.mark.parametrize("name", ["chain-5", "CL"])
+def test_interning_wide_rows_survives_a_hash_collision(monkeypatch, name):
     # With every row keyed 0, the first candidate that differs from the empty
     # set's component names it anyway: the build must catch that and number
-    # the components by their bytes, as the real keys do.
-    matrices, fragment, _ = CHUNK_CASES["chain-5"]
+    # the components by their bytes, as the real keys do.  Every row is
+    # hashed: chain-5's are two words wide, CL's one byte.
+    matrices, fragment, _ = CHUNK_CASES[name]
     context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
-    assert sum(context.row_bytes) + 1 > 8  # a wide row: hashed, not itself
     expected = context.components(context.full_mask)
 
-    def colliding(conj, masks, row_bytes):
+    def colliding(conj, masks):
         return np.zeros(len(masks), dtype=np.uint64)
 
     assert context._grow_components(colliding) is None
@@ -1173,6 +1191,23 @@ def test_state_counts_that_miss_a_row_raise(monkeypatch):
     monkeypatch.setattr(lattice_module, "_group_sums", lossy)
     with pytest.raises(LatticeError, match="premise rows of mask"):
         compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"), TINY)
+
+
+@pytest.mark.parametrize("space", [1 << 62, 40], ids=["argsort", "packed-sort"])
+def test_group_sums_equal_a_dict_reference_on_both_branches(space):
+    # A key and its owner are packed into one int64 only while
+    # space * len(counts) stays below 2**63; past that the keys are argsorted.
+    rng = np.random.default_rng(18)
+    counts = rng.integers(1, 1 << 40, size=7)
+    keys = rng.integers(0, 40, size=200)
+    owner = rng.integers(0, len(counts), size=200)
+    assert (space * len(counts) >= 1 << 63) == (space == 1 << 62)
+    expected: dict[int, int] = {}
+    for key, who in zip(keys.tolist(), owner.tolist()):
+        expected[key] = expected.get(key, 0) + int(counts[who])
+    got_keys, sums = lattice_module._group_sums(keys, owner, counts, space)
+    assert got_keys.tolist() == sorted(expected)
+    assert sums.tolist() == [expected[key] for key in sorted(expected)]
 
 
 def _traced_peak(job):
