@@ -201,10 +201,8 @@ def _cmd_decompose(args) -> int:
     matrix = load_matrix_file(args.matrix)
     term = parse_formula(args.pi, matrix.algebra.signature)
     system = decompose(matrix.algebra, term)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name or Path(args.matrix).stem
-    path = dump_system_files(system, out_dir, name)
+    path = dump_system_files(system, Path(args.out_dir), name)
     reloaded = load_system_file(path)
     if plonka_sum(reloaded) != plonka_sum(system):
         raise MatrixError("re-loaded system does not re-sum identically")

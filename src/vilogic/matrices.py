@@ -108,6 +108,14 @@ class FiniteAlgebra:
                 raise MatrixError(
                     f"table for {name!r} has {len(table)} entries, needs {expected}"
                 )
+            # One bulk check; only a table that fails it is walked entry by
+            # entry, to name its first bad entry.
+            if (
+                set(map(len, table)) == {arity}
+                and universe.issuperset(itertools.chain.from_iterable(table))
+                and universe.issuperset(table.values())
+            ):
+                continue
             for args, out in table.items():
                 if len(args) != arity:
                     raise MatrixError(f"table for {name!r} has an entry of wrong arity: {args}")
@@ -117,20 +125,15 @@ class FiniteAlgebra:
     @cached_property
     def index_tables(self) -> dict[str, np.ndarray]:
         """Each connective's table as an ``(n,) * arity`` array of element positions."""
-        return _build_index_tables(self)
-
-
-def _build_index_tables(algebra: FiniteAlgebra) -> dict[str, np.ndarray]:
-    """:attr:`FiniteAlgebra.index_tables`, built without caching it on the algebra."""
-    elements = algebra.elements
-    position = {e: p for p, e in enumerate(elements)}
-    return {
-        name: np.array(
-            [position[algebra.tables[name][args]] for args in itertools.product(elements, repeat=arity)],
-            dtype=np.intp,
-        ).reshape((len(elements),) * arity)
-        for name, arity in algebra.signature.connectives
-    }
+        elements = self.elements
+        position = {e: p for p, e in enumerate(elements)}
+        return {
+            name: np.array(
+                [position[self.tables[name][args]] for args in itertools.product(elements, repeat=arity)],
+                dtype=np.intp,
+            ).reshape((len(elements),) * arity)
+            for name, arity in self.signature.connectives
+        }
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,18 @@ Signatures with 0-ary connectives are rejected by the sum and the
 decomposition: a constant would need a home component below all others,
 which the plain construction does not provide.
 
-Every law check and table build works on element-index tables: numpy
+A direct system is validated and summed on one :class:`_SystemIndex`,
+built once per call from the hom and table dicts.  The hom laws and the
+composition law take a fixed number of array operations per connective
+over the whole system (per block of ``_BLOCK`` entries), whatever the
+number of components, and the sum's tables, which also seed its
+``index_tables``, come from the same index.
+
+The partition and identity checks work on element-index tables: numpy
 arrays of element positions, ``FiniteAlgebra.index_tables``, a k-ary table
 having shape ``(n,) * k``, and formulas are evaluated on them with
-``matrices._evaluate_indices``.  A check over the argument tuples
-of ``itertools.product`` is split into one C-ordered block per leading
+``matrices._evaluate_indices``.  A check over the argument tuples of
+``itertools.product`` is split into one C-ordered block per leading
 argument, so the first True of the first failing block (``argmax``) is the
 counterexample the product loop would meet first, and a block holds
 ``O(n ** (arity - 1))`` entries for a check over ``arity`` arguments: the
@@ -50,7 +57,6 @@ from .matrices import (
     LogicOracle,
     MatrixError,
     MatrixFormatError,
-    _build_index_tables,
     _evaluate_indices,
     _read_text,
     format_matrix,
@@ -123,16 +129,6 @@ def _join_index(lattice: "FiniteSemilattice") -> np.ndarray:
         [[position[lattice.join_table[(i, j)]] for j in lattice.indices] for i in lattice.indices],
         dtype=np.intp,
     )
-
-
-def _component_tables(algebra: FiniteAlgebra) -> tuple[dict[str, int], dict[str, np.ndarray]]:
-    """Element positions and index tables of a system's component.
-
-    Built per call rather than read from the algebra's cached
-    ``index_tables``: components live as long as their system, and a cache
-    on each one would grow every system kept.
-    """
-    return {e: p for p, e in enumerate(algebra.elements)}, _build_index_tables(algebra)
 
 
 @dataclass(frozen=True)
@@ -238,23 +234,28 @@ class SystemReport:
 def validate_system(system: DirectSystem) -> SystemReport:
     """Check every structural requirement; report all violations found.
 
-    The hom laws and the composition of homs are checked on index arrays;
-    designation is compared only along homs that are total maps into their
-    target component.
+    The hom laws and the composition of homs are checked on one
+    :class:`_SystemIndex` of the whole system; designation is compared only
+    along homs that are total maps into their target component.
     """
+    return _validate(system)[0]
+
+
+def _validate(system: DirectSystem) -> tuple[SystemReport, "_SystemIndex | None"]:
+    """The report and the index it was checked on (None if it stopped earlier)."""
     report = SystemReport()
     lattice = system.semilattice
     indices = lattice.indices
     if set(system.components) != set(indices):
         report.add("components", "component keys do not match the semilattice indices")
-        return report
+        return report, None
 
     signature = system.signature
     for i in indices:
         if system.components[i].signature != signature:
             report.add("signature", f"component {i} uses a different signature")
     if not report.ok:
-        return report
+        return report, None
     seen: dict[str, str] = {}
     for i in indices:
         for e in system.components[i].algebra.elements:
@@ -263,46 +264,43 @@ def validate_system(system: DirectSystem) -> SystemReport:
             else:
                 seen[e] = i
 
-    known = set(indices)
-    strictly_below = _strictly_below(lattice)
+    position = {i: p for p, i in enumerate(indices)}
+    join = _join_index(lattice)
+    positions = np.arange(len(indices))
+    strictly_below = (join == positions[None, :]) & (positions[:, None] != positions[None, :])
     ordered_pairs = [(indices[p], indices[q]) for p, q in zip(*np.nonzero(strictly_below))]
-    ordered_set = set(ordered_pairs)
     for key in system.homs:
         i, j = key
-        if i not in known or j not in known:
+        if i not in position or j not in position:
             report.add("order", f"hom given for unknown index pair ({i}, {j})")
         elif i == j:
             ident = {e: e for e in system.components[i].algebra.elements}
             if dict(system.homs[key]) != ident:
                 report.add("identity", f"explicit hom at ({i}, {i}) is not the identity")
-        elif key not in ordered_set:
+        elif not strictly_below[position[i], position[j]]:
             report.add("order", f"hom given for unrelated pair ({i}, {j})")
     for i, j in ordered_pairs:
         if (i, j) not in system.homs:
             report.add("missing-hom", f"no homomorphism for {i} <= {j}")
 
     if not report.ok:
-        return report
+        return report, None
 
-    partial: dict[tuple[str, str], tuple[str, str]] = {}
-    for i, j in ordered_pairs:
-        mapping = system.homs[(i, j)]
-        if set(mapping) != set(system.components[i].algebra.elements):
-            partial[(i, j)] = ("hom-domain", f"hom {i}->{j} is not total on component {i}")
-        elif not set(mapping.values()) <= set(system.components[j].algebra.elements):
-            partial[(i, j)] = ("hom-codomain", f"hom {i}->{j} leaves component {j}")
+    index = _SystemIndex(system, join, strictly_below)
     # Designation and the hom laws are only checked along homs that are maps
     # between the components; a partial one is already reported.
-    total_pairs = [pair for pair in ordered_pairs if pair not in partial]
-    failures = _hom_failures(system, total_pairs)
-    for i, j in ordered_pairs:
-        if (i, j) in partial:
-            report.add(*partial[(i, j)])
-        elif (i, j) in failures:
-            name, args = failures[(i, j)]
+    total_pairs = list(itertools.compress(ordered_pairs, index.total))
+    failures = index.hom_failures(np.flatnonzero(index.total))
+    for row, (i, j) in enumerate(ordered_pairs):
+        if not index.on_source[row]:
+            report.add("hom-domain", f"hom {i}->{j} is not total on component {i}")
+        elif not index.total[row]:
+            report.add("hom-codomain", f"hom {i}->{j} leaves component {j}")
+        elif row in failures:
+            name, args = failures[row]
             report.add("hom-property", f"hom {i}->{j} fails to commute with {name} at {args}")
 
-    for i, j, k, e in _composition_violations(system, strictly_below):
+    for i, j, k, e in index.composition_violations():
         report.add("composition", f"hom {i}->{k} disagrees with {j}-composite at element {e!r}")
 
     if system.kind == "l":
@@ -335,144 +333,161 @@ def validate_system(system: DirectSystem) -> SystemReport:
                     f"(preimage {sorted(pulled)} vs designated "
                     f"{sorted(system.components[i].designated)})",
                 )
-    return report
+    return report, index
 
 
-def _strictly_below(lattice: FiniteSemilattice) -> np.ndarray:
-    """``[p, q]`` is True when index ``p`` lies strictly below index ``q``."""
-    join = _join_index(lattice)
-    positions = np.arange(len(lattice.indices))
-    return (join == positions[None, :]) & (positions[:, None] != positions[None, :])
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run and place within it of every slot, when run ``r`` has ``counts[r]`` slots."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-def _stacked_tables(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables flattened one after another, and where each starts."""
-    starts = np.cumsum([0] + [table.size for table in tables[:-1]])
-    return np.concatenate([table.reshape(-1) for table in tables]), starts
+# Entries the hom and composition checks hold at once (it bounds memory, not work).
+_BLOCK = 1 << 16
 
 
-def _apply(
-    stacked: tuple[np.ndarray, np.ndarray],
-    sizes: np.ndarray,
-    component: np.ndarray,
-    args: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Local position of the operation applied in ``component`` to ``args``.
+def _blocks(counts: np.ndarray) -> list[slice]:
+    """Consecutive runs in blocks of at most ``_BLOCK`` slots, or one run."""
+    cuts = [0, *(np.flatnonzero(np.diff((np.cumsum(counts) - 1) // _BLOCK)) + 1).tolist(), len(counts)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    All arrays are local element positions (and component numbers) that
-    broadcast together; the table is read from :func:`_stacked_tables`.
+
+class _SystemIndex:
+    """A direct system as flat arrays over all of its components at once.
+
+    Elements get global ids in the sum's element order; ``offsets`` and
+    ``sizes`` give each component's run.  Row ``r`` is the hom ``source[r]
+    -> target[r]``, ordered pairs in ``itertools.product`` order, and
+    ``maps[r]`` maps name ids (of every element name, hom key and image)
+    along it; the last column and row stand for "undefined", so partial
+    homs compose exactly as name lookups do.  ``pushed[g, q]`` is the global
+    id of element ``g``'s image in component ``q``, ``n`` if none.  ``row``,
+    ``element`` and ``image`` hold one entry per hom and element of its
+    source; ``on_source`` marks the homs defined on exactly their source and
+    ``total`` those that also land in their target.  ``tables[name]`` holds
+    the connective's values (global ids) on the tuples within one
+    component, per component in ``itertools.product`` order, and the start
+    of each component's run.
     """
-    table, starts = stacked
-    entry = 0
-    for arg in args:
-        entry = entry * sizes[component] + arg
-    return table[starts[component] + entry]
 
+    def __init__(self, system: DirectSystem, join: np.ndarray, strictly_below: np.ndarray):
+        indices = system.semilattice.indices
+        algebras = [system.components[i].algebra for i in indices]
+        self.indices = indices
+        self.join = join
+        self.strictly_below = strictly_below
+        self.connectives = system.signature.connectives
+        self.sizes = np.array([len(a.elements) for a in algebras])
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.elements = [e for a in algebras for e in a.elements]
+        n = len(self.elements)
+        count = len(indices)
+        self.component_of = np.repeat(np.arange(count), self.sizes)
+        self.source, self.target = np.nonzero(strictly_below)
 
-def _hom_failures(
-    system: DirectSystem, pairs: Sequence[tuple[str, str]]
-) -> dict[tuple[str, str], tuple[str, tuple[str, ...]]]:
-    """Per hom that fails to commute, its first (connective, argument tuple).
+        lengths, keys, images = [], [], []
+        for p, q in zip(self.source.tolist(), self.target.tolist()):
+            mapping = system.homs[(indices[p], indices[q])]
+            lengths.append(len(mapping))
+            keys.extend(mapping)
+            images.extend(mapping.values())
+        names = dict.fromkeys(itertools.chain(self.elements, keys, images))
+        ids = dict(zip(names, itertools.count()))
+        self.name_ids = np.array(list(map(ids.__getitem__, self.elements)), dtype=np.intp)
+        self.undefined = undefined = len(ids)
+        self.maps = np.full((len(lengths) + 1, undefined + 1), undefined, np.min_scalar_type(undefined))
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        self.maps[rows, list(map(ids.__getitem__, keys))] = list(map(ids.__getitem__, images))
+        self.row_of = np.full((count, count), len(self.source), dtype=np.intp)
+        self.row_of[self.source, self.target] = np.arange(len(self.source))
 
-    The homs of ``pairs`` must be maps between their components.  They are
-    checked on index tables, all homs out of one component at once, so a
-    block holds (targets) x ``m ** k`` entries for a k-ary connective over
-    an m-element source; the failure is the first in
-    ``itertools.product`` order, the one that the plain reference
-    ``homomorphism_counterexample`` in ``tests/conftest.py`` names.
-    """
-    if not pairs:
-        return {}
-    indices = system.semilattice.indices
-    position = {i: p for p, i in enumerate(indices)}
-    algebras = [system.components[i].algebra for i in indices]
-    positions, tables = zip(*map(_component_tables, algebras))
-    sizes = np.array([len(a.elements) for a in algebras])
-    connectives = system.signature.connectives
-    stacked = {name: _stacked_tables([t[name] for t in tables]) for name, _ in connectives}
-    targets_of: dict[int, list[int]] = {}
-    for i, j in pairs:
-        targets_of.setdefault(position[i], []).append(position[j])
+        # Name ids of the images, then the element of that name in each component.
+        named = self.maps[self.row_of[self.component_of], self.name_ids[:, None]]
+        where = np.full((count, undefined + 1), n, dtype=np.intp)
+        where[self.component_of, self.name_ids] = np.arange(n)
+        self.pushed = where[np.arange(count), named]
+        self.pushed[np.arange(n), self.component_of] = np.arange(n)
 
-    failures = {}
-    for p, targets in targets_of.items():
-        i = indices[p]
-        source = algebras[p]
-        size = len(source.elements)
-        # images[t, a]: local position of the image of a under the hom into targets[t].
-        images = np.array(
-            [
-                [positions[q][system.homs[(i, indices[q])][a]] for a in source.elements]
-                for q in targets
-            ],
-            dtype=np.intp,
-        )
-        pending = np.ones(len(targets), dtype=bool)
-        for name, arity in connectives:
-            local = tables[p][name]
-            component = np.array(targets).reshape((len(targets),) + (1,) * arity)
-            grids = np.ix_(*(np.arange(size),) * arity)
-            pushed = _apply(stacked[name], sizes, component, [images[:, g] for g in grids])
-            bad = (images[:, local] != pushed).reshape(len(targets), -1) & pending[:, None]
-            failing = bad.any(axis=1)
-            for t in np.nonzero(failing)[0]:
-                at = np.unravel_index(int(bad[t].argmax()), local.shape)
-                failures[(i, indices[targets[t]])] = (name, tuple(source.elements[x] for x in at))
-            pending &= ~failing
-    return failures
+        self.row, local = _segments(self.sizes[self.source])
+        self.element = self.offsets[self.source][self.row] + local
+        self.image = self.maps[self.row, self.name_ids[self.element]]
+        # Keys are distinct, so as many keys as elements, each one mapped, is equality.
+        unmapped = np.bincount(self.row[self.image == undefined], minlength=len(self.source))
+        self.on_source = (np.array(lengths, dtype=np.intp) == self.sizes[self.source]) & (unmapped == 0)
+        outside = self.pushed[self.element, self.target[self.row]] == n
+        self.total = self.on_source & (np.bincount(self.row[outside], minlength=len(self.source)) == 0)
 
+        at = [dict(zip(a.elements, itertools.count(o))) for a, o in zip(algebras, self.offsets.tolist())]
+        self.tables = {}
+        for name, arity in self.connectives:
+            values: list[int] = []
+            for algebra, position in zip(algebras, at):
+                cells = itertools.product(algebra.elements, repeat=arity)
+                values.extend(map(position.__getitem__, map(algebra.tables[name].__getitem__, cells)))
+            counts = self.sizes**arity
+            self.tables[name] = (np.array(values, dtype=np.intp), np.cumsum(counts) - counts)
 
-def _composition_violations(
-    system: DirectSystem, strictly_below: np.ndarray
-) -> list[tuple[str, str, str, str]]:
-    """``(i, j, k, e)`` per triple ``i < j < k`` whose homs fail to compose.
+    def apply(self, name: str, component: np.ndarray, args: Sequence[np.ndarray]) -> np.ndarray:
+        """Global id of ``name`` applied within ``component`` to its elements ``args``."""
+        values, starts = self.tables[name]
+        entry = 0
+        for arg in args:
+            entry = entry * self.sizes[component] + (arg - self.offsets[component])
+        return values[starts[component] + entry]
 
-    ``e`` is the first element of component ``i`` that both ``i->j`` and
-    ``j->k`` map and where ``i->k`` disagrees with the composite (or is
-    undefined); triples come in ``itertools.product`` order.  Every element
-    name, hom key and hom image gets an id, and each hom becomes one row of
-    an id-to-id array whose last column and last row stand for "undefined",
-    so partial homs compose exactly as the name lookups they replace.
-    """
-    indices = system.semilattice.indices
-    count = len(indices)
-    ids: dict[str, int] = {}
-    members = [
-        [ids.setdefault(e, len(ids)) for e in system.components[i].algebra.elements]
-        for i in indices
-    ]
-    pairs = list(zip(*np.nonzero(strictly_below)))
-    entries = [
-        [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
-         for a, b in system.homs[(indices[p], indices[q])].items()]
-        for p, q in pairs
-    ]
-    undefined = len(ids)
-    maps = np.full((len(pairs) + 1, undefined + 1), undefined, dtype=np.min_scalar_type(undefined))
-    for row, items in enumerate(entries):
-        if items:
-            keys, images = zip(*items)
-            maps[row, list(keys)] = images
-    row_of = np.full((count, count), len(pairs), dtype=np.intp)
-    for row, (p, q) in enumerate(pairs):
-        row_of[p, q] = row
+    def hom_failures(self, rows: np.ndarray) -> dict[int, tuple[str, tuple[str, ...]]]:
+        """Per row whose hom fails to commute, its first (connective, argument tuple).
 
-    found = []
-    for p in range(count):
-        middles = np.nonzero(strictly_below[p])[0]
-        if not len(middles):
-            continue
-        elements = np.array(members[p], dtype=np.intp)
-        first = maps[row_of[p, middles][:, None], elements[None, :]]  # (j, e)
-        via = maps[row_of[middles][:, :, None], first[:, None, :]]  # (j, k, e)
-        direct = maps[row_of[p][:, None], elements[None, :]]  # (k, e)
-        # An undefined first step leaves via undefined too (last column).
-        bad = (via != undefined) & (direct[None, :, :] != via) & strictly_below[middles][:, :, None]
-        source = system.components[indices[p]].algebra.elements
-        for m, k in zip(*np.nonzero(bad.any(axis=2))):
-            e = source[int(bad[m, k].argmax())]
-            found.append((indices[p], indices[middles[m]], indices[k], e))
-    return found
+        The homs of ``rows``, maps between their components, are checked
+        with one entry per hom and source tuple of a connective; the failure
+        is the first in ``itertools.product`` order, the one that the plain
+        reference ``homomorphism_counterexample`` in ``tests/conftest.py`` names.
+        """
+        failures = {}
+        widest = max((arity for _, arity in self.connectives), default=0)
+        for block in _blocks(self.sizes[self.source[rows]] ** widest):
+            source, target = self.source[rows[block]], self.target[rows[block]]
+            pending = np.ones(len(source), dtype=bool)
+            for name, arity in self.connectives:
+                values, starts = self.tables[name]
+                owner, local = _segments(self.sizes[source] ** arity)
+                p, q = source[owner], target[owner]
+                size = self.sizes[p]
+                args = [self.offsets[p] + local // size ** (arity - 1 - d) % size for d in range(arity)]
+                image = self.pushed[values[starts[p] + local], q]
+                bad = (image != self.apply(name, q, [self.pushed[a, q] for a in args])) & pending[owner]
+                hits = np.flatnonzero(bad)
+                failing, first = np.unique(owner[hits], return_index=True)
+                for t, h in zip(failing.tolist(), hits[first].tolist()):
+                    failures[int(rows[block][t])] = (name, tuple(self.elements[a[h]] for a in args))
+                pending[failing] = False
+        return failures
+
+    def composition_violations(self) -> list[tuple[str, str, str, str]]:
+        """``(i, j, k, e)`` per triple ``i < j < k`` whose homs fail to compose.
+
+        ``e`` is the first element of component ``i`` that both ``i->j`` and
+        ``j->k`` map and where ``i->k`` disagrees with the composite (or is
+        undefined); triples come in ``itertools.product`` order.
+        """
+        row, element, count = self.row, self.element, len(self.indices)
+        name = self.name_ids[element]
+        found = []
+        for block in _blocks(np.full(len(row), count)):
+            # One entry per hom i->j, element of i and k above j, in (i, j, element, k) order.
+            entry, k = np.nonzero(self.strictly_below[self.target[row[block]]])
+            entry += block.start
+            via = self.maps[self.row_of[self.target[row][entry], k], self.image[entry]]
+            direct = self.maps[self.row_of[self.source[row][entry], k], name[entry]]
+            # An undefined first step leaves via undefined too (last column).
+            hits = np.flatnonzero((via != self.undefined) & (direct != via))
+            found.append((entry[hits], k[hits]))
+        entry, k = (np.concatenate(part) for part in zip(*found))
+        # The first hit of a triple is at its first failing element.
+        at = np.unique(row[entry] * count + k, return_index=True)[1]
+        ij, name_of = row[entry[at]], self.indices.__getitem__
+        return list(zip(map(name_of, self.source[ij]), map(name_of, self.target[ij]),
+                        map(name_of, k[at]), map(self.elements.__getitem__, element[entry[at]])))
 
 
 def _reject_constants(signature: Signature, what: str):
@@ -486,47 +501,28 @@ def plonka_sum(system: DirectSystem) -> FiniteMatrix | FiniteAlgebra:
 
     Elements are tagged ``"i.a"``.  Returns a matrix whose designated set is
     the union of the component filters, or a bare algebra for ``algebraic``
-    systems.  The tables are computed on index arrays: the target component
-    of each argument tuple from the join-index table, the pushed arguments
-    from one index map per hom, and the value from that component's table.
+    systems.  The tables are computed on the :class:`_SystemIndex` that
+    validation built: each argument tuple's target component by joins, its
+    arguments pushed there, and the value from that component's table.
+    They are the sum's index tables too, and seed its ``index_tables``.
     """
-    report = validate_system(system)
+    report, index = _validate(system)
     if not report.ok:
         raise InvalidSystemError(report)
     signature = system.signature
     _reject_constants(signature, "the sum construction")
-    lattice = system.semilattice
-    indices = lattice.indices
-    join = _join_index(lattice)
-    leq = join == np.arange(len(indices))[None, :]
-
-    algebras = [system.components[i].algebra for i in indices]
-    positions, component_tables = zip(*map(_component_tables, algebras))
-    sizes = np.array([len(a.elements) for a in algebras])
-    offsets = np.cumsum(sizes) - sizes
-    elements = [f"{i}.{a}" for i, algebra in zip(indices, algebras) for a in algebra.elements]
-    component_of = np.repeat(np.arange(len(indices)), sizes)
-    # pushed[g, q]: local position in component q of sum element g pushed
-    # along the hom into q, filled where g's component lies below q.
-    pushed = np.zeros((len(elements), len(indices)), dtype=np.intp)
-    for p, i in enumerate(indices):
-        rows = slice(offsets[p], offsets[p] + sizes[p])
-        for q in np.nonzero(leq[p])[0]:
-            if q == p:
-                pushed[rows, q] = np.arange(sizes[p])
-                continue
-            mapping = system.homs[(i, indices[q])]
-            pushed[rows, q] = [positions[q][mapping[a]] for a in algebras[p].elements]
-
+    indices = system.semilattice.indices
+    elements = [f"{i}.{a}" for i in indices for a in system.components[i].algebra.elements]
+    everything = np.arange(len(elements))
     tables: dict[str, dict[tuple[str, ...], str]] = {}
+    index_tables = {}
     for name, arity in signature.connectives:
-        args = np.ix_(*(np.arange(len(elements)),) * arity)
-        target = component_of[args[0]]
+        args = np.ix_(*(everything,) * arity)
+        target = index.component_of[args[0]]
         for arg in args[1:]:
-            target = join[target, component_of[arg]]
-        stacked = _stacked_tables([t[name] for t in component_tables])
-        local = _apply(stacked, sizes, target, [pushed[arg, target] for arg in args])
-        values = offsets[target] + local
+            target = index.join[target, index.component_of[arg]]
+        values = index.apply(name, target, [index.pushed[arg, target] for arg in args])
+        index_tables[name] = values
         tables[name] = dict(
             zip(
                 itertools.product(elements, repeat=arity),
@@ -534,6 +530,7 @@ def plonka_sum(system: DirectSystem) -> FiniteMatrix | FiniteAlgebra:
             )
         )
     algebra = FiniteAlgebra(signature, tuple(elements), tables)
+    vars(algebra)["index_tables"] = index_tables
     if system.kind == "algebraic":
         return algebra
     designated = frozenset(
@@ -975,16 +972,16 @@ def load_system_file(path) -> DirectSystem:
 def dump_system_files(system: DirectSystem, directory, basename: str) -> Path:
     """Write a system and its component matrices; returns the system path.
 
-    An index must read back as one token of every line it appears on and
-    name a file beside the system file, so it is refused before anything is
-    written if it is empty or holds whitespace, ``,``, ``#``, ``->``, ``:``
-    or a path separator.
+    An index and the base name must read back as one token of every line
+    they appear on and name a file beside the system file, so either is
+    refused before anything is written if it is empty or holds whitespace,
+    ``,``, ``#``, ``->``, ``:`` or a path separator.
     """
-    for i in system.semilattice.indices:
-        if not i or any(c.isspace() for c in i) or any(
-            s in i for s in (",", "#", "->", ":", "/", "\\")
+    for what, name in [("base name", basename)] + [("index", i) for i in system.semilattice.indices]:
+        if not name or any(c.isspace() for c in name) or any(
+            s in name for s in (",", "#", "->", ":", "/", "\\")
         ):
-            raise MatrixFormatError(f"index {i!r} cannot be written to a system file")
+            raise MatrixFormatError(f"{what} {name!r} cannot be written to a system file")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"kind: {system.kind}"]

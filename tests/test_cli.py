@@ -140,6 +140,18 @@ def test_decompose_validate_sum_round_trip(capsys, tmp_path):
     assert total.designated == frozenset()
 
 
+def test_decompose_refuses_a_base_name_outside_the_out_dir(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        "decompose", "--matrix", WK_PWK, "--pi", "and(x, or(x, y))",
+        "--out-dir", str(tmp_path / "out"), "--name", "../esc",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: base name '../esc' cannot be written to a system file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sum_to_stdout_mentions_algebraic_designation(capsys, tmp_path):
     run(
         capsys,

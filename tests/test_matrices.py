@@ -162,6 +162,70 @@ def test_parse_matrix_requires_total_tables():
         parse_matrix_text(text)
 
 
+def _b2_tables(**changes):
+    """The two-element Boolean tables, with ``changes`` applied per connective
+    (a dict of entries to set, where a value of None deletes the entry)."""
+    tables = {name: dict(table) for name, table in b2_matrix().algebra.tables.items()}
+    for name, edits in changes.items():
+        for args, out in edits.items():
+            if out is None:
+                del tables[name][args]
+            else:
+                tables[name][args] = out
+    return tables
+
+
+@pytest.mark.parametrize(
+    "elements, tables, message",
+    [
+        ((), {}, "algebra needs at least one element"),
+        (("0", "1", "0"), _b2_tables(), "duplicate elements"),
+        (
+            ("0", "1"),
+            {name: t for name, t in _b2_tables().items() if name != "not"},
+            "tables ['and', 'or'] do not match signature ['and', 'not', 'or']",
+        ),
+        (("0", "1"), _b2_tables(**{"or": {("1", "1"): None}}), "table for 'or' has 3 entries, needs 4"),
+        (
+            ("0", "1"),
+            _b2_tables(**{"and": {("0", "0"): None, ("0",): "0", ("1",): "1"}, "or": {("1", "1"): None}}),
+            "table for 'and' has 5 entries, needs 4",
+        ),
+        (
+            ("0", "1"),
+            _b2_tables(**{"and": {("1", "1"): None, ("1",): "1"}, "not": {("0",): "2"}}),
+            "table for 'and' has an entry of wrong arity: ('1',)",
+        ),
+        (
+            ("0", "1"),
+            _b2_tables(**{"and": {("0", "1"): "2", ("1", "0"): "3"}}),
+            "table for 'and' mentions unknown elements: ('0', '1') -> 2",
+        ),
+        (
+            ("0", "1"),
+            _b2_tables(**{"or": {("1", "1"): None, ("1", "x"): "1"}, "not": {("0",): "2"}}),
+            "table for 'or' mentions unknown elements: ('1', 'x') -> 1",
+        ),
+        (
+            ("0", "1"),
+            _b2_tables(**{"and": {("0", "1"): "2", ("1", "1"): None, (("1", "1", "1")): "1"}}),
+            "table for 'and' mentions unknown elements: ('0', '1') -> 2",
+        ),
+    ],
+    ids=[
+        "no-elements", "duplicate-elements", "tables-not-signature", "missing-entry",
+        "first-connective-counted-first", "wrong-arity", "unknown-value-first-entry",
+        "unknown-argument", "first-bad-entry-in-table-order",
+    ],
+)
+def test_algebra_construction_names_the_first_fault(elements, tables, message):
+    """Connectives are checked in signature order: the entry count first, then
+    each entry in table order, its arity before its elements."""
+    with pytest.raises(MatrixError) as caught:
+        FiniteAlgebra(FULL_SIGNATURE, elements, tables)
+    assert str(caught.value) == message
+
+
 def test_empty_designated_round_trips():
     matrix = FiniteMatrix(b2_matrix().algebra, frozenset())
     assert parse_matrix_text(format_matrix(matrix)) == matrix

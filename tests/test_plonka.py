@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from vilogic.matrices import (
     evaluate,
     format_matrix,
 )
+import vilogic.plonka as plonka_module
 from vilogic.plonka import (
     AxiomResult,
     DecompositionError,
@@ -356,6 +358,16 @@ def test_dump_refuses_an_index_the_system_file_cannot_hold(tmp_path, index):
     with pytest.raises(MatrixFormatError, match="index"):
         dump_system_files(_one_component_system(index), tmp_path / "out", "sys")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("basename", ["", " ", "a b", "a,b", "a#b", "a->b", "a:b", "../esc", "a\\b"])
+def test_dump_refuses_a_base_name_the_system_file_cannot_hold(tmp_path, basename):
+    # These used to write files outside the directory ("../esc"), a
+    # component line that loads as a comment ("a#b") or a system file that
+    # cannot be loaded (" ").
+    with pytest.raises(MatrixFormatError, match="base name"):
+        dump_system_files(_one_component_system("0"), tmp_path / "out", basename)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dump_round_trips_a_one_component_system(tmp_path):
@@ -950,29 +962,21 @@ def test_regular_identity_matches_reference(algebra, left, right):
     assert new == _outcome(reference_check_regular_identity, left, right, algebra)
 
 
-@st.composite
-def damaged_systems(draw):
-    """Copies-below-points systems of any kind with random designation and a
-    few homs, components or elements damaged."""
-    base = draw(st.sampled_from([b2_algebra(), b2_and_or_matrix().algebra, wk_algebra()]))
-    masks = _union_closed(draw(st.lists(st.integers(1, 7), min_size=2, max_size=4)))
-    copies = draw(st.integers(0, len(masks)))
-    kind = draw(st.sampled_from(["algebraic", "l", "r"]))
-    system = _copies_below_points(base, masks, masks[:copies], kind)
-    components = {
-        i: FiniteMatrix(m.algebra, frozenset(draw(st.sets(st.sampled_from(m.algebra.elements)))))
-        for i, m in system.components.items()
-    }
-    homs = {pair: dict(mapping) for pair, mapping in system.homs.items()}
-    indices = system.semilattice.indices
+HOM_DAMAGES = ("drop-key", "junk-image", "move-image", "junk-key", "rewire", "stray-hom", "drop-hom")
+
+
+def _damage_homs(draw, components, homs, indices, count):
+    """Apply ``count`` damages drawn from ``HOM_DAMAGES`` to ``homs`` in place,
+    each to a hom into one of ``indices`` (a stray hom joins two of them)."""
     every = sorted({e for m in components.values() for e in m.algebra.elements})
-    damages = ["drop-key", "junk-image", "move-image", "junk-key", "rewire", "stray-hom", "drop-hom"]
-    for _ in range(draw(st.integers(0, 3))):
-        damage = draw(st.sampled_from(damages))
-        if damage == "stray-hom" or not homs:
+    targets = set(indices)
+    for _ in range(count):
+        damage = draw(st.sampled_from(HOM_DAMAGES))
+        into = sorted(pair for pair in homs if pair[1] in targets)
+        if damage == "stray-hom" or not into:
             pair = (draw(st.sampled_from(indices)), draw(st.sampled_from(indices)))
         else:
-            pair = draw(st.sampled_from(sorted(homs)))
+            pair = draw(st.sampled_from(into))
         if damage in ("stray-hom", "rewire"):
             images = components[pair[1]].algebra.elements
             homs[pair] = {e: draw(st.sampled_from(images)) for e in components[pair[0]].algebra.elements}
@@ -990,23 +994,52 @@ def damaged_systems(draw):
             key = draw(st.sampled_from(sorted(mapping)))
             images = components[pair[1]].algebra.elements
             mapping[key] = "junk" if damage == "junk-image" else draw(st.sampled_from(images))
+
+
+def _share_point_names(components, homs, indices):
+    """Rename the element of the first two one-element components among
+    ``indices`` to one shared name, in place."""
+    points = [i for i in indices if len(components[i].algebra.elements) == 1]
+    for i in points[:2]:
+        old = components[i].algebra.elements[0]
+        algebra = components[i].algebra
+        tables = {op: {("shared",) * arity: "shared"} for op, arity in algebra.signature.connectives}
+        components[i] = FiniteMatrix(
+            FiniteAlgebra(algebra.signature, ("shared",), tables),
+            frozenset({"shared"}) if old in components[i].designated else frozenset(),
+        )
+        for mapping in homs.values():
+            for key, image in list(mapping.items()):
+                if image == old:
+                    mapping[key] = "shared"
+                if key == old:
+                    mapping["shared"] = mapping.pop(key)
+
+
+def _designate_at_random(draw, system):
+    """The components of ``system`` with random designated sets."""
+    return {
+        i: FiniteMatrix(m.algebra, frozenset(draw(st.sets(st.sampled_from(m.algebra.elements)))))
+        for i, m in system.components.items()
+    }
+
+
+@st.composite
+def damaged_systems(draw):
+    """Copies-below-points systems of any kind with random designation and a
+    few homs, components or elements damaged."""
+    base = draw(st.sampled_from([b2_algebra(), b2_and_or_matrix().algebra, wk_algebra()]))
+    masks = _union_closed(draw(st.lists(st.integers(1, 7), min_size=2, max_size=4)))
+    copies = draw(st.integers(0, len(masks)))
+    kind = draw(st.sampled_from(["algebraic", "l", "r"]))
+    system = _copies_below_points(base, masks, masks[:copies], kind)
+    components = _designate_at_random(draw, system)
+    homs = {pair: dict(mapping) for pair, mapping in system.homs.items()}
+    indices = system.semilattice.indices
+    _damage_homs(draw, components, homs, indices, draw(st.integers(0, 3)))
     if draw(st.integers(0, 4)) == 0:
         # Two one-element components sharing their element name.
-        points = [i for i in indices if len(components[i].algebra.elements) == 1]
-        for i in points[:2]:
-            old = components[i].algebra.elements[0]
-            algebra = components[i].algebra
-            tables = {op: {("shared",) * arity: "shared"} for op, arity in algebra.signature.connectives}
-            components[i] = FiniteMatrix(
-                FiniteAlgebra(algebra.signature, ("shared",), tables),
-                frozenset({"shared"}) if old in components[i].designated else frozenset(),
-            )
-            for mapping in homs.values():
-                for key, image in list(mapping.items()):
-                    if image == old:
-                        mapping[key] = "shared"
-                    if key == old:
-                        mapping["shared"] = mapping.pop(key)
+        _share_point_names(components, homs, indices)
     return DirectSystem(system.semilattice, components, homs, kind=kind)
 
 
@@ -1079,14 +1112,98 @@ def test_composition_of_partial_homs_matches_reference(pair, key, image, codes):
 # ---------------------------------------------------------------------------
 
 
-def _cube_system(copies, tower):
-    """Boolean copies on the first ``copies`` of the 31 nonempty subsets of a
-    five-element set (ordered by size, so a down-set), one-element
+def _cube_system(copies, tower, base=b2_algebra(), kind="algebraic"):
+    """Copies of ``base`` on the first ``copies`` of the 31 nonempty subsets
+    of a five-element set (ordered by size, so a down-set), one-element
     components at the other subsets and on a chain of ``tower`` sets above
-    them all.  The sum has ``31 + tower + copies`` elements."""
+    them all.  With the Boolean base the sum has ``31 + tower + copies``
+    elements."""
     cube = sorted(range(1, 32), key=lambda s: (bin(s).count("1"), s))
     masks = cube + [(1 << (6 + k)) - 1 for k in range(tower)]
-    return _copies_below_points(b2_algebra(), masks, cube[:copies])
+    return _copies_below_points(base, masks, cube[:copies], kind)
+
+
+@st.composite
+def cube_systems(draw):
+    """Systems of :func:`_cube_system`'s shape with 30-64 elements, copies of
+    a Boolean, weak Kleene or constant-carrying algebra, with up to two
+    damages at deep indices (from the middle of the copies up, or the upper
+    half of the indices when there are none): a hom damage from
+    ``HOM_DAMAGES`` to a hom into one of them, or two of them that are
+    points sharing an element name."""
+    base = draw(st.sampled_from([b2_algebra(), wk_algebra(), _WK_CONSTANT]))
+    tower = draw(st.integers(0, 12))
+    copies = draw(st.integers(0, min(31, (33 - tower) // (len(base.elements) - 1))))
+    kind = draw(st.sampled_from(["algebraic", "l", "r"]))
+    system = _cube_system(copies, tower, base, kind)
+    components = dict(system.components)
+    if kind != "algebraic":
+        components = _designate_at_random(draw, system)
+    homs = {pair: dict(mapping) for pair, mapping in system.homs.items()}
+    indices = system.semilattice.indices
+    deep = indices[(copies or len(indices)) // 2:]
+    damages = draw(st.integers(0, 2))
+    if damages and draw(st.integers(0, 4)) == 0:
+        _share_point_names(components, homs, deep)
+        damages -= 1
+    _damage_homs(draw, components, homs, deep, damages)
+    return DirectSystem(system.semilattice, components, homs, kind=kind)
+
+
+_CONSTANT_CUBE = _cube_system(copies=6, tower=0, base=_WK_CONSTANT)
+
+
+def _moved_image_cube():
+    """The 64-element cube system with ``s3 -> s7`` sending ``s3_0`` to
+    ``s7_1``: one failing hom, and failing triples through it."""
+    system = _cube_system(copies=21, tower=12)
+    system.homs[("s3", "s7")]["s3_0"] = "s7_1"
+    return system
+
+
+@settings(max_examples=50, deadline=None)
+@given(cube_systems())
+@example(_cube_system(copies=21, tower=12))
+@example(_moved_image_cube())
+@example(_CONSTANT_CUBE)
+def test_validate_and_sum_match_reference_at_workload_scale(system):
+    """The whole-system kernels at the benchmark's sizes, where one failing
+    hom or triple sits among hundreds of passing ones."""
+    assert validate_system(system).render() == reference_validate_system(system).render()
+    total = _outcome(plonka_sum, system)
+    assert total == _outcome(reference_plonka_sum, system)
+    if not isinstance(total, tuple):
+        # The index tables the sum seeds are the ones its tables give.
+        algebra = total if isinstance(total, FiniteAlgebra) else total.algebra
+        rebuilt = FiniteAlgebra(algebra.signature, algebra.elements, algebra.tables).index_tables
+        for name, table in algebra.index_tables.items():
+            assert table.dtype == rebuilt[name].dtype and np.array_equal(table, rebuilt[name])
+
+
+def _swapped_images_chain():
+    """Weak Kleene copies on the chain s1 < s3 < s7 < s15 with ``s1 -> s3``
+    swapping the images of ``s1_n`` and ``s1_1``: every triple through it
+    fails at its second element and again at its third."""
+    system = _copies_below_points(wk_algebra(), [1, 3, 7, 15], [1, 3, 7, 15])
+    system.homs[("s1", "s3")].update({"s1_n": "s3_1", "s1_1": "s3_n"})
+    return system
+
+
+@pytest.mark.parametrize("block", [1, 5, 300])
+def test_blocked_kernels_match_reference(monkeypatch, block):
+    """Blocks small enough to put each hom, or each (hom, element) entry of
+    the composition check, in a block of its own."""
+    systems = [_moved_image_cube(), _swapped_images_chain()]
+    expected = [reference_validate_system(system).render() for system in systems]
+    monkeypatch.setattr(plonka_module, "_BLOCK", block)
+    assert [validate_system(system).render() for system in systems] == expected
+    assert "at element 's1_n'" in expected[1]
+
+
+def test_a_constant_passes_validation_and_stops_the_sum():
+    assert validate_system(_CONSTANT_CUBE).ok
+    with pytest.raises(MatrixError, match="0-ary connective 't'"):
+        plonka_sum(_CONSTANT_CUBE)
 
 
 def test_round_trip_at_48_elements_recovers_partition_and_tables():
@@ -1125,6 +1242,18 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _traced_peak_over_result(fn, *args):
+    """Traced peak of a call above what its result still holds on return."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak - held
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_peaks_at_64_elements_stay_at_block_size():
     """No n**3 temporaries: an intp array of 64**3 entries alone is 2 MB."""
     system = _cube_system(copies=21, tower=12)
@@ -1134,3 +1263,11 @@ def test_memory_peaks_at_64_elements_stay_at_block_size():
     decompose_peak = _traced_peak(decompose, plonka_sum(system), pi_term())
     assert partition_peak <= 0.5 * 2**20, partition_peak
     assert decompose_peak <= 2 * 2**20, decompose_peak
+    # The whole-system kernels hold one entry per hom and tuple within a
+    # component, or per triple and element: about 8.5k at these 43 indices.
+    validate_peak = _traced_peak(validate_system, system)
+    assert validate_peak <= 0.5 * 2**20, validate_peak
+    # The sum's own tables (about 0.75 MB of dicts and index arrays) are its
+    # result; what it builds on the way must stay at block size.
+    sum_peak = _traced_peak_over_result(plonka_sum, system)
+    assert sum_peak <= 0.5 * 2**20, sum_peak
