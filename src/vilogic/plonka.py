@@ -34,11 +34,11 @@ The partition and identity checks work on element-index tables: numpy
 arrays of element positions, ``FiniteAlgebra.index_tables``, a k-ary table
 having shape ``(n,) * k``, and formulas are evaluated on them with
 ``matrices._evaluate_indices``.  A check over the argument tuples of
-``itertools.product`` is split into one C-ordered block per leading
-argument, so the first True of the first failing block (``argmax``) is the
-counterexample the product loop would meet first, and a block holds
-``O(n ** (arity - 1))`` entries for a check over ``arity`` arguments: the
-cubic partition laws never build an ``n ** 3`` array.
+``itertools.product`` is split into C-ordered slabs of consecutive leading
+arguments, as many as fit in ``_BLOCK // 8`` entries (at least one), so the
+first True of the first failing slab (``argmax``) is the counterexample the
+product loop would meet first, and the cubic partition laws never build an
+``n ** 3`` array.
 """
 
 from __future__ import annotations
@@ -108,17 +108,21 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
 
 
 def _first_in_blocks(
-    n: int, block: Callable[[int], np.ndarray]
+    n: int, per: int, block: Callable[[slice], np.ndarray]
 ) -> tuple[int, ...] | None:
     """First failing index tuple of a check over ``itertools.product`` order.
 
-    ``block(a)`` is the C-ordered failure mask of the tuples whose leading
-    argument is ``a``; blocks are built one at a time.
+    ``block(s)`` is the C-ordered failure mask of the tuples whose leading
+    argument lies in the slice ``s`` of ``range(n)``, ``per`` tuples per
+    leading argument.  Slabs of as many leading arguments as fit in
+    ``_BLOCK // 8`` entries (at least one) are built one at a time, in order,
+    so the first True of the first failing slab is the first failure.
     """
-    for a in range(n):
-        hit = _first(block(a))
+    step = max(1, _BLOCK // 8 // per)
+    for start in range(0, n, step):
+        hit = _first(block(slice(start, start + step)))
         if hit is not None:
-            return (a, *hit)
+            return (start + hit[0], *hit[1:])
     return None
 
 
@@ -159,7 +163,9 @@ class FiniteSemilattice:
         if hit is not None:
             i, j = (self.indices[p] for p in hit)
             raise SemilatticeError(f"join not commutative at ({i}, {j})")
-        hit = _first_in_blocks(len(self.indices), lambda i: join[join[i]] != join[i][join])
+        hit = _first_in_blocks(
+            len(join), len(join) ** 2, lambda s: join[join[s]] != np.take(join[s], join, axis=1)
+        )
         if hit is not None:
             i, j, k = (self.indices[p] for p in hit)
             raise SemilatticeError(f"join not associative at ({i}, {j}, {k})")
@@ -342,7 +348,8 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-# Entries the hom and composition checks hold at once (it bounds memory, not work).
+# Entries the hom and composition checks hold at once, and eight times the
+# entries of a law check's slab (it bounds memory, not work).
 _BLOCK = 1 << 16
 
 
@@ -358,13 +365,17 @@ class _SystemIndex:
     Elements get global ids in the sum's element order; ``offsets`` and
     ``sizes`` give each component's run.  Row ``r`` is the hom ``source[r]
     -> target[r]``, ordered pairs in ``itertools.product`` order, and
-    ``maps[r]`` maps name ids (of every element name, hom key and image)
-    along it; the last column and row stand for "undefined", so partial
-    homs compose exactly as name lookups do.  ``pushed[g, q]`` is the global
-    id of element ``g``'s image in component ``q``, ``n`` if none.  ``row``,
-    ``element`` and ``image`` hold one entry per hom and element of its
-    source; ``on_source`` marks the homs defined on exactly their source and
-    ``total`` those that also land in their target.  ``tables[name]`` holds
+    ``row_of[p, q]`` is the row of ``p -> q`` for ``p < q``.  Name ids (of every element
+    name, hom key and image) are mapped along a row by :meth:`along`, which
+    searches the sorted ``(row, name)`` keys of the hom entries; a name
+    without an entry, ``undefined`` included, maps to ``undefined``, so
+    partial homs compose exactly as name lookups do.  ``row``, ``element``
+    (with its position ``local`` in its component) and ``image`` hold one
+    entry per hom and element of its source, a row's entries from
+    ``first[r]`` on.  ``pushed[g, q]`` is the global id of element ``g``'s
+    image in component ``q``, ``n`` if none.  ``on_source`` marks the homs
+    defined on exactly their source and ``total`` those that also land in
+    their target.  ``tables[name]`` holds
     the connective's values (global ids) on the tuples within one
     component, per component in ``itertools.product`` order, and the start
     of each component's run.
@@ -395,27 +406,32 @@ class _SystemIndex:
         ids = dict(zip(names, itertools.count()))
         self.name_ids = np.array(list(map(ids.__getitem__, self.elements)), dtype=np.intp)
         self.undefined = undefined = len(ids)
-        self.maps = np.full((len(lengths) + 1, undefined + 1), undefined, np.min_scalar_type(undefined))
+        # One sorted key per hom entry, and a last one above every key looked up.
         rows = np.repeat(np.arange(len(lengths)), lengths)
-        self.maps[rows, list(map(ids.__getitem__, keys))] = list(map(ids.__getitem__, images))
-        self.row_of = np.full((count, count), len(self.source), dtype=np.intp)
+        keys = rows * (undefined + 1) + np.array(list(map(ids.__getitem__, keys)), dtype=np.intp)
+        order = np.argsort(keys)
+        self.keys = np.append(keys[order], (len(lengths) + 1) * (undefined + 1))
+        images = np.array(list(map(ids.__getitem__, images)), dtype=np.min_scalar_type(undefined))
+        self.images = np.append(images[order], images.dtype.type(undefined))
+        self.row_of = np.zeros((count, count), dtype=np.intp)
         self.row_of[self.source, self.target] = np.arange(len(self.source))
 
-        # Name ids of the images, then the element of that name in each component.
-        named = self.maps[self.row_of[self.component_of], self.name_ids[:, None]]
+        self.row, self.local = _segments(self.sizes[self.source])
+        self.first = np.cumsum(self.sizes[self.source]) - self.sizes[self.source]
+        self.element = self.offsets[self.source][self.row] + self.local
+        self.image = self.along(self.row * (undefined + 1) + self.name_ids[self.element])
+        # The element of each image's name in the hom's target, n if none.
         where = np.full((count, undefined + 1), n, dtype=np.intp)
         where[self.component_of, self.name_ids] = np.arange(n)
-        self.pushed = where[np.arange(count), named]
+        landed = where[self.target[self.row], self.image]
+        self.pushed = np.full((n, count), n, dtype=np.intp)
+        self.pushed[self.element, self.target[self.row]] = landed
         self.pushed[np.arange(n), self.component_of] = np.arange(n)
-
-        self.row, local = _segments(self.sizes[self.source])
-        self.element = self.offsets[self.source][self.row] + local
-        self.image = self.maps[self.row, self.name_ids[self.element]]
         # Keys are distinct, so as many keys as elements, each one mapped, is equality.
         unmapped = np.bincount(self.row[self.image == undefined], minlength=len(self.source))
         self.on_source = (np.array(lengths, dtype=np.intp) == self.sizes[self.source]) & (unmapped == 0)
-        outside = self.pushed[self.element, self.target[self.row]] == n
-        self.total = self.on_source & (np.bincount(self.row[outside], minlength=len(self.source)) == 0)
+        outside = np.bincount(self.row[landed == n], minlength=len(self.source))
+        self.total = self.on_source & (outside == 0)
 
         at = [dict(zip(a.elements, itertools.count(o))) for a, o in zip(algebras, self.offsets.tolist())]
         self.tables = {}
@@ -426,6 +442,13 @@ class _SystemIndex:
                 values.extend(map(position.__getitem__, map(algebra.tables[name].__getitem__, cells)))
             counts = self.sizes**arity
             self.tables[name] = (np.array(values, dtype=np.intp), np.cumsum(counts) - counts)
+
+    def along(self, key: np.ndarray) -> np.ndarray:
+        """Name id of the image at each ``row * (undefined + 1) + name`` key, or ``undefined``."""
+        at = np.searchsorted(self.keys, key)
+        image = self.images[at]
+        image[self.keys[at] != key] = self.undefined
+        return image
 
     def apply(self, name: str, component: np.ndarray, args: Sequence[np.ndarray]) -> np.ndarray:
         """Global id of ``name`` applied within ``component`` to its elements ``args``."""
@@ -471,15 +494,17 @@ class _SystemIndex:
         undefined); triples come in ``itertools.product`` order.
         """
         row, element, count = self.row, self.element, len(self.indices)
-        name = self.name_ids[element]
         found = []
         for block in _blocks(np.full(len(row), count)):
             # One entry per hom i->j, element of i and k above j, in (i, j, element, k) order.
             entry, k = np.nonzero(self.strictly_below[self.target[row[block]]])
             entry += block.start
-            via = self.maps[self.row_of[self.target[row][entry], k], self.image[entry]]
-            direct = self.maps[self.row_of[self.source[row][entry], k], name[entry]]
-            # An undefined first step leaves via undefined too (last column).
+            via = self.along(
+                self.row_of[self.target[row][entry], k] * (self.undefined + 1) + self.image[entry]
+            )
+            # Element e's own entry of the hom i->k.
+            direct = self.image[self.first[self.row_of[self.source[row][entry], k]] + self.local[entry]]
+            # An undefined first step leaves via undefined too.
             hits = np.flatnonzero((via != self.undefined) & (direct != via))
             found.append((entry[hits], k[hits]))
         entry, k = (np.concatenate(part) for part in zip(*found))
@@ -613,9 +638,9 @@ def check_partition_function(
     checked on index tables.  Each counterexample is the first failure in
     ``itertools.product`` order over the axiom's arguments: P2 and P3 run
     over ``(a, b, c)``, P4 and P5 over the connective's arguments and then
-    ``b``.  Each check takes one block per leading argument, so for a
-    k-ary connective no temporary holds more than ``n ** k`` entries, and
-    P2 and P3 hold ``n ** 2``.
+    ``b``.  Each check runs on slabs of leading arguments of at most
+    ``_BLOCK // 8`` entries (one leading argument when that alone is more),
+    and each side of an axiom is one row gather or one take per slab.
     """
     if mode not in ("algebraic", "l", "r"):
         raise MatrixError(f"unknown partition check mode {mode!r}")
@@ -635,10 +660,17 @@ def check_partition_function(
     def triple(hit):
         return None if hit is None else tuple(elements[p] for p in hit)
 
-    bad3 = triple(_first_in_blocks(n, lambda a: dot[a][dot] != dot[dot[a]]))
+    # Over (a, b, c), a slab of rows a: a*(b*c) takes each row at dot[b, c],
+    # and (a*b)*c gathers row a*b.
+    flat, transposed = dot.reshape(-1), np.ascontiguousarray(dot.T)
+    bad3 = triple(_first_in_blocks(
+        n, n * n, lambda s: np.take(dot[s], dot, axis=1) != dot[dot[s]]
+    ))
     report.results.append(AxiomResult("P2 associativity", bad3 is None, bad3))
 
-    bad3 = triple(_first_in_blocks(n, lambda a: dot[a][dot] != dot[a][dot.T]))
+    bad3 = triple(_first_in_blocks(
+        n, n * n, lambda s: np.take(dot[s], dot, axis=1) != np.take(dot[s], transposed, axis=1)
+    ))
     report.results.append(AxiomResult("P3 right commutation", bad3 is None, bad3))
 
     tables = algebra.index_tables
@@ -646,21 +678,29 @@ def check_partition_function(
         if arity == 0:
             continue
         table = tables[name]
-        # Open grids over (args[1:], b); the leading argument is fixed per block.
-        *rest, b = np.ix_(*(positions,) * arity)
+        values = table.reshape(-1)
+        # On the axes (a_1 .. a_k, b), shapes[d] holds an (n, n) table over
+        # (a_d, b).  f(a_1*b .. a_k*b) is the table's flat entry at the sum
+        # of the weights, and args[d - 1] holds a_d's positions.
+        shapes = [(1,) * d + (n,) + (1,) * (arity - 1 - d) + (n,) for d in range(arity)]
+        weights = [(dot * n ** (arity - 1 - d)).reshape(shape) for d, shape in enumerate(shapes)]
+        args = [positions.reshape(shape[:-1] + (1,)) for shape in shapes[1:]]
+        first_factor = transposed.reshape(shapes[0])
 
-        def distribution(a):
-            pushed = (dot[a, b], *(dot[r, b] for r in rest))
-            return dot[table[(a, *rest)], b] != table[pushed]
+        def distribution(s):
+            pushed = weights[0][s]
+            for weight in weights[1:]:
+                pushed = pushed + weight
+            return dot[table[s]] != np.take(values, pushed)
 
-        def absorption(a):
-            folded = dot[b, a]
-            for r in rest:
-                folded = dot[folded, r]
-            return dot[b, table[(a, *rest)]] != folded
+        def absorption(s):
+            folded = first_factor[s]  # b*a_1, then times each later argument
+            for arg in args:
+                folded = np.take(flat, folded * n + arg)
+            return transposed[table[s]] != folded
 
         for label, block in (("P4 distribution", distribution), ("P5 absorption", absorption)):
-            hit = _first_in_blocks(n, block)
+            hit = _first_in_blocks(n, n**arity, block)
             failure = None
             if hit is not None:
                 failure = (name, tuple(elements[p] for p in hit[:-1]), elements[hit[-1]])
@@ -798,26 +838,27 @@ def check_regular_identity(
     """Evaluate an identity: regular means both sides use the same variables.
 
     Both sides are evaluated on index tables over the valuations of the
-    sorted variables, one block per value of the first variable, so a
-    block holds ``n ** (k - 1)`` entries for k variables.  The
-    counterexample is the first failing valuation in
-    ``itertools.product`` order.  With no variables every block is the
-    one empty valuation.
+    sorted variables, in slabs of values of the first variable of at most
+    ``_BLOCK // 8`` valuations (one value when its ``n ** (k - 1)``
+    valuations are more).  The counterexample is the first failing
+    valuation in ``itertools.product`` order.  With no variables the one
+    empty valuation is a slab of its own.
     """
     regular = left.variables == right.variables
     names = sorted(left.variables | right.variables)
     elements = algebra.elements
     tables = algebra.index_tables
-    rest = np.ix_(*(np.arange(len(elements)),) * (len(names) - 1))
-    shape = (len(elements),) * len(rest)
+    # With no variables, one leading position stands for the empty valuation.
+    grids = np.ix_(*(np.arange(len(elements)),) * len(names)) or (np.zeros(1, dtype=np.intp),)
 
-    def differs(a):
-        valuation = dict(zip(names, (a, *rest)))
+    def differs(s):
+        slab = (grids[0][s], *grids[1:])
+        valuation = dict(zip(names, slab))
         lhs = _evaluate_indices(tables, left, valuation)
         rhs = _evaluate_indices(tables, right, valuation)
-        return np.broadcast_to(lhs != rhs, shape)
+        return np.broadcast_to(lhs != rhs, np.broadcast_shapes(*(g.shape for g in slab)))
 
-    hit = _first_in_blocks(len(elements), differs)
+    hit = _first_in_blocks(len(grids[0]), len(elements) ** (len(grids) - 1), differs)
     if hit is None:
         return RegularIdentityReport(left, right, regular, True, None)
     valuation = {v: elements[p] for v, p in zip(names, hit)}

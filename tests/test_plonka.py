@@ -1271,3 +1271,91 @@ def test_memory_peaks_at_64_elements_stay_at_block_size():
     # result; what it builds on the way must stay at block size.
     sum_peak = _traced_peak_over_result(plonka_sum, system)
     assert sum_peak <= 0.5 * 2**20, sum_peak
+
+
+# ---------------------------------------------------------------------------
+# Slab boundaries of the law checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [8, 8 * 50], ids=["one-leading-argument", "partial-last-slab"])
+def test_reference_properties_across_slab_boundaries(monkeypatch, block):
+    """The law checks' reference properties on slabs of ``block // 8``
+    entries: one leading argument per slab, and 50 entries, which leaves a
+    partial last slab at many of the drawn sizes (4, 5, 8, 9 and 11
+    elements for the cubic laws)."""
+    monkeypatch.setattr(plonka_module, "_BLOCK", block)
+    test_partition_check_and_decompose_match_reference()
+    test_semilattice_laws_match_reference()
+    test_regular_identity_matches_reference()
+
+
+TERNARY_SIGNATURE = Signature(FULL_SIGNATURE.connectives + (("maj", 3),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    random_algebras(max_size=4, signatures=(TERNARY_SIGNATURE,)),
+    st.sampled_from(TWO_VARIABLE_TERMS),
+    st.sampled_from([8, 8 * 50, 1 << 16]),
+)
+def test_ternary_partition_laws_match_reference(algebra, term, block):
+    """P4 and P5 over a ternary connective, whose sides sum or fold three
+    arguments, on slabs of one leading argument, a few, and the default."""
+    old = _outcome(reference_check_partition_function, algebra, term)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plonka_module, "_BLOCK", block)
+        new = _outcome(check_partition_function, algebra, term)
+    assert _rows(new) == _rows(old)
+    assert new.render() == old.render()
+
+
+def test_first_failure_in_the_last_slab_at_64_elements():
+    """A workload-style sum with one table entry changed at the last element:
+    P4 and P5 over ``or`` first fail there, in the last slab of the default size."""
+    total = plonka_sum(_cube_system(copies=21, tower=12))
+    elements = total.elements
+    tables = {name: dict(table) for name, table in total.tables.items()}
+    tables["or"][(elements[-1], elements[0])] = elements[0]
+    damaged = FiniteAlgebra(total.signature, elements, tables)
+    new = check_partition_function(damaged, pi_term())
+    old = reference_check_partition_function(damaged, pi_term())
+    assert _rows(new) == _rows(old)
+    assert new.render() == old.render()
+    failed = [r for r in new.results if not r.passed]
+    assert [r.name for r in failed] == ["P4 distribution over or", "P5 absorption over or"]
+    assert all(r.counterexample[1][0] == elements[-1] for r in failed)
+
+
+# ---------------------------------------------------------------------------
+# Memory of the identity check and of validation at scale
+# ---------------------------------------------------------------------------
+
+
+def test_identity_check_memory_peak_at_64_elements_stays_at_slab_size():
+    """A 3-variable identity over the 64-element sum runs over 64**3
+    valuations, 2 MB as one intp array; slabs keep the peak far below."""
+    system = _cube_system(copies=21, tower=12)
+    left, right = P("and(x, or(y, z))"), P("or(and(x, y), and(x, z))")
+    assert check_regular_identity(left, right, plonka_sum(system)).holds
+    peak = _traced_peak(check_regular_identity, left, right, plonka_sum(system))
+    assert peak <= 0.5 * 2**20, peak
+
+
+def _point_chain(k):
+    """One-element components ``c0 < c1 < ...`` on a chain of ``k`` indices."""
+    names = [f"c{i}" for i in range(k)]
+    components = {c: trivial_matrix(FULL_SIGNATURE, f"{c}_t", False) for c in names}
+    join = {(a, b): names[max(i, j)] for i, a in enumerate(names) for j, b in enumerate(names)}
+    homs = {(a, b): {f"{a}_t": f"{b}_t"} for i, a in enumerate(names) for b in names[i + 1:]}
+    return DirectSystem(FiniteSemilattice(tuple(names), join), components, homs)
+
+
+def test_validate_memory_on_a_300_component_chain():
+    """Hom lookups search one sorted key per hom entry.  A dense table of
+    (ordered pairs + 1) x (names + 1) entries would be 44,851 x 301 here,
+    27 MB as uint16 on its own."""
+    system = _point_chain(300)
+    assert validate_system(system).ok
+    peak = _traced_peak(validate_system, system)
+    assert peak <= 16 * 2**20, peak
