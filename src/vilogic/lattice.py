@@ -18,13 +18,21 @@ witness lists after the first:
 
 ``vector``
     The default, and the engine of every lattice report; it refuses an
-    oracle that is not a tower.  Groups formulas that no oracle built from
+    oracle that is not a tower.  Classes formulas that no oracle built from
     the given matrices can tell apart (same variable set, same designation
     pattern in every matrix under every valuation of the fragment
-    variables).  Two premise sets hitting the same groups get identical
-    answers from every transform tower, so the first disagreement over group
-    representatives is the first disagreement overall.  A premise row is a
-    set of at most ``max_premises`` classes.  Towers are evaluated with
+    variables), and never builds the fragment's formulas to do so.  It
+    enumerates groups instead: the formulas of one depth with one variable
+    set and one value row per matrix.  ``enumerate_fragment``'s level rule,
+    applied to groups, numbers them in the order of their first formulas,
+    and the same rule on numbers alone counts the formulas; a class is
+    represented by its first group, whose first formula is rebuilt only for
+    a witness.  Over CL, the 2,781,264 formulas of three variables at
+    depth 3 fall into 315 groups and 226 classes.  Two premise sets hitting
+    the same classes get identical answers from every transform tower, so
+    the first disagreement over class representatives is the first
+    disagreement overall.  A premise row is a set of at most
+    ``max_premises`` classes.  Towers are evaluated with
     numpy bit-set arithmetic instead of per-query oracle calls, and
     interpreted structurally: a left step intersects the premise projection
     mask with the conclusion's variable mask, a right step adds the
@@ -242,63 +250,6 @@ def _oracle_tree(oracle: LogicOracle, table: list[FiniteMatrix]):
 # ---------------------------------------------------------------------------
 
 
-def _variable_masks(formulas: Sequence[Formula], variables: Sequence[str]):
-    position = {v: i for i, v in enumerate(variables)}
-    out = []
-    for f in formulas:
-        mask = 0
-        for v in f.variables:
-            if v not in position:
-                raise LatticeError(f"formula {f} uses variables outside the fragment")
-            mask |= 1 << position[v]
-        out.append(mask)
-    return out
-
-
-def _designation_bools(
-    matrices: Sequence[FiniteMatrix], formulas: Sequence[Formula], variables: Sequence[str]
-) -> list[np.ndarray]:
-    """Per matrix, the (n_formulas, n_valuations) designation table,
-    valuations in product order.
-
-    Element positions are evaluated one run at a time: a run of consecutive
-    formulas with one depth and one head takes one fancy index into the
-    head's table, and a constant's run broadcasts its table value.
-    ``enumerate_fragment`` emits one run per depth and connective.  A
-    formula's arguments must be variables or earlier formulas.  The runs'
-    argument rows are found once, for every matrix.
-    """
-    k = len(variables)
-    n_formulas = len(formulas)
-    # One row per formula, then one per variable's coordinates.
-    row = {var(v): n_formulas + i for i, v in enumerate(variables)}
-    runs = []  # (start, stop, head, argument rows), head None for a variable
-    start = 0
-    for (_, head), run in itertools.groupby(formulas, lambda f: (f.depth, f.head)):
-        run = list(run)
-        stop = start + len(run)
-        if run[0].is_variable:
-            runs.append((start, stop, None, row[run[0]]))
-        else:
-            args = np.array([[row[a] for a in f.args] for f in run], dtype=np.intp)
-            runs.append((start, stop, head, args.T))
-        row.update(zip(run, range(start, stop)))
-        start = stop
-    out = []
-    for matrix in matrices:
-        n = len(matrix.algebra.elements)
-        tables = matrix.algebra.index_tables
-        values = np.empty((n_formulas + k, n**k), dtype=np.intp)
-        values[n_formulas:] = _valuation_grid(n, k)
-        for start, stop, head, args in runs:
-            if head is None:
-                values[start:stop] = values[args]
-            else:
-                values[start:stop] = tables[head][tuple(values[column] for column in args)]
-        out.append(matrix.designated_bools[values[:n_formulas]])
-    return out
-
-
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
     """Bit rows packed into one byte, or beyond one byte into whole uint64 words.
 
@@ -418,6 +369,124 @@ _GROW_BLOCK = 1 << 15
 _DENSE_KEYS = 1 << 21
 # float64 holds every integer below this exactly.
 _FLOAT_EXACT = 1 << 53
+
+
+@dataclass
+class _Groups:
+    """A fragment's formulas, grouped without building them.
+
+    A group is the formulas of one depth with one variable mask (``masks``)
+    and one value row per matrix (``values``: element positions under every
+    valuation of the fragment variables, in product order).  Groups are
+    numbered in the order of their first formula in
+    :func:`enumerate_fragment`, and ``parents[g]`` rebuilds g's first
+    formula: a variable's name with ``None``, or a head with its arguments'
+    groups.
+    """
+
+    values: list[np.ndarray]
+    masks: np.ndarray
+    parents: list[tuple[str, tuple[int, ...] | None]]
+
+    def formula(self, g: int) -> Formula:
+        head, args = self.parents[g]
+        if args is None:
+            return var(head)
+        return Formula(head, tuple(self.formula(a) for a in args))
+
+
+def _fragment_size(signature: Signature, fragment: FragmentSpec) -> int:
+    """``len(enumerate_fragment(signature, fragment))`` by its level rule, in
+    Python ints (over three variables it passes 2**63 at depth 5): level d
+    adds, per connective of arity a, the a-tuples of formulas of depth below
+    d with a member of depth d - 1, and each constant once at depth 1."""
+    below, total = 0, len(fragment.variables)  # formulas of depth < d - 1, < d
+    for d in range(1, fragment.max_depth + 1):
+        level = sum(
+            total**arity - below**arity if arity else int(d == 1)
+            for _, arity in signature.connectives
+        )
+        if not level:
+            break
+        below, total = total, total + level
+    return total
+
+
+def _argument_tuples(arity: int, lo: int, hi: int, step: int):
+    """Every ``arity``-tuple of group ids below ``hi`` with a member at or
+    above ``lo``, in lexicographic order: ``(arity, m)`` blocks of at most
+    ``step`` tuples.  The first such tuple is ``(0, ..., 0, lo)``."""
+    total = hi**arity
+    for start in range(lo, total, step):
+        flat = np.arange(start, min(start + step, total))
+        args = np.stack(np.unravel_index(flat, (hi,) * arity))
+        args = args[:, (args >= lo).any(axis=0)]
+        if args.shape[1]:
+            yield args
+
+
+def _fragment_groups(
+    signature: Signature, fragment: FragmentSpec, matrices: Sequence[FiniteMatrix]
+) -> _Groups:
+    """The groups of ``enumerate_fragment(signature, fragment)``, level by level.
+
+    Level d applies each connective, in signature order, to every tuple of
+    groups whose deepest member has depth d - 1, in lexicographic order of
+    group ids; constants enter at depth 1.  That is ``enumerate_fragment``'s
+    rule on formulas, so a new group's first tuple gives its first formula,
+    and numbering the level's new groups in the order of their first tuple
+    follows their first formulas.  A block of tuples takes one fancy index
+    per matrix into the head's table, and is looked up in one sorted index
+    of the known groups' byte keys (:func:`_index_block`), whose mask column
+    also carries the depth.  The loop stops at a level that adds no group.
+    """
+    k = len(fragment.variables)
+    dtypes = [np.min_scalar_type(len(m.algebra.elements) - 1) for m in matrices]
+    tables = [
+        {name: table.astype(dtype) for name, table in m.algebra.index_tables.items()}
+        for m, dtype in zip(matrices, dtypes)
+    ]
+    values = [
+        _valuation_grid(len(m.algebra.elements), k).astype(dtype)
+        for m, dtype in zip(matrices, dtypes)
+    ]
+    masks = np.left_shift(1, np.arange(k, dtype=np.int64))
+    parents: list[tuple[str, tuple[int, ...] | None]] = [
+        (v, None) for v in fragment.variables
+    ]
+    keys = _byte_keys(values, masks)
+    order = np.argsort(keys)
+    index = (keys[order], order)
+    # Tuples evaluated at once: a block's rows hold about ``_GROW_BLOCK`` words.
+    step = max(1, 8 * _GROW_BLOCK // sum(v.shape[1] for v in values))
+    lo = 0
+    for depth in range(1, fragment.max_depth + 1):
+        hi = len(masks)
+        for name, arity in signature.connectives:
+            if arity:
+                blocks = _argument_tuples(arity, lo, hi, step)
+            else:
+                blocks = [np.zeros((0, 1), dtype=np.intp)] if depth == 1 else []
+            for args in blocks:
+                shape = (args.shape[1],)
+                # A constant's one value is broadcast over every valuation.
+                rows = [
+                    np.ascontiguousarray(np.broadcast_to(
+                        table[name][tuple(v[a] for a in args)], shape + v.shape[1:]
+                    ))
+                    for table, v in zip(tables, values)
+                ]
+                grown = np.bitwise_or.reduce(masks[args], axis=0)
+                _, new, index = _index_block(
+                    index, _byte_keys(rows, grown + (depth << k)), len(masks)
+                )
+                values = [np.concatenate([v, r[new]]) for v, r in zip(values, rows)]
+                masks = np.concatenate([masks, grown[new]])
+                parents += [(name, tuple(args[:, j].tolist())) for j in new.tolist()]
+        if len(masks) == hi:
+            break
+        lo = hi
+    return _Groups(values, masks, parents)
 
 
 @dataclass
@@ -620,6 +689,13 @@ class _StateSpace:
 class _VectorContext:
     """Shared numpy state for comparing towers over one matrix collection.
 
+    Its classes come from the fragment's groups (:func:`_fragment_groups`):
+    a group's designation rows are its value rows read through each
+    matrix's designated set, the groups with equal rows and variable mask
+    form a class, and the first of them represents it.  ``rep_bools`` holds
+    each class's designation rows per matrix, and ``n_formulas`` the
+    fragment's formula count (:func:`_fragment_size`).
+
     A chunk of conclusion classes with mask t reads premise rows at three
     variable masks only: the full mask F, where every walk starts; t,
     because a left step meets the premise mask with t and a right step
@@ -637,30 +713,25 @@ class _VectorContext:
         fragment: FragmentSpec,
         matrices: Sequence[FiniteMatrix],
     ):
-        self.signature = signature
-        self.fragment = fragment
         self.matrices = list(matrices)
-        self.variables = fragment.variables
-        self.k = len(self.variables)
-        self.full_mask = (1 << self.k) - 1
-        self.formulas = enumerate_fragment(signature, fragment)
-        self.fmask = np.array(
-            _variable_masks(self.formulas, self.variables), dtype=np.int64
-        )
-        self.des_bool = _designation_bools(self.matrices, self.formulas, self.variables)
-        packed = [_pack_rows(db) for db in self.des_bool]
+        self.full_mask = (1 << len(fragment.variables)) - 1
+        self.groups = _fragment_groups(signature, fragment, self.matrices)
+        self.n_formulas = _fragment_size(signature, fragment)
+        bools = [m.designated_bools[v] for m, v in zip(self.matrices, self.groups.values)]
+        packed = [_pack_rows(b) for b in bools]
 
-        # A class's formulas share their variable mask and designation rows,
-        # so their byte keys.  Its first formula represents it, and classes
-        # are numbered in that order.
-        keys = _byte_keys(packed, self.fmask)
+        # A class's groups share their variable mask and designation rows,
+        # so their byte keys.  Its first group, which holds its first
+        # formula, represents it, and classes are numbered in that order.
+        keys = _byte_keys(packed, self.groups.masks)
         order = np.argsort(keys, kind="stable")
         reps = np.sort(order[_run_starts(keys[order])])
         self.n_classes = len(reps)
-        self.rep_index = reps
-        self.rep_mask = self.fmask[reps].astype(np.min_scalar_type(self.full_mask))
+        self.rep_group = reps
+        self.rep_mask = self.groups.masks[reps].astype(np.min_scalar_type(self.full_mask))
+        self.rep_bools = [b[reps] for b in bools]
         self.rep_packed = [p[reps] for p in packed]
-        self.rep_not_packed = [_pack_rows(~db[reps]) for db in self.des_bool]
+        self.rep_not_packed = [_pack_rows(~b) for b in self.rep_bools]
         self.all_designated = [not m.constrains for m in self.matrices]
 
         self.max_size = min(fragment.max_premises, self.n_classes)
@@ -720,7 +791,7 @@ class _VectorContext:
         blocks (:func:`_index_block`); new components are numbered in the
         order of their first candidate."""
         n = self.n_classes
-        conj = [_pack_rows(np.ones((1, db.shape[1]), dtype=bool)) for db in self.des_bool]
+        conj = [_pack_rows(np.ones((1, b.shape[1]), dtype=bool)) for b in self.rep_bools]
         masks = np.zeros(1, dtype=self.rep_mask.dtype)
         index = (key_of(conj, masks), np.zeros(1, dtype=np.int64))
         trans = []
@@ -873,7 +944,7 @@ class _VectorContext:
         return out
 
     def representative(self, c: int) -> Formula:
-        return self.formulas[int(self.rep_index[c])]
+        return self.groups.formula(int(self.rep_group[c]))
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +1015,7 @@ def _vector_verdicts(
         _verdict(
             a, b, fragment, "vector",
             *(_decode_witnesses(context, side, max_witnesses) for side in sides),
-            tuple(count), context.formulas, extra_witnesses,
+            tuple(count), context.n_formulas, extra_witnesses,
         )
         for (a, b), count, sides in zip(pairs, counts, found)
     ]
@@ -984,7 +1055,7 @@ def _run_exhaustive_engine(
                 count_ba += 1
                 if len(witnesses_ba) < max_witnesses:
                     witnesses_ba.append(inference)
-    return (witnesses_ab, witnesses_ba, (count_ab, count_ba)), formulas
+    return witnesses_ab, witnesses_ba, (count_ab, count_ba), len(formulas)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,6 +1087,25 @@ def _relation(n_ab: int, n_ba: int) -> str:
     return "equal"
 
 
+def _in_fragment(formula: Formula, signature: Signature, fragment: FragmentSpec) -> bool:
+    """Whether ``formula`` is one of ``enumerate_fragment(signature,
+    fragment)``: no deeper than its depth bound, and built from its
+    variables and the signature's heads at their arities."""
+    if formula.depth > fragment.max_depth:
+        return False
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if f.is_variable:
+            if f.head not in fragment.variables:
+                return False
+        elif signature.arity(f.head) != len(f.args):
+            return False
+        else:
+            stack.extend(f.args)
+    return True
+
+
 def _verdict(
     a: LogicOracle,
     b: LogicOracle,
@@ -1024,17 +1114,16 @@ def _verdict(
     witnesses_ab: list[Inference],
     witnesses_ba: list[Inference],
     counts: tuple[int, int],
-    formulas: Sequence[Formula],
+    n_formulas: int,
     extra_witnesses: Iterable[Inference],
 ) -> ComparisonVerdict:
     """Merge extras into an engine result, re-validate it, build the verdict.
 
-    ``formulas`` is the engine's fragment.  A disagreeing extra is always
-    shown, but counted only when it lies outside the fragment: the engine
-    has already counted every fragment inference.
+    ``n_formulas`` counts the engine's fragment.  A disagreeing extra is
+    always shown, but counted only when it lies outside the fragment: the
+    engine has already counted every fragment inference.
     """
     count_ab, count_ba = counts
-    inside = None  # the fragment as a set, built for the first disagreeing extra
     for inference in extra_witnesses:
         in_a = a.entails(inference.premises, inference.conclusion)
         in_b = b.entails(inference.premises, inference.conclusion)
@@ -1043,12 +1132,9 @@ def _verdict(
         bucket = witnesses_ab if in_a else witnesses_ba
         if inference not in bucket:
             bucket.append(inference)
-        if inside is None:
-            inside = frozenset(formulas)
-        outside = (
-            len(inference.premises) > fragment.max_premises
-            or not inside.issuperset(inference.premises)
-            or inference.conclusion not in inside
+        outside = len(inference.premises) > fragment.max_premises or not all(
+            _in_fragment(f, a.signature, fragment)
+            for f in inference.premises + (inference.conclusion,)
         )
         if outside and in_a:
             count_ab += 1
@@ -1057,8 +1143,8 @@ def _verdict(
 
     _revalidate(a, b, witnesses_ab, witnesses_ba)
     # ``comb`` is 0 past the formula count, so a huge bound sums no more.
-    top = min(fragment.max_premises, len(formulas))
-    raw_sets = sum(math.comb(len(formulas), size) for size in range(top + 1))
+    top = min(fragment.max_premises, n_formulas)
+    raw_sets = sum(math.comb(n_formulas, size) for size in range(top + 1))
     return ComparisonVerdict(
         label_a=a.label,
         label_b=b.label,
@@ -1069,7 +1155,7 @@ def _verdict(
         engine=engine,
         disagreements=(count_ab, count_ba),
         checked_premise_sets=raw_sets,
-        checked_conclusions=len(formulas),
+        checked_conclusions=n_formulas,
     )
 
 
@@ -1103,8 +1189,8 @@ def compare(
         return _vector_verdicts([(a, b)], fragment, max_witnesses, extra_witnesses)[0]
     if engine != "exhaustive":
         raise LatticeError(f"unknown engine {engine!r}")
-    result, formulas = _run_exhaustive_engine(a, b, fragment, max_witnesses)
-    return _verdict(a, b, fragment, engine, *result, formulas, extra_witnesses)
+    result = _run_exhaustive_engine(a, b, fragment, max_witnesses)
+    return _verdict(a, b, fragment, engine, *result, extra_witnesses)
 
 
 def no_verdict_cycles(verdicts: Iterable[ComparisonVerdict]) -> bool:

@@ -108,22 +108,30 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
 
 
 def _first_in_blocks(
-    n: int, per: int, block: Callable[[slice], np.ndarray]
-) -> tuple[int, ...] | None:
-    """First failing index tuple of a check over ``itertools.product`` order.
+    n: int, per: int, block: Callable[[slice], Sequence[np.ndarray]]
+) -> list[tuple[int, ...] | None]:
+    """First failing index tuple of each of some checks over one
+    ``itertools.product`` order, from one slab loop (``n`` >= 1).
 
-    ``block(s)`` is the C-ordered failure mask of the tuples whose leading
-    argument lies in the slice ``s`` of ``range(n)``, ``per`` tuples per
-    leading argument.  Slabs of as many leading arguments as fit in
-    ``_BLOCK // 8`` entries (at least one) are built one at a time, in order,
-    so the first True of the first failing slab is the first failure.
+    ``block(s)`` gives each check's C-ordered failure mask of the tuples
+    whose leading argument lies in the slice ``s`` of ``range(n)``, ``per``
+    tuples per leading argument.  Slabs of as many leading arguments as fit
+    in ``_BLOCK // 8`` entries (at least one) are built one at a time, in
+    order, until every check has failed, so the first True of a check's
+    first failing slab is its first failure.
     """
     step = max(1, _BLOCK // 8 // per)
+    hits: list[tuple[int, ...] | None] = []
     for start in range(0, n, step):
-        hit = _first(block(slice(start, start + step)))
-        if hit is not None:
-            return (start + hit[0], *hit[1:])
-    return None
+        masks = block(slice(start, start + step))
+        hits = hits or [None] * len(masks)
+        for c, mask in enumerate(masks):
+            hit = None if hits[c] is not None else _first(mask)
+            if hit is not None:
+                hits[c] = (start + hit[0], *hit[1:])
+        if None not in hits:
+            break
+    return hits
 
 
 def _join_index(lattice: "FiniteSemilattice") -> np.ndarray:
@@ -163,8 +171,8 @@ class FiniteSemilattice:
         if hit is not None:
             i, j = (self.indices[p] for p in hit)
             raise SemilatticeError(f"join not commutative at ({i}, {j})")
-        hit = _first_in_blocks(
-            len(join), len(join) ** 2, lambda s: join[join[s]] != np.take(join[s], join, axis=1)
+        (hit,) = _first_in_blocks(
+            len(join), len(join) ** 2, lambda s: (join[join[s]] != np.take(join[s], join, axis=1),)
         )
         if hit is not None:
             i, j, k = (self.indices[p] for p in hit)
@@ -348,14 +356,15 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-# Entries the hom and composition checks hold at once, and eight times the
-# entries of a law check's slab (it bounds memory, not work).
+# Entries the hom check holds at once (the composition check a sixteenth of
+# them), and eight times the entries of a law check's slab (it bounds
+# memory, not work).
 _BLOCK = 1 << 16
 
 
-def _blocks(counts: np.ndarray) -> list[slice]:
-    """Consecutive runs in blocks of at most ``_BLOCK`` slots, or one run."""
-    cuts = [0, *(np.flatnonzero(np.diff((np.cumsum(counts) - 1) // _BLOCK)) + 1).tolist(), len(counts)]
+def _blocks(counts: np.ndarray, size: int) -> list[slice]:
+    """Consecutive runs in blocks of at most ``size`` slots, or one run."""
+    cuts = [0, *(np.flatnonzero(np.diff((np.cumsum(counts) - 1) // size)) + 1).tolist(), len(counts)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -468,7 +477,7 @@ class _SystemIndex:
         """
         failures = {}
         widest = max((arity for _, arity in self.connectives), default=0)
-        for block in _blocks(self.sizes[self.source[rows]] ** widest):
+        for block in _blocks(self.sizes[self.source[rows]] ** widest, _BLOCK):
             source, target = self.source[rows[block]], self.target[rows[block]]
             pending = np.ones(len(source), dtype=bool)
             for name, arity in self.connectives:
@@ -494,8 +503,12 @@ class _SystemIndex:
         undefined); triples come in ``itertools.product`` order.
         """
         row, element, count = self.row, self.element, len(self.indices)
+        above = self.strictly_below.sum(axis=1)
         found = []
-        for block in _blocks(np.full(len(row), count)):
+        # An entry (hom, element, k) holds up to five intp temporaries at
+        # once (via's key and search, ``entry`` and ``k``), so a block holds
+        # a sixteenth of ``_BLOCK`` entries.
+        for block in _blocks(above[self.target[row]], max(1, _BLOCK >> 4)):
             # One entry per hom i->j, element of i and k above j, in (i, j, element, k) order.
             entry, k = np.nonzero(self.strictly_below[self.target[row[block]]])
             entry += block.start
@@ -640,7 +653,8 @@ def check_partition_function(
     over ``(a, b, c)``, P4 and P5 over the connective's arguments and then
     ``b``.  Each check runs on slabs of leading arguments of at most
     ``_BLOCK // 8`` entries (one leading argument when that alone is more),
-    and each side of an axiom is one row gather or one take per slab.
+    P2 and P3 on one loop that shares its ``a*(b*c)``, and each other side
+    of an axiom is one row gather or one take per slab.
     """
     if mode not in ("algebraic", "l", "r"):
         raise MatrixError(f"unknown partition check mode {mode!r}")
@@ -660,18 +674,18 @@ def check_partition_function(
     def triple(hit):
         return None if hit is None else tuple(elements[p] for p in hit)
 
-    # Over (a, b, c), a slab of rows a: a*(b*c) takes each row at dot[b, c],
-    # and (a*b)*c gathers row a*b.
+    # Over (a, b, c), a slab of rows a: a*(b*c), which P2 and P3 share,
+    # takes each row at dot[b, c], (a*b)*c gathers row a*b, and a*(c*b)
+    # takes each row at dot[c, b].
     flat, transposed = dot.reshape(-1), np.ascontiguousarray(dot.T)
-    bad3 = triple(_first_in_blocks(
-        n, n * n, lambda s: np.take(dot[s], dot, axis=1) != dot[dot[s]]
-    ))
-    report.results.append(AxiomResult("P2 associativity", bad3 is None, bad3))
 
-    bad3 = triple(_first_in_blocks(
-        n, n * n, lambda s: np.take(dot[s], dot, axis=1) != np.take(dot[s], transposed, axis=1)
-    ))
-    report.results.append(AxiomResult("P3 right commutation", bad3 is None, bad3))
+    def associativity(s):
+        a_bc = np.take(dot[s], dot, axis=1)
+        return a_bc != dot[dot[s]], a_bc != np.take(dot[s], transposed, axis=1)
+
+    hits = _first_in_blocks(n, n * n, associativity)
+    for label, bad3 in zip(("P2 associativity", "P3 right commutation"), map(triple, hits)):
+        report.results.append(AxiomResult(label, bad3 is None, bad3))
 
     tables = algebra.index_tables
     for name, arity in algebra.signature.connectives:
@@ -691,16 +705,16 @@ def check_partition_function(
             pushed = weights[0][s]
             for weight in weights[1:]:
                 pushed = pushed + weight
-            return dot[table[s]] != np.take(values, pushed)
+            return (dot[table[s]] != np.take(values, pushed),)
 
         def absorption(s):
             folded = first_factor[s]  # b*a_1, then times each later argument
             for arg in args:
                 folded = np.take(flat, folded * n + arg)
-            return transposed[table[s]] != folded
+            return (transposed[table[s]] != folded,)
 
         for label, block in (("P4 distribution", distribution), ("P5 absorption", absorption)):
-            hit = _first_in_blocks(n, n**arity, block)
+            (hit,) = _first_in_blocks(n, n**arity, block)
             failure = None
             if hit is not None:
                 failure = (name, tuple(elements[p] for p in hit[:-1]), elements[hit[-1]])
@@ -856,9 +870,9 @@ def check_regular_identity(
         valuation = dict(zip(names, slab))
         lhs = _evaluate_indices(tables, left, valuation)
         rhs = _evaluate_indices(tables, right, valuation)
-        return np.broadcast_to(lhs != rhs, np.broadcast_shapes(*(g.shape for g in slab)))
+        return (np.broadcast_to(lhs != rhs, np.broadcast_shapes(*(g.shape for g in slab))),)
 
-    hit = _first_in_blocks(len(grids[0]), len(elements) ** (len(grids) - 1), differs)
+    (hit,) = _first_in_blocks(len(grids[0]), len(elements) ** (len(grids) - 1), differs)
     if hit is None:
         return RegularIdentityReport(left, right, regular, True, None)
     valuation = {v: elements[p] for v, p in zip(names, hit)}

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vilogic.formulas import (
+    Formula,
     FragmentSpec,
     Signature,
     enumerate_fragment,
@@ -492,8 +493,8 @@ def _reference_component(context, row, vmask):
     for c in kept:
         union |= masks[c]
     conj = tuple(
-        tuple(np.logical_and.reduce(db[context.rep_index[kept]], axis=0).tolist())
-        for db in context.des_bool
+        tuple(np.logical_and.reduce(rows[kept], axis=0).tolist())
+        for rows in context.rep_bools
     )
     return conj, union
 
@@ -501,8 +502,8 @@ def _reference_component(context, row, vmask):
 def _engine_component(context, vmask, comp):
     comps = context.components(vmask)
     conj = []
-    for m, db in enumerate(context.des_bool):
-        bits = np.unpackbits(comps.conj[m][comp].view(np.uint8))[: db.shape[1]]
+    for m, rows in enumerate(context.rep_bools):
+        bits = np.unpackbits(comps.conj[m][comp].view(np.uint8))[: rows.shape[1]]
         conj.append(tuple(bits.astype(bool).tolist()))
     return tuple(conj), int(comps.vmask[comp])
 
@@ -594,14 +595,14 @@ def _reference_arrays(context, rows, vmask):
     """Per row: its conjunction at vmask per matrix, as a (rows, valuations)
     bool array, and its premise mask."""
     masks = context.rep_mask.tolist()
-    conj = [np.ones((len(rows), db.shape[1]), dtype=bool) for db in context.des_bool]
+    conj = [np.ones((len(rows), b.shape[1]), dtype=bool) for b in context.rep_bools]
     premise_mask = np.zeros(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
         for c in row:
             if masks[c] | vmask == vmask:
                 premise_mask[i] |= masks[c]
-                for table, db in zip(conj, context.des_bool):
-                    table[i] &= db[context.rep_index[c]]
+                for table, b in zip(conj, context.rep_bools):
+                    table[i] &= b[c]
     return conj, premise_mask
 
 
@@ -627,7 +628,7 @@ def _reference_walk(context, arrays, node, vmask, target, tmask):
     tag = node[0]
     if tag == "leaf":
         conj, _ = arrays(vmask)
-        designated = [db[context.rep_index[target]] for db in context.des_bool]
+        designated = [b[target] for b in context.rep_bools]
         return np.logical_and.reduce(
             [~(conj[m] & ~designated[m]).any(axis=1) for m in node[1]]
         )
@@ -898,6 +899,91 @@ DESIGNATION_MATRICES = {
 }
 
 
+# The vector context's classes as they were built before it enumerated
+# groups: every formula of ``enumerate_fragment``, its variable mask and its
+# value row per matrix, evaluated one run of one depth and head at a time.
+
+
+def _formula_values(matrices, formulas, variables):
+    """Per matrix, the (n_formulas, n_valuations) element positions,
+    valuations in product order.
+
+    A run of consecutive formulas with one depth and one head takes one
+    fancy index into the head's table, and a constant's run broadcasts its
+    table value.  ``enumerate_fragment`` emits one run per depth and
+    connective.  A formula's arguments must be variables or earlier
+    formulas.  The runs' argument rows are found once, for every matrix.
+    """
+    k = len(variables)
+    n_formulas = len(formulas)
+    # One row per formula, then one per variable's coordinates.
+    row = {var(v): n_formulas + i for i, v in enumerate(variables)}
+    runs = []  # (start, stop, head, argument rows), head None for a variable
+    start = 0
+    for (_, head), run in itertools.groupby(formulas, lambda f: (f.depth, f.head)):
+        run = list(run)
+        stop = start + len(run)
+        if run[0].is_variable:
+            runs.append((start, stop, None, row[run[0]]))
+        else:
+            args = np.array([[row[a] for a in f.args] for f in run], dtype=np.intp)
+            runs.append((start, stop, head, args.T))
+        row.update(zip(run, range(start, stop)))
+        start = stop
+    out = []
+    for matrix in matrices:
+        n = len(matrix.algebra.elements)
+        tables = matrix.algebra.index_tables
+        values = np.empty((n_formulas + k, n**k), dtype=np.intp)
+        values[n_formulas:] = np.indices((n,) * k).reshape(k, n**k)
+        for start, stop, head, args in runs:
+            if head is None:
+                values[start:stop] = values[args]
+            else:
+                values[start:stop] = tables[head][tuple(values[column] for column in args)]
+        out.append(values[:n_formulas])
+    return out
+
+
+def _designation_bools(matrices, formulas, variables):
+    """Per matrix, the (n_formulas, n_valuations) designation table."""
+    return [
+        m.designated_bools[values]
+        for m, values in zip(matrices, _formula_values(matrices, formulas, variables))
+    ]
+
+
+def _formula_masks(formulas, variables):
+    position = {v: i for i, v in enumerate(variables)}
+    return [sum(1 << position[v] for v in f.variables) for f in formulas]
+
+
+def _first_positions(keys):
+    """Per distinct key, the position of its first occurrence, ascending."""
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return list(first.values())
+
+
+def _assert_classes_match(context, formulas, masks, bools):
+    """The context's classes are the per-formula build's: one per distinct
+    (variable mask, designation rows), represented by its first formula, in
+    the order of those formulas."""
+    reps = _first_positions(
+        (mask,) + tuple(b[i].tobytes() for b in bools) for i, mask in enumerate(masks)
+    )
+    assert context.n_formulas == len(formulas)
+    assert context.n_classes == len(reps)
+    assert [context.representative(c) for c in range(context.n_classes)] == [
+        formulas[i] for i in reps
+    ]
+    assert context.rep_mask.tolist() == [masks[i] for i in reps]
+    assert len(context.rep_bools) == len(bools)
+    for got, expected in zip(context.rep_bools, bools):
+        assert got.dtype == bool and np.array_equal(got, expected[reps])
+
+
 @pytest.mark.parametrize("name", list(DESIGNATION_MATRICES))
 @pytest.mark.parametrize(
     "variables, depth",
@@ -907,10 +993,108 @@ def test_designation_bools_match_the_per_formula_build(name, variables, depth):
     matrix = DESIGNATION_MATRICES[name]
     spec = FragmentSpec(variables=variables, max_depth=depth, max_premises=1)
     formulas = enumerate_fragment(matrix.algebra.signature, spec)
-    got = lattice_module._designation_bools([matrix], formulas, variables)[0]
-    expected = _reference_designation_bools(matrix, formulas, variables)
-    assert got.dtype == bool and got.shape == expected.shape
-    assert np.array_equal(got, expected)
+    context = _VectorContext(matrix.algebra.signature, spec, (matrix,))
+    _assert_classes_match(
+        context,
+        formulas,
+        _formula_masks(formulas, variables),
+        [_reference_designation_bools(matrix, formulas, variables)],
+    )
+
+
+# Random signatures with a constant, a unary, a binary and a ternary
+# connective, each kept only where its fragment stays small.
+ANY_CONNECTIVES = (("c", 0), ("n", 1), ("f", 2), ("t", 3))
+ANY_SIGNATURES = [
+    Signature(chosen)
+    for size in range(1, len(ANY_CONNECTIVES) + 1)
+    for chosen in itertools.combinations(ANY_CONNECTIVES, size)
+]
+GROUP_CASES = [(k, depth) for k in (1, 2) for depth in range(4)] + [(3, 2)]
+
+
+@st.composite
+def small_fragments(draw):
+    """A signature and a fragment of at most 30,000 formulas over it."""
+    k, depth = draw(st.sampled_from(GROUP_CASES))
+    spec = FragmentSpec(("x", "y", "z")[:k], depth, 1)
+    signature = draw(st.sampled_from(
+        [s for s in ANY_SIGNATURES if lattice_module._fragment_size(s, spec) <= 30_000]
+    ))
+    return signature, spec
+
+
+@st.composite
+def matrix_classes(draw):
+    """A signature, a fragment, and 1-3 matrices of 1-3 elements over it:
+    every table entry and designated set drawn at random."""
+    signature, spec = draw(small_fragments())
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        elements = tuple(str(i) for i in range(draw(st.integers(1, 3))))
+        value = st.sampled_from(elements)
+        tables = {
+            name: {args: draw(value) for args in itertools.product(elements, repeat=arity)}
+            for name, arity in signature.connectives
+        }
+        algebra = FiniteAlgebra(signature, elements, tables)
+        matrices.append(FiniteMatrix(algebra, draw(st.frozensets(value))))
+    return signature, spec, matrices
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_classes())
+def test_groups_and_classes_match_the_per_formula_build(case):
+    signature, spec, matrices = case
+    formulas = enumerate_fragment(signature, spec)
+    assert len(formulas) == lattice_module._fragment_size(signature, spec)
+    masks = _formula_masks(formulas, spec.variables)
+    values = _formula_values(matrices, formulas, spec.variables)
+    # A group is the formulas of one depth, mask and value row per matrix.
+    group_of = [
+        (f.depth, mask) + tuple(v[i].tobytes() for v in values)
+        for i, (f, mask) in enumerate(zip(formulas, masks))
+    ]
+    firsts = _first_positions(group_of)
+    groups = lattice_module._fragment_groups(signature, spec, matrices)
+    assert [groups.formula(g) for g in range(len(firsts))] == [formulas[i] for i in firsts]
+    assert len(groups.parents) == len(firsts)
+    assert groups.masks.tolist() == [masks[i] for i in firsts]
+    for got, expected in zip(groups.values, values):
+        assert np.array_equal(got, expected[firsts])
+
+    context = _VectorContext(signature, spec, matrices)
+    _assert_classes_match(
+        context, formulas, masks, _designation_bools(matrices, formulas, spec.variables)
+    )
+
+
+def _formulas_near(signature, variables):
+    """Formulas inside and just outside a fragment: foreign variables and
+    heads, wrong arities, variables named like connectives."""
+    leaves = [var(v) for v in variables + ("w",)] + [
+        var(name) for name, _ in signature.connectives
+    ]
+    leaves += [Formula(name, ()) for name, _ in ANY_CONNECTIVES + (("g", 0),)]
+
+    def extend(children):
+        return st.one_of([
+            st.builds(lambda *args, name=name: Formula(name, args), *[children] * arity)
+            for name, arity in ANY_CONNECTIVES + (("g", 1), ("n", 2), ("f", 1))
+            if arity
+        ])
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fragment_membership_matches_the_enumeration(data):
+    signature, spec = data.draw(small_fragments())
+    inside = frozenset(enumerate_fragment(signature, spec))
+    assert all(lattice_module._in_fragment(f, signature, spec) for f in inside)
+    for formula in data.draw(st.lists(_formulas_near(signature, spec.variables), max_size=20)):
+        assert lattice_module._in_fragment(formula, signature, spec) == (formula in inside)
 
 
 def test_a_mask_with_no_class_inside_expands_to_one_broadcast_value():
@@ -1086,10 +1270,10 @@ def _reference_full_components(context):
     after adding each class."""
     masks = context.rep_mask.tolist()
     bits = [
-        [sum(1 << v for v in np.flatnonzero(db[r]).tolist()) for r in context.rep_index]
-        for db in context.des_bool
+        [sum(1 << v for v in np.flatnonzero(row).tolist()) for row in rows]
+        for rows in context.rep_bools
     ]
-    empty = (tuple((1 << db.shape[1]) - 1 for db in context.des_bool), 0)
+    empty = (tuple((1 << rows.shape[1]) - 1 for rows in context.rep_bools), 0)
     found = {empty: None}
     trans = {}
     frontier = [empty]
@@ -1239,6 +1423,29 @@ def test_six_premises_compare_within_32_megabytes(a, b, relation):
     verdict, peak = _traced_peak(lambda: compare(towers[a], towers[b], spec))
     assert verdict.relation == relation
     assert peak <= 32e6, peak
+
+
+def test_depth_three_compare_over_three_variables_within_64_megabytes():
+    # 2,781,264 formulas in 226 classes: building them as formulas took
+    # about 1.7 GB, so the context enumerates their groups instead.
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=3, max_premises=2)
+    rlr = derive_sequence(CL, "rlr")
+    meet = intersect(derive_sequence(CL, "lr"), derive_sequence(CL, "rl"))
+    verdict, peak = _traced_peak(lambda: compare(rlr, meet, spec))
+    assert verdict.relation == "equal"
+    assert verdict.checked_conclusions == 2_781_264
+    assert peak < 64e6, peak
+
+
+def test_fragment_size_is_exact_past_64_bits():
+    # Over and, or and not, a formula of depth at most d is a variable or a
+    # head over formulas of depth at most d - 1.
+    total = 3
+    for depth in range(1, 6):
+        total = 3 + 2 * total**2 + total
+        spec = FragmentSpec(variables=("x", "y", "z"), max_depth=depth, max_premises=1)
+        assert lattice_module._fragment_size(CL.signature, spec) == total
+    assert total == 478_695_120_798_978_786_859_741_224 > 1 << 63
 
 
 def test_compare_builds_each_oracle_tree_once(monkeypatch):
