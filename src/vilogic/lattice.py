@@ -46,13 +46,17 @@ witness lists after the first:
     rows there and the OR of their variable masks.  So the walk runs on the
     rows' states, the distinct component triples, with one answer bit per
     class in a byte per state, and a DP counts the rows on each state; over
-    CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  The
-    full mask's components are found breadth first from the empty set's,
-    each block of candidates looked up in one sorted index of the known
-    components' keys.  Every other mask I filters that one table: the sets
-    on a full component all share its variable mask, so they lie inside I
-    exactly when it does, and such a component is first reached at the
-    same level at I as at F.  One memo per chunk, shared by every pair,
+    CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  Renaming
+    variables maps the fragment onto itself, so masks with as many
+    variables (an orbit) have the same state space up to relabelling: the
+    DP runs once per orbit, and the orbit's other masks relabel its keys
+    and counts (3 DPs instead of 7 over three variables, 4 instead of 15
+    over four).  The full mask's components are found breadth first from
+    the empty set's, each block of candidates looked up in one sorted index
+    of the known components' keys.  Every other mask I filters that one
+    table: the sets on a full component all share its variable mask, so
+    they lie inside I exactly when it does, and such a component is first
+    reached at the same level at I as at F.  One memo per chunk, shared by every pair,
     holds each subtree's answers.
 
 Witness selection is deterministic: premise subsets are enumerated by
@@ -361,6 +365,26 @@ def _group_sums(keys: np.ndarray, owner: np.ndarray, counts: np.ndarray, space: 
     return keys[starts], np.add.reduceat(counts[owner], starts)
 
 
+def _renamed_masks(masks: np.ndarray, perm: Sequence[int]) -> np.ndarray:
+    """Variable masks with bit i moved to bit ``perm[i]``."""
+    out = np.zeros_like(masks)
+    for i, j in enumerate(perm):
+        out |= (masks >> i & 1) << j
+    return out
+
+
+def _renaming(source: int, target: int, k: int) -> list[int]:
+    """A permutation of k variables taking mask ``source`` onto ``target``
+    (of as many variables): the variables inside each, and those outside,
+    matched in ascending order."""
+    inside = [[i for i in range(k) if mask >> i & 1] for mask in (source, target)]
+    outside = [[i for i in range(k) if not mask >> i & 1] for mask in (source, target)]
+    perm = [0] * k
+    for a, b in zip(inside[0] + outside[0], inside[1] + outside[1]):
+        perm[a] = b
+    return perm
+
+
 # Premise-row extensions (or component words) built at once: it bounds the
 # temporaries of the count DP and the component build, not their work.
 _GROW_BLOCK = 1 << 15
@@ -514,23 +538,31 @@ class _StateSpace:
     rows of ``size`` members on state s.  A DP over (state, largest member)
     groups counts them: a group grows only by the classes above its largest
     member, as rows do in ``combinations`` order, so it counts each row
-    once and touches no more entries than there are rows."""
+    once and touches no more entries than there are rows.
+
+    Masks with the same number of variables share one DP
+    (:meth:`renamed`).  Let π permute the fragment's variables with
+    π(t) = t'.  Renaming by π maps the fragment onto itself, so it permutes
+    the classes (σ): a class's image has the mask π(mask) and, per matrix,
+    the designation row read at each valuation composed with π.  It maps a
+    premise set S of classes to σ(S), of the same size, and the AND of
+    σ(S)'s rows is the AND of S's rows renamed; so it permutes the full
+    components too (σ_F), with σ_F(0) = 0 and σ_F(trans[a, k]) =
+    trans[σ_F(a), σ(k)], and keeps the level at which each is first
+    reached.  A full component lies inside I exactly when its image lies
+    inside π(I), and a set's component at I is its full component's
+    restriction there; so S lands on state (c, e, z) at masks (F, t, 0)
+    exactly when σ(S) lands on (σ_F c, σ_F e, σ_F z) at (F, t', 0), and
+    N_t'[size](σ_F c, σ_F e, σ_F z) = N_t[size](c, e, z), as σ is a
+    bijection on the sets of each size.  (Here σ_F e and σ_F z read the
+    local ids through the full ids: a mask's components are the full ones
+    inside it, in ascending full id.)
+    """
 
     def __init__(self, context: "_VectorContext", tmask: int):
-        self.tmask = tmask
-        self.n_classes = n = context.n_classes
-        masks = tuple(dict.fromkeys((context.full_mask, tmask, 0)))
-        # A mask with one component (no class inside) adds nothing to a key.
-        keyed = [m for m in masks if m == masks[0] or len(context.components(m).vmask) > 1]
-        components = [context.components(vmask) for vmask in keyed]
-        radix = [len(comps.vmask) for comps in components]
-        place = [math.prod(radix[j + 1:]) for j in range(len(radix))]
-        self.key_space = math.prod(radix)
-        self.digits = list(zip(place, radix))
-        if self.key_space * (n + 1) >= 1 << 63:
-            raise LatticeError("too many premise-set components to number in 64 bits")
-        # Per mask, each extended component's transitions as key shares.
-        self.steps = [c.trans.astype(np.int64) * d for c, d in zip(components, place)]
+        """The state space of ``tmask``, counted by the DP."""
+        self._layout(context, tmask)
+        n = self.n_classes
         # Per size, the distinct state keys its rows reach and their counts.
         levels = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
         key, count = levels[0]
@@ -544,23 +576,81 @@ class _StateSpace:
                 # Groups come sorted by state key: sum each run.
                 starts = _run_starts(key)
                 levels.append((key[starts], np.add.reduceat(count, starts)))
-        self.keys = _distinct(np.concatenate([keys for keys, _ in levels]))
-        self.counts = np.zeros((len(levels), len(self.keys)), dtype=np.int64)
-        for size, (keys, counts) in enumerate(levels):
-            self.counts[size, np.searchsorted(self.keys, keys)] = counts
-        covered = int(self.counts.sum())
+        keys = _distinct(np.concatenate([keys for keys, _ in levels]))
+        counts = np.zeros((len(levels), len(keys)), dtype=np.int64)
+        for size, (level_keys, level_counts) in enumerate(levels):
+            counts[size, np.searchsorted(keys, level_keys)] = level_counts
+        self._finish(context, keys, counts)
+
+    @classmethod
+    def renamed(
+        cls,
+        context: "_VectorContext",
+        tmask: int,
+        source: tuple[int, np.ndarray, np.ndarray],
+    ) -> "_StateSpace":
+        """The state space of ``tmask`` from the ``keys`` and ``counts`` of
+        ``source = (mask, keys, counts)``, a mask with as many variables:
+        each source state's components are carried to their images under a
+        renaming that takes the source mask onto ``tmask`` (see the class
+        docstring), and the keys sorted again."""
+        space = cls.__new__(cls)
+        space._layout(context, tmask)
+        source_mask, keys, counts = source
+        k = context.full_mask.bit_length()
+        image = context.renaming(_renaming(source_mask, tmask, k))
+        full = context.components(context.full_mask).vmask
+
+        def inside(vmask):
+            return np.flatnonzero((full | vmask) == vmask)
+
+        renamed = np.zeros_like(keys)
+        for (place, radix), vmask in zip(space.digits, space.keyed):
+            # π fixes F and 0 and takes the source mask to tmask.
+            local = np.searchsorted(
+                inside(vmask), image[inside(source_mask if vmask == tmask else vmask)]
+            )
+            renamed += local[keys // place % radix] * place
+        order = np.argsort(renamed)
+        space._finish(context, renamed[order], counts[:, order])
+        return space
+
+    def _layout(self, context: "_VectorContext", tmask: int) -> None:
+        """The masks a key holds, its digits, and each mask's transitions."""
+        self.tmask = tmask
+        self.n_classes = n = context.n_classes
+        masks = tuple(dict.fromkeys((context.full_mask, tmask, 0)))
+        # A mask with one component (no class inside) adds nothing to a key.
+        self.keyed = [
+            m for m in masks if m == masks[0] or len(context.components(m).vmask) > 1
+        ]
+        components = [context.components(vmask) for vmask in self.keyed]
+        radix = [len(comps.vmask) for comps in components]
+        place = [math.prod(radix[j + 1:]) for j in range(len(radix))]
+        self.key_space = math.prod(radix)
+        self.digits = list(zip(place, radix))
+        if self.key_space * (n + 1) >= 1 << 63:
+            raise LatticeError("too many premise-set components to number in 64 bits")
+        # Per mask, each extended component's transitions as key shares.
+        self.steps = [c.trans.astype(np.int64) * d for c, d in zip(components, place)]
+
+    def _finish(self, context: "_VectorContext", keys: np.ndarray, counts: np.ndarray):
+        """Keep the states and their counts, checked to cover every row."""
+        self.keys, self.counts = keys, counts
+        covered = int(counts.sum())
         if covered != context.n_premise_rows:
             raise LatticeError(
-                f"state counts cover {covered} premise rows of mask {tmask}, "
+                f"state counts cover {covered} premise rows of mask {self.tmask}, "
                 f"not {context.n_premise_rows}"
             )
         # Tally weights: a chunk marks at most 8 classes per row, so every
         # partial sum of a tally is at most 8 * rows, and a float64 product,
         # faster than an int64 one, is exact below 2**53.
         exact = 8 * context.n_premise_rows < _FLOAT_EXACT
-        self.weights = self.counts.astype(np.float64) if exact else self.counts
-        self.ids = dict.fromkeys(masks, np.zeros(len(self.keys), dtype=np.int64))
-        self.ids.update(zip(keyed, self.decode(self.keys)))
+        self.weights = counts.astype(np.float64) if exact else counts
+        masks = dict.fromkeys((context.full_mask, self.tmask, 0))
+        self.ids = dict.fromkeys(masks, np.zeros(len(keys), dtype=np.int64))
+        self.ids.update(zip(self.keyed, self.decode(keys)))
         self.fresh: dict[tuple, np.ndarray] = {}
         # The empty set's state is 0; its states after adding each class.
         self.root = self._grown(np.zeros(1, dtype=np.intp))[0]
@@ -704,7 +794,9 @@ class _VectorContext:
     (:class:`_Components`), so the walk runs on the rows' states
     (:class:`_StateSpace`), never on rows.  Memory: every mask's components
     live for the context's life, and only the state space of the mask being
-    walked is held; none of it grows with the number of premise rows.
+    walked is held, with the keys and counts of each orbit's first mask
+    until the orbit's last mask is built; none of it grows with the number
+    of premise rows.
     """
 
     def __init__(
@@ -728,6 +820,10 @@ class _VectorContext:
         reps = np.sort(order[_run_starts(keys[order])])
         self.n_classes = len(reps)
         self.rep_group = reps
+        # The classes' byte keys, ascending, and each one's class: exact
+        # lookups of a renamed class (:meth:`renaming`).
+        by_key = np.argsort(keys[reps])
+        self._class_index = (keys[reps][by_key], by_key)
         self.rep_mask = self.groups.masks[reps].astype(np.min_scalar_type(self.full_mask))
         self.rep_bools = [b[reps] for b in bools]
         self.rep_packed = [p[reps] for p in packed]
@@ -825,6 +921,56 @@ class _VectorContext:
         if not trans:
             trans.append(np.zeros((1, n), dtype=np.int32))
         return _Components(conj, masks, np.vstack(trans))
+
+    def renaming(self, perm: Sequence[int]) -> np.ndarray:
+        """Each full component's image when variable i is renamed to
+        ``perm[i]`` (σ_F in :class:`_StateSpace`).
+
+        The classes' images (σ) are looked up by their renamed rows: each
+        designation row's valuation axes permuted, and each mask's bits.
+        σ_F(0) = 0, and σ_F(trans[a, k]) = trans[σ_F(a), σ(k)] carries σ_F
+        through the table one breadth-first level at a time, in blocks of
+        rows.  A class or component left without an image, or two
+        components sharing one, raises :class:`LatticeError`.
+        """
+        k = len(perm)
+        axes = tuple(1 + np.argsort(perm))
+        rows = [
+            _pack_rows(
+                b.reshape((len(b),) + (len(m.algebra.elements),) * k)
+                .transpose((0,) + axes)
+                .reshape(b.shape)
+            )
+            for b, m in zip(self.rep_bools, self.matrices)
+        ]
+        masks = self.groups.masks[self.rep_group]
+        keys = _byte_keys(rows, _renamed_masks(masks, perm))
+        index_keys, index_ids = self._class_index
+        at = np.searchsorted(index_keys, keys)
+        if not np.array_equal(index_keys.take(at, mode="clip"), keys):
+            raise LatticeError(f"renaming variables by {perm} leaves a class without image")
+        sigma = index_ids[at]
+        full = self.components(self.full_mask)
+        trans = full.trans
+        image = np.full(len(full.vmask), -1, dtype=np.int64)
+        image[0] = 0
+        step = max(1, _GROW_BLOCK // max(1, self.n_classes))
+        # Each level's rows are the id range that the level before reached.
+        start, stop = 0, 1
+        while start < min(stop, len(trans)):
+            end = reached = min(stop, len(trans))
+            if (image[start:end] < 0).any():
+                break
+            for lo in range(start, end, step):
+                block = slice(lo, min(lo + step, end))
+                image[trans[block]] = trans[image[block]][:, sigma]
+                reached = max(reached, int(trans[block].max()) + 1)
+            start, stop = end, reached
+        if (image < 0).any() or np.bincount(image).max() > 1:
+            raise LatticeError(
+                f"renaming variables by {perm} is no bijection of the components"
+            )
+        return image
 
     # -- tree evaluation -----------------------------------------------------
 
@@ -963,7 +1109,11 @@ def _vector_verdicts(
     Every oracle must be a tower over one signature.  The context covers
     the matrices of all pairs.  The outer loop runs over chunks of
     conclusion classes, so a subtree is walked once per chunk however many
-    pairs contain it.  Each chunk is tallied per pair and side
+    pairs contain it.  The state spaces of the chunks' masks are counted
+    once per orbit (masks with as many variables): the first mask of an
+    orbit runs the DP, and the others are renamed from its keys and counts
+    (:meth:`_StateSpace.renamed`), which are dropped after its last mask.
+    Each chunk is tallied per pair and side
     (:meth:`_StateSpace.tally`: each state's rows times its disagreeing
     bits, exact in float64 below 2**53 pairs and in int64 past that), and
     its first ``max_witnesses`` disagreeing rows each give at least one
@@ -981,9 +1131,21 @@ def _vector_verdicts(
     context = _VectorContext(signature, fragment, table)
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
-    for tmask, group in itertools.groupby(context.chunks(), context.chunk_mask):
+    chunks = context.chunks()
+    # An orbit (masks of one variable count) keeps its first mask's keys and
+    # counts until its last mask's state space is built from them.
+    last = {tmask.bit_count(): tmask for tmask in map(context.chunk_mask, chunks)}
+    sources: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+    for tmask, group in itertools.groupby(chunks, context.chunk_mask):
         space = None  # the last mask's states go before the next are built
-        space = _StateSpace(context, tmask)
+        orbit = tmask.bit_count()
+        if orbit in sources:
+            space = _StateSpace.renamed(context, tmask, sources[orbit])
+        else:
+            space = _StateSpace(context, tmask)
+            sources[orbit] = (tmask, space.keys, space.counts)
+        if last[orbit] == tmask:
+            del sources[orbit]
         for chunk in group:
             memo: dict = {}
             # Witnesses per (disagreement bytes, sizes): pairs share them.

@@ -721,8 +721,10 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
 ):
     # A chunk of mask t reads only the masks F, t and 0, and the chunks of
     # one mask are walked in one stretch.  So every mask's components are
-    # built once, every conclusion mask's state space is built once, and
-    # each is gone, without the cyclic collector, before the next is built.
+    # built once, and every conclusion mask gets one state space, in chunk
+    # order: the count DP runs for the first mask of each variable count
+    # (an orbit under renaming), and the others are renamed from it.  Each
+    # space is gone, without the cyclic collector, before the next is built.
     oracles = [
         derive_sequence(base, "".join(seq))
         for length in range(4)
@@ -732,17 +734,25 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
     pairs = [(oracle, meet) for oracle in oracles]
     spaces: list[weakref.ref] = []
     walked: list[int] = []
+    counted: list[int] = []
     contexts: list[_VectorContext] = []
     builds: list[int] = []
+    original_layout = StateSpace._layout
     original_init = StateSpace.__init__
 
-    def init(self, context, tmask):
+    def layout(self, context, tmask):
+        # Every state space, counted or renamed, starts here.
         assert all(ref() is None for ref in spaces), tmask
-        original_init(self, context, tmask)
+        original_layout(self, context, tmask)
         spaces.append(weakref.ref(self))
         walked.append(tmask)
         contexts.append(context)
 
+    def init(self, context, tmask):
+        counted.append(tmask)
+        original_init(self, context, tmask)
+
+    monkeypatch.setattr(StateSpace, "_layout", layout)
     monkeypatch.setattr(StateSpace, "__init__", init)
     for name in ("_full_components", "_restricted_components"):
         original = getattr(_VectorContext, name)
@@ -760,13 +770,98 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
         gc.enable()
     context = contexts[0]
     assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
-    assert walked == list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
+    in_order = list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
+    assert walked == in_order
+    first_of_orbit = {}
+    for tmask in in_order:
+        first_of_orbit.setdefault(tmask.bit_count(), tmask)
+    assert counted == list(first_of_orbit.values())
+    assert len(counted) < len(walked)
     assert sorted(builds) == sorted(set(walked) | {0, context.full_mask})
 
 
+def _renaming_case(name):
+    if name in CHUNK_CASES:
+        matrices, fragment, _ = CHUNK_CASES[name]
+        return matrices, fragment
+    return {
+        "CL+B3+PWK": ((b2_matrix(), b3_matrix(), pwk_matrix()), DEFAULT_FRAGMENT),
+        "figure-3": (tuple(_figure_three_matrices()), DEFAULT_FRAGMENT),
+        "CL-4-vars": (
+            (b2_matrix(),),
+            FragmentSpec(variables=("w", "x", "y", "z"), max_depth=2, max_premises=3),
+        ),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", [*CHUNK_CASES, "CL+B3+PWK", "figure-3", "CL-4-vars"]
+)
+def test_renamed_state_spaces_match_the_count_dp(name):
+    # Every conclusion mask's space, renamed from the first and from the
+    # last mask of its orbit (masks with as many variables), equals the
+    # DP's: keys, counts, the weights' dtype, ids at every mask and the
+    # root.  Renamed from the first, as the engine does, it also finds the
+    # DP's rows in the witness descent for two sets of bad states at every
+    # size.  The descent runs in class order, which a renaming does not
+    # keep, so its rows check the transitions as well as the counts.  The
+    # "constant" case has classes of mask 0, and figure 3's context mixes
+    # CL with seven chain matrices of 2-5 elements.
+    matrices, fragment = _renaming_case(name)
+    context = _VectorContext(matrices[0].algebra.signature, fragment, matrices)
+    in_order = list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
+    orbits: dict[int, list[int]] = {}
+    for tmask in in_order:
+        orbits.setdefault(tmask.bit_count(), []).append(tmask)
+    rng = np.random.default_rng(23)
+    for orbit in orbits.values():
+        sources = {}
+        for source in dict.fromkeys((orbit[0], orbit[-1])):
+            space = StateSpace(context, source)
+            sources[source] = (source, space.keys, space.counts)
+        for tmask in orbit:
+            expected = StateSpace(context, tmask)
+            n_states = len(expected.keys)
+            bads = [rng.random(n_states) < 0.05, np.arange(n_states) == n_states - 1]
+            sizes = range(context.max_size + 1)
+            rows = [expected.first_rows(bad, size, 4) for bad in bads for size in sizes]
+            for source in sources.values():
+                got = StateSpace.renamed(context, tmask, source)
+                assert np.array_equal(got.keys, expected.keys), (tmask, source[0])
+                assert np.array_equal(got.counts, expected.counts)
+                assert got.weights.dtype == expected.weights.dtype
+                assert list(got.ids) == list(expected.ids)
+                for vmask, ids in expected.ids.items():
+                    assert np.array_equal(got.ids[vmask], ids), vmask
+                assert np.array_equal(got.root, expected.root)
+                if source[0] == orbit[0]:  # the engine's source
+                    assert [
+                        got.first_rows(bad, size, 4) for bad in bads for size in sizes
+                    ] == rows, tmask
+
+
+def test_a_renaming_without_a_class_image_is_refused(monkeypatch):
+    # A class missing from the index, or an index that names the wrong
+    # classes, leaves a renaming with no consistent image: refused, never
+    # used for counts.
+    matrices, fragment, _ = CHUNK_CASES["CL"]
+    context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
+    assert sorted(context.renaming([1, 0])) == list(
+        range(len(context.components(context.full_mask).vmask))
+    )
+    keys, ids = context._class_index
+    monkeypatch.setattr(context, "_class_index", (keys[1:], ids[1:]))
+    with pytest.raises(LatticeError, match="without image"):
+        context.renaming([1, 0])
+    monkeypatch.setattr(context, "_class_index", (keys, np.roll(ids, 1)))
+    with pytest.raises(LatticeError, match="no bijection"):
+        context.renaming([1, 0])
+
+
 def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
-    # Traced bytes that building components or a state space, or searching
-    # its witnesses, allocates beyond what is live when it returns.  Their
+    # Traced bytes that building components or a state space (counted or
+    # renamed), or searching its witnesses, allocates beyond what is live
+    # when it returns.  Their
     # work grows with the premise rows, but it is done in blocks of
     # ``_GROW_BLOCK`` entries: at premises=4 (1.2 M rows), with blocks of
     # 4096, the largest is 0.9 MB (a state space's build), where one
@@ -790,9 +885,14 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
         for vmask in sorted(masks, reverse=True):
             _, extra = temporaries(context.components, vmask)
             assert extra < bound, ("components", vmask, extra)
+        sources = {}
         for chunk in context.chunks():
-            space, extra = temporaries(StateSpace, context, context.chunk_mask(chunk))
+            tmask = context.chunk_mask(chunk)
+            space, extra = temporaries(StateSpace, context, tmask)
             assert extra < bound, ("states", chunk, extra)
+            source = sources.setdefault(tmask.bit_count(), (tmask, space.keys, space.counts))
+            _, extra = temporaries(StateSpace.renamed, context, tmask, source)
+            assert extra < bound, ("renamed states", chunk, extra)
             every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
             sizes = range(context.max_size + 1)
             found, extra = temporaries(space.witnesses, every, chunk, sizes, 5)
