@@ -48,15 +48,15 @@ witness lists after the first:
     class in a byte per state, and a DP counts the rows on each state; over
     CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  Renaming
     variables maps the fragment onto itself, so masks with as many
-    variables (an orbit) have the same state space up to relabelling: the
-    DP runs once per orbit, and the orbit's other masks relabel its keys
-    and counts (3 DPs instead of 7 over three variables, 4 instead of 15
-    over four).  The full mask's components are found breadth first from
-    the empty set's, each block of candidates looked up in one sorted index
-    of the known components' keys.  Every other mask I filters that one
-    table: the sets on a full component all share its variable mask, so
-    they lie inside I exactly when it does, and such a component is first
-    reached at the same level at I as at F.  One memo per chunk, shared by every pair,
+    variables (an orbit) share the state space of the orbit's first mask,
+    the others' chunks walked as their images under a class renaming (3
+    spaces instead of 7 over three variables, 4 instead of 15 over four).
+    The full mask's components are found breadth first from the empty set's,
+    each block of candidates looked up in one sorted index of the known
+    components' keys.  Every other mask I filters that one table: the sets
+    on a full component all share its variable mask, so they lie inside I
+    exactly when it does, and such a component is first reached at the
+    same level at I as at F.  One memo per chunk, shared by every pair,
     holds each subtree's answers.
 
 Witness selection is deterministic: premise subsets are enumerated by
@@ -75,7 +75,6 @@ re-validated against the real oracles before it is reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from graphlib import CycleError, TopologicalSorter
 from dataclasses import dataclass, field, replace
@@ -188,8 +187,8 @@ class ComparisonVerdict:
         lines.append(f"  fragment: {_fragment_display(self.fragment)}")
         lines.append(f"  engine: {self.engine}")
         lines.append(
-            f"  grid: {self.checked_premise_sets} premise sets x "
-            f"{self.checked_conclusions} conclusions"
+            f"  grid: {_count_display(self.checked_premise_sets)} premise sets x "
+            f"{_count_display(self.checked_conclusions)} conclusions"
         )
         lines.append(f"  relation: {self.relation_display}")
         for label, witnesses, count in (
@@ -213,6 +212,16 @@ class ComparisonVerdict:
             "disagreements": list(self.disagreements),
             "fragment": _fragment_display(self.fragment),
         }
+
+
+def _count_display(n: int) -> str:
+    """``n`` in decimal, or ``~10^N`` (N = floor(log10 n), from its top bits and
+    ``bit_length()``) past ``sys.get_int_max_str_digits()``."""
+    try:
+        return str(n)
+    except ValueError:
+        shift = n.bit_length() - 64
+        return f"~10^{math.floor(math.log10(n >> shift) + shift * math.log10(2))}"
 
 
 def _fragment_display(spec: FragmentSpec) -> str:
@@ -540,83 +549,20 @@ class _StateSpace:
     member, as rows do in ``combinations`` order, so it counts each row
     once and touches no more entries than there are rows.
 
-    Masks with the same number of variables share one DP
-    (:meth:`renamed`).  Let π permute the fragment's variables with
-    π(t) = t'.  Renaming by π maps the fragment onto itself, so it permutes
-    the classes (σ): a class's image has the mask π(mask) and, per matrix,
-    the designation row read at each valuation composed with π.  It maps a
-    premise set S of classes to σ(S), of the same size, and the AND of
-    σ(S)'s rows is the AND of S's rows renamed; so it permutes the full
-    components too (σ_F), with σ_F(0) = 0 and σ_F(trans[a, k]) =
-    trans[σ_F(a), σ(k)], and keeps the level at which each is first
-    reached.  A full component lies inside I exactly when its image lies
-    inside π(I), and a set's component at I is its full component's
-    restriction there; so S lands on state (c, e, z) at masks (F, t, 0)
-    exactly when σ(S) lands on (σ_F c, σ_F e, σ_F z) at (F, t', 0), and
-    N_t'[size](σ_F c, σ_F e, σ_F z) = N_t[size](c, e, z), as σ is a
-    bijection on the sets of each size.  (Here σ_F e and σ_F z read the
-    local ids through the full ids: a mask's components are the full ones
-    inside it, in ascending full id.)
+    One space serves every mask t' with as many variables as t.  Renaming
+    the fragment's variables by a π with π(t') = t maps the fragment onto
+    itself, so it permutes the classes (σ), and a premise set S' of t''s
+    classes to σS', of the same size.  Towers are structural and a class
+    holds formulas that no tower tells apart, so a tower answers (S', c')
+    as it answers (σS', σc'): a chunk of t' is walked as its σ-image on
+    t's states.  σ is a bijection on the premise sets of each size, so
+    the tallies agree; and the descent, reading the transitions through σ
+    (its ``order``), takes the smallest real class whose image keeps a
+    completion, so it lists rows in real ``combinations`` order.
     """
 
     def __init__(self, context: "_VectorContext", tmask: int):
         """The state space of ``tmask``, counted by the DP."""
-        self._layout(context, tmask)
-        n = self.n_classes
-        # Per size, the distinct state keys its rows reach and their counts.
-        levels = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
-        key, count = levels[0]
-        last = np.full(1, -1, dtype=np.int64)
-        for size in range(1, context.max_size + 1):
-            if size == context.max_size:
-                levels.append(self._grow(key, last, count, 1))
-            else:
-                groups, count = self._grow(key, last, count, n)
-                key, last = np.divmod(groups, n)
-                # Groups come sorted by state key: sum each run.
-                starts = _run_starts(key)
-                levels.append((key[starts], np.add.reduceat(count, starts)))
-        keys = _distinct(np.concatenate([keys for keys, _ in levels]))
-        counts = np.zeros((len(levels), len(keys)), dtype=np.int64)
-        for size, (level_keys, level_counts) in enumerate(levels):
-            counts[size, np.searchsorted(keys, level_keys)] = level_counts
-        self._finish(context, keys, counts)
-
-    @classmethod
-    def renamed(
-        cls,
-        context: "_VectorContext",
-        tmask: int,
-        source: tuple[int, np.ndarray, np.ndarray],
-    ) -> "_StateSpace":
-        """The state space of ``tmask`` from the ``keys`` and ``counts`` of
-        ``source = (mask, keys, counts)``, a mask with as many variables:
-        each source state's components are carried to their images under a
-        renaming that takes the source mask onto ``tmask`` (see the class
-        docstring), and the keys sorted again."""
-        space = cls.__new__(cls)
-        space._layout(context, tmask)
-        source_mask, keys, counts = source
-        k = context.full_mask.bit_length()
-        image = context.renaming(_renaming(source_mask, tmask, k))
-        full = context.components(context.full_mask).vmask
-
-        def inside(vmask):
-            return np.flatnonzero((full | vmask) == vmask)
-
-        renamed = np.zeros_like(keys)
-        for (place, radix), vmask in zip(space.digits, space.keyed):
-            # π fixes F and 0 and takes the source mask to tmask.
-            local = np.searchsorted(
-                inside(vmask), image[inside(source_mask if vmask == tmask else vmask)]
-            )
-            renamed += local[keys // place % radix] * place
-        order = np.argsort(renamed)
-        space._finish(context, renamed[order], counts[:, order])
-        return space
-
-    def _layout(self, context: "_VectorContext", tmask: int) -> None:
-        """The masks a key holds, its digits, and each mask's transitions."""
         self.tmask = tmask
         self.n_classes = n = context.n_classes
         masks = tuple(dict.fromkeys((context.full_mask, tmask, 0)))
@@ -634,13 +580,27 @@ class _StateSpace:
         # Per mask, each extended component's transitions as key shares.
         self.steps = [c.trans.astype(np.int64) * d for c, d in zip(components, place)]
 
-    def _finish(self, context: "_VectorContext", keys: np.ndarray, counts: np.ndarray):
-        """Keep the states and their counts, checked to cover every row."""
-        self.keys, self.counts = keys, counts
+        # Per size, the distinct state keys its rows reach and their counts.
+        levels = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
+        key, count = levels[0]
+        last = np.full(1, -1, dtype=np.int64)
+        for size in range(1, context.max_size + 1):
+            if size == context.max_size:
+                levels.append(self._grow(key, last, count, 1))
+            else:
+                groups, count = self._grow(key, last, count, n)
+                key, last = np.divmod(groups, n)
+                # Groups come sorted by state key: sum each run.
+                starts = _run_starts(key)
+                levels.append((key[starts], np.add.reduceat(count, starts)))
+        self.keys = keys = _distinct(np.concatenate([keys for keys, _ in levels]))
+        self.counts = counts = np.zeros((len(levels), len(keys)), dtype=np.int64)
+        for size, (level_keys, level_counts) in enumerate(levels):
+            counts[size, np.searchsorted(keys, level_keys)] = level_counts
         covered = int(counts.sum())
         if covered != context.n_premise_rows:
             raise LatticeError(
-                f"state counts cover {covered} premise rows of mask {self.tmask}, "
+                f"state counts cover {covered} premise rows of mask {tmask}, "
                 f"not {context.n_premise_rows}"
             )
         # Tally weights: a chunk marks at most 8 classes per row, so every
@@ -648,7 +608,6 @@ class _StateSpace:
         # faster than an int64 one, is exact below 2**53.
         exact = 8 * context.n_premise_rows < _FLOAT_EXACT
         self.weights = counts.astype(np.float64) if exact else counts
-        masks = dict.fromkeys((context.full_mask, self.tmask, 0))
         self.ids = dict.fromkeys(masks, np.zeros(len(keys), dtype=np.int64))
         self.ids.update(zip(self.keyed, self.decode(keys)))
         self.fresh: dict[tuple, np.ndarray] = {}
@@ -717,29 +676,34 @@ class _StateSpace:
         state's rows times its set bits, exact in either dtype."""
         return self.weights @ np.bitwise_count(only)
 
-    def witnesses(self, only: np.ndarray, chunk: tuple[int, ...], sizes, cap: int):
+    def witnesses(self, only: np.ndarray, real: tuple[int, ...], sizes, cap: int, order):
         """``(size, members, class)`` for every bit of ``only`` set on the
-        first ``cap`` rows of the given ascending sizes with any bit set."""
+        first ``cap`` rows of the given ascending sizes with any bit set.
+        Bit i of ``only`` answers class ``real[i]``, and ``order[c]`` is the
+        class of this space that real class c is walked as (σ in the class
+        docstring): members and classes come back as real ids."""
         rows: list[tuple[tuple[int, ...], int]] = []
         bad = only != 0
         for size in sizes:
             if len(rows) < cap:
-                rows += self.first_rows(bad, size, cap - len(rows))
+                rows += self.first_rows(bad, size, cap - len(rows), order)
         return [
             (len(members), members, target)
             for members, state in rows
-            for bit, target in enumerate(chunk)
+            for bit, target in enumerate(real)
             if only[state] >> bit & 1
         ]
 
-    def first_rows(self, bad: np.ndarray, size: int, cap: int):
-        """The first ``cap`` rows of ``size`` members, in ``combinations``
-        order, on a state where ``bad`` holds: ``(members, state)`` pairs.
-        ``reach[r][s]`` is the largest class c such that a set on state s
-        can end on a bad state by adding c and then r - 1 classes above c;
-        -1 when none can.  So a set with largest member m has a completion
-        exactly when ``reach[r][s] > m``, and the descent, taking the
-        smallest class that keeps one, never enters a dead branch.
+    def first_rows(self, bad: np.ndarray, size: int, cap: int, order: np.ndarray):
+        """The first ``cap`` rows of ``size`` real members, in
+        ``combinations`` order, whose σ-images (``order``) land on a state
+        where ``bad`` holds: ``(members, state)`` pairs.  The transitions
+        are read through ``order``, so column c adds real class c.
+        ``reach[r][s]`` is the largest real class c such that a set on
+        state s can end on a bad state by adding c and then r - 1 classes
+        above c; -1 when none can.  So a set with largest member m has a
+        completion exactly when ``reach[r][s] > m``, and the descent, taking
+        the smallest class that keeps one, never enters a dead branch.
         """
         if size == 0:
             return [((), 0)] if bad[0] else []
@@ -752,7 +716,7 @@ class _StateSpace:
             top = np.full(len(self.keys), -1)
             for lo in range(0, len(states), block):
                 part = states[lo:lo + block]
-                ok = reach[-1][self._grown(part)] > classes
+                ok = reach[-1][self._grown(part)[:, order]] > classes
                 has = ok.any(axis=1)
                 top[part[has]] = n - 1 - np.argmax(ok[has, ::-1], axis=1)
             reach.append(top)
@@ -767,7 +731,7 @@ class _StateSpace:
             if not left:
                 found.append((members, state))
                 continue
-            row = self._grown(np.array([state]))[0] if members else self.root
+            row = (self._grown(np.array([state]))[0] if members else self.root)[order]
             start = members[-1] + 1 if members else 0
             keep = np.flatnonzero(reach[left - 1][row[start:]] > classes[start:]) + start
             # Each class kept leads to a row, so later ones are never reached.
@@ -792,11 +756,10 @@ class _VectorContext:
     keeps it; and 0, where the fresh answers after a left step are read.
     At each mask a row is read through its component there
     (:class:`_Components`), so the walk runs on the rows' states
-    (:class:`_StateSpace`), never on rows.  Memory: every mask's components
-    live for the context's life, and only the state space of the mask being
-    walked is held, with the keys and counts of each orbit's first mask
-    until the orbit's last mask is built; none of it grows with the number
-    of premise rows.
+    (:class:`_StateSpace`), never on rows.  Memory: the components of F, 0
+    and each orbit's first mask live for the context's life, and only the
+    state space of the orbit being walked is held; none of it grows with
+    the number of premise rows.
     """
 
     def __init__(
@@ -923,15 +886,11 @@ class _VectorContext:
         return _Components(conj, masks, np.vstack(trans))
 
     def renaming(self, perm: Sequence[int]) -> np.ndarray:
-        """Each full component's image when variable i is renamed to
-        ``perm[i]`` (σ_F in :class:`_StateSpace`).
-
-        The classes' images (σ) are looked up by their renamed rows: each
+        """Each class's image when variable i is renamed to ``perm[i]`` (σ
+        in :class:`_StateSpace`), looked up by its renamed rows: each
         designation row's valuation axes permuted, and each mask's bits.
-        σ_F(0) = 0, and σ_F(trans[a, k]) = trans[σ_F(a), σ(k)] carries σ_F
-        through the table one breadth-first level at a time, in blocks of
-        rows.  A class or component left without an image, or two
-        components sharing one, raises :class:`LatticeError`.
+        A class left without an image, or two classes sharing one, raises
+        :class:`LatticeError`.
         """
         k = len(perm)
         axes = tuple(1 + np.argsort(perm))
@@ -950,27 +909,9 @@ class _VectorContext:
         if not np.array_equal(index_keys.take(at, mode="clip"), keys):
             raise LatticeError(f"renaming variables by {perm} leaves a class without image")
         sigma = index_ids[at]
-        full = self.components(self.full_mask)
-        trans = full.trans
-        image = np.full(len(full.vmask), -1, dtype=np.int64)
-        image[0] = 0
-        step = max(1, _GROW_BLOCK // max(1, self.n_classes))
-        # Each level's rows are the id range that the level before reached.
-        start, stop = 0, 1
-        while start < min(stop, len(trans)):
-            end = reached = min(stop, len(trans))
-            if (image[start:end] < 0).any():
-                break
-            for lo in range(start, end, step):
-                block = slice(lo, min(lo + step, end))
-                image[trans[block]] = trans[image[block]][:, sigma]
-                reached = max(reached, int(trans[block].max()) + 1)
-            start, stop = end, reached
-        if (image < 0).any() or np.bincount(image).max() > 1:
-            raise LatticeError(
-                f"renaming variables by {perm} is no bijection of the components"
-            )
-        return image
+        if not np.array_equal(np.sort(sigma), np.arange(self.n_classes)):
+            raise LatticeError(f"renaming variables by {perm} is no class permutation")
+        return sigma
 
     # -- tree evaluation -----------------------------------------------------
 
@@ -1030,8 +971,8 @@ class _VectorContext:
         """Conclusion classes grouped by variable mask, at most 8 per group.
 
         Classes ascend within a group.  Groups of one mask follow each
-        other, and masks come in the order of their first class, so one
-        mask's state space serves all its chunks in one stretch.
+        other, and masks come in the order of their first class, so their
+        orbits (masks with as many variables) come in a fixed order too.
         """
         by_mask: dict[int, list[int]] = {}
         for target, tmask in enumerate(self.rep_mask.tolist()):
@@ -1047,10 +988,9 @@ class _VectorContext:
     ) -> np.ndarray:
         """Answers of ``tree`` for a chunk of conclusion classes.
 
-        One ``uint8`` per state of ``space``, the state space of the chunk's
-        mask; bit i answers class ``chunk[i]``, and bits past the chunk's
-        length are meaningless.  ``chunk`` comes from :meth:`chunks`, so its
-        classes share one variable mask.  ``memo`` holds the answers of
+        One ``uint8`` per state of ``space``, whose mask every class of
+        ``chunk`` has; bit i answers class ``chunk[i]``, and bits past the
+        chunk's length are meaningless.  ``memo`` holds the answers of
         every (subtree, premise mask) walked for this chunk; pass the same
         dict for every tree walked for it.
         """
@@ -1109,11 +1049,11 @@ def _vector_verdicts(
     Every oracle must be a tower over one signature.  The context covers
     the matrices of all pairs.  The outer loop runs over chunks of
     conclusion classes, so a subtree is walked once per chunk however many
-    pairs contain it.  The state spaces of the chunks' masks are counted
-    once per orbit (masks with as many variables): the first mask of an
-    orbit runs the DP, and the others are renamed from its keys and counts
-    (:meth:`_StateSpace.renamed`), which are dropped after its last mask.
-    Each chunk is tallied per pair and side
+    pairs contain it.  Orbits (masks with as many variables) come in the
+    order of their first chunk, and each has one state space, its first
+    mask's: a chunk of another mask is walked as its image under a class
+    renaming σ onto that mask (:class:`_StateSpace`), and its witnesses
+    are read back through σ.  Each chunk is tallied per pair and side
     (:meth:`_StateSpace.tally`: each state's rows times its disagreeing
     bits, exact in float64 below 2**53 pairs and in int64 past that), and
     its first ``max_witnesses`` disagreeing rows each give at least one
@@ -1131,22 +1071,20 @@ def _vector_verdicts(
     context = _VectorContext(signature, fragment, table)
     counts = [[0, 0] for _ in pairs]
     found: list[tuple[list, list]] = [([], []) for _ in pairs]
-    chunks = context.chunks()
-    # An orbit (masks of one variable count) keeps its first mask's keys and
-    # counts until its last mask's state space is built from them.
-    last = {tmask.bit_count(): tmask for tmask in map(context.chunk_mask, chunks)}
-    sources: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-    for tmask, group in itertools.groupby(chunks, context.chunk_mask):
-        space = None  # the last mask's states go before the next are built
-        orbit = tmask.bit_count()
-        if orbit in sources:
-            space = _StateSpace.renamed(context, tmask, sources[orbit])
-        else:
-            space = _StateSpace(context, tmask)
-            sources[orbit] = (tmask, space.keys, space.counts)
-        if last[orbit] == tmask:
-            del sources[orbit]
-        for chunk in group:
+    k = context.full_mask.bit_length()
+    orbits: dict[int, list[tuple[int, ...]]] = {}
+    for real in context.chunks():
+        orbits.setdefault(context.chunk_mask(real).bit_count(), []).append(real)
+    for orbit in orbits.values():
+        space = None  # the last orbit's states go before the next are built
+        space = _StateSpace(context, context.chunk_mask(orbit[0]))
+        sigmas = {
+            tmask: context.renaming(_renaming(tmask, space.tmask, k))
+            for tmask in dict.fromkeys(map(context.chunk_mask, orbit))
+        }
+        for real in orbit:
+            sigma = sigmas[context.chunk_mask(real)]
+            chunk = tuple(sigma[list(real)].tolist())
             memo: dict = {}
             # Witnesses per (disagreement bytes, sizes): pairs share them.
             searched: dict = {}
@@ -1171,7 +1109,9 @@ def _vector_verdicts(
                         sizes = [size for size in sizes if size <= held[-1][0]]
                     key = (only.tobytes(), tuple(sizes))
                     if key not in searched:
-                        searched[key] = space.witnesses(only, chunk, sizes, max_witnesses)
+                        searched[key] = space.witnesses(
+                            only, real, sizes, max_witnesses, sigma
+                        )
                     held += searched[key]
     return [
         _verdict(

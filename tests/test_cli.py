@@ -205,6 +205,22 @@ def test_compare_with_a_huge_premise_bound_counts_every_subset(capsys):
     assert "grid: 16 premise sets x 4 conclusions" in out
 
 
+def test_compare_text_prints_a_grid_past_the_int_digit_limit(capsys):
+    # vars=x at depth 13 has a formula count of about 3,800 digits, so
+    # its premise-set count passes Python's 4,300-digit int-to-str limit:
+    # the text verdict prints it as a power of ten instead of raising.
+    code, out, err = run(
+        capsys,
+        "compare", "--base", B2, "--seq-a", "lr", "--seq-b", "rl",
+        "--fragment", "vars=x;depth=13;premises=2",
+    )
+    assert code == 0 and err == ""
+    grid = [line for line in out.splitlines() if line.startswith("  grid: ")]
+    assert len(grid) == 1
+    assert grid[0].startswith("  grid: ~10^7667 premise sets x 1135740377")
+    assert "Traceback" not in out
+
+
 def test_compare_meet_side_and_witness_injection(capsys):
     witness = (
         "y, and(not(x), or(not(x), z)), and(x, or(x, z)) |- and(y, or(y, z))"

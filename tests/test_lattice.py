@@ -708,23 +708,24 @@ def test_sliced_chunked_walk_matches_the_per_class_walk(monkeypatch, name, slice
 
 
 @pytest.mark.parametrize(
-    "base, fragment",
+    "base, fragment, n_orbits",
     [
-        (CL_B3, DEFAULT_FRAGMENT),
+        (CL_B3, DEFAULT_FRAGMENT, 3),
         # Classes of mask 0, walked last.
-        (MatrixOracle((_constant_matrix(),), label="constant"), TINY),
+        (MatrixOracle((_constant_matrix(),), label="constant"), TINY, 3),
+        (CL, FragmentSpec(variables=("w", "x", "y", "z"), max_depth=2, max_premises=2), 4),
     ],
-    ids=["CL+B3", "constant"],
+    ids=["CL+B3", "constant", "CL-4-vars"],
 )
 def test_vector_walk_projects_each_mask_once_and_retires_it(
-    monkeypatch, base, fragment
+    monkeypatch, base, fragment, n_orbits
 ):
-    # A chunk of mask t reads only the masks F, t and 0, and the chunks of
-    # one mask are walked in one stretch.  So every mask's components are
-    # built once, and every conclusion mask gets one state space, in chunk
-    # order: the count DP runs for the first mask of each variable count
-    # (an orbit under renaming), and the others are renamed from it.  Each
-    # space is gone, without the cyclic collector, before the next is built.
+    # A chunk of mask t reads only the masks F, t and 0, and every mask of
+    # an orbit (masks with as many variables) is walked on the state space
+    # of the orbit's first mask.  So there is one state space per orbit, in
+    # order of first chunk, components are built once and only at F, at 0
+    # and at each orbit's first mask, and each space is gone, without the
+    # cyclic collector, before the next is built.
     oracles = [
         derive_sequence(base, "".join(seq))
         for length in range(4)
@@ -733,26 +734,18 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
     meet = intersect(derive_sequence(base, "lr"), derive_sequence(base, "rl"))
     pairs = [(oracle, meet) for oracle in oracles]
     spaces: list[weakref.ref] = []
-    walked: list[int] = []
     counted: list[int] = []
     contexts: list[_VectorContext] = []
     builds: list[int] = []
-    original_layout = StateSpace._layout
     original_init = StateSpace.__init__
 
-    def layout(self, context, tmask):
-        # Every state space, counted or renamed, starts here.
+    def init(self, context, tmask):
         assert all(ref() is None for ref in spaces), tmask
-        original_layout(self, context, tmask)
+        original_init(self, context, tmask)
         spaces.append(weakref.ref(self))
-        walked.append(tmask)
+        counted.append(tmask)
         contexts.append(context)
 
-    def init(self, context, tmask):
-        counted.append(tmask)
-        original_init(self, context, tmask)
-
-    monkeypatch.setattr(StateSpace, "_layout", layout)
     monkeypatch.setattr(StateSpace, "__init__", init)
     for name in ("_full_components", "_restricted_components"):
         original = getattr(_VectorContext, name)
@@ -770,14 +763,13 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
         gc.enable()
     context = contexts[0]
     assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
-    in_order = list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
-    assert walked == in_order
+    walked = list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
     first_of_orbit = {}
-    for tmask in in_order:
+    for tmask in walked:
         first_of_orbit.setdefault(tmask.bit_count(), tmask)
     assert counted == list(first_of_orbit.values())
-    assert len(counted) < len(walked)
-    assert sorted(builds) == sorted(set(walked) | {0, context.full_mask})
+    assert len(counted) == n_orbits < len(walked)
+    assert sorted(builds) == sorted(set(counted) | {0, context.full_mask})
 
 
 def _renaming_case(name):
@@ -794,78 +786,125 @@ def _renaming_case(name):
     }[name]
 
 
+def _orbits(context):
+    """Each orbit's masks (as many variables), in order of first chunk."""
+    orbits: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    for chunk in context.chunks():
+        tmask = context.chunk_mask(chunk)
+        orbits.setdefault(tmask.bit_count(), {}).setdefault(tmask, []).append(chunk)
+    return list(orbits.values())
+
+
 @pytest.mark.parametrize(
     "name", [*CHUNK_CASES, "CL+B3+PWK", "figure-3", "CL-4-vars"]
 )
 def test_renamed_state_spaces_match_the_count_dp(name):
-    # Every conclusion mask's space, renamed from the first and from the
-    # last mask of its orbit (masks with as many variables), equals the
-    # DP's: keys, counts, the weights' dtype, ids at every mask and the
-    # root.  Renamed from the first, as the engine does, it also finds the
-    # DP's rows in the witness descent for two sets of bad states at every
-    # size.  The descent runs in class order, which a renaming does not
-    # keep, so its rows check the transitions as well as the counts.  The
-    # "constant" case has classes of mask 0, and figure 3's context mixes
-    # CL with seven chain matrices of 2-5 elements.
+    # Every chunk of every mask t', walked as its image under the class
+    # renaming σ onto its orbit's first mask t, on t's one state space,
+    # gives what t''s own space gives with the identity order: the same
+    # tally by size and the same witnesses, in real class ids, for every
+    # pair's disagreements per side and for each tower's answers and
+    # non-answers (all towers agree over the chain matrix).  On each mask's
+    # first chunk, the sparsest of these also gives the same first rows
+    # at every size.  The descent runs in class order, which σ does not
+    # keep, so its rows check that the transitions are read through σ.
+    # The "constant" case has classes of mask 0, and figure 3's context
+    # mixes CL with seven chain matrices of 2-5 elements.
     matrices, fragment = _renaming_case(name)
-    context = _VectorContext(matrices[0].algebra.signature, fragment, matrices)
-    in_order = list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
-    orbits: dict[int, list[int]] = {}
-    for tmask in in_order:
-        orbits.setdefault(tmask.bit_count(), []).append(tmask)
-    rng = np.random.default_rng(23)
-    for orbit in orbits.values():
-        sources = {}
-        for source in dict.fromkeys((orbit[0], orbit[-1])):
-            space = StateSpace(context, source)
-            sources[source] = (source, space.keys, space.counts)
-        for tmask in orbit:
-            expected = StateSpace(context, tmask)
-            n_states = len(expected.keys)
-            bads = [rng.random(n_states) < 0.05, np.arange(n_states) == n_states - 1]
-            sizes = range(context.max_size + 1)
-            rows = [expected.first_rows(bad, size, 4) for bad in bads for size in sizes]
-            for source in sources.values():
-                got = StateSpace.renamed(context, tmask, source)
-                assert np.array_equal(got.keys, expected.keys), (tmask, source[0])
-                assert np.array_equal(got.counts, expected.counts)
-                assert got.weights.dtype == expected.weights.dtype
-                assert list(got.ids) == list(expected.ids)
-                for vmask, ids in expected.ids.items():
-                    assert np.array_equal(got.ids[vmask], ids), vmask
-                assert np.array_equal(got.root, expected.root)
-                if source[0] == orbit[0]:  # the engine's source
-                    assert [
-                        got.first_rows(bad, size, 4) for bad in bads for size in sizes
-                    ] == rows, tmask
+    base = MatrixOracle(matrices, label=name)
+    towers = {
+        s: derive_sequence(base, s) for s in ("", "l", "r", "lr", "rl", "lrl", "rlr")
+    }
+    towers["meet"] = intersect(towers["lr"], towers["rl"])
+    pairs = [("l", "r"), ("lr", "rl"), ("", "rl"), ("rlr", "meet"), ("lrl", "rlr")]
+    if len(matrices) > 1:
+        towers["first"] = derive_sequence(MatrixOracle(matrices[:1], label="1"), "l")
+        pairs.append(("first", "l"))
+    table = []
+    trees = {key: _oracle_tree(oracle, table) for key, oracle in towers.items()}
+    context = _VectorContext(base.signature, fragment, table)
+    k = context.full_mask.bit_length()
+    identity = np.arange(context.n_classes)
+    sizes = range(context.max_size + 1)
+    disagreements = 0
+    for orbit in _orbits(context):
+        shared = StateSpace(context, next(iter(orbit)))
+        for tmask, group in orbit.items():
+            own = StateSpace(context, tmask)
+            sigma = context.renaming(lattice_module._renaming(tmask, shared.tmask, k))
+            assert sorted(sigma.tolist()) == identity.tolist()
+            for real in group:
+                image = tuple(sigma[list(real)].tolist())
+                assert {context.chunk_mask((c,)) for c in image} == {shared.tmask}
+                in_chunk = np.uint8((1 << len(real)) - 1)
+                memos = {}, {}
+                walks = ((image, shared, memos[0]), (real, own, memos[1]))
+                got, expected = [
+                    {
+                        key: context.chunk_answers(tree, chunk, space, memo) & in_chunk
+                        for key, tree in trees.items()
+                    }
+                    for chunk, space, memo in walks
+                ]
+                # Each tower's answers and non-answers, and each pair's
+                # disagreements per side, on the shared space and on t''s.
+                cases = []
+                for key in trees:
+                    cases.append((got[key], expected[key]))
+                    cases.append((~got[key] & in_chunk, ~expected[key] & in_chunk))
+                for a, b in pairs:
+                    for side in a, b:
+                        only = [(ans[a] ^ ans[b]) & ans[side] for ans in (got, expected)]
+                        disagreements += int(only[0].any())
+                        cases.append(tuple(only))
+                vectors = {(g.tobytes(), o.tobytes()): (g, o) for g, o in cases}
+                sparsest = None
+                for only_got, only_own in vectors.values():
+                    tally = shared.tally(only_got)
+                    assert np.array_equal(tally, own.tally(only_own)), (tmask, real)
+                    # As the engine does, search only the sizes with pairs.
+                    found = np.flatnonzero(tally).tolist()
+                    assert shared.witnesses(
+                        only_got, real, found, 4, sigma
+                    ) == own.witnesses(only_own, real, found, 4, identity)
+                    if tally[-1] and (sparsest is None or tally[-1] < sparsest[0]):
+                        sparsest = tally[-1], only_got != 0, only_own != 0
+                if real != group[0] or sparsest is None:
+                    continue
+                # State ids are each space's own: compare members.
+                _, bad_got, bad_own = sparsest
+                for size in sizes:
+                    rows = shared.first_rows(bad_got, size, 4, sigma)
+                    own_rows = own.first_rows(bad_own, size, 4, identity)
+                    assert [m for m, _ in rows] == [m for m, _ in own_rows], (tmask, size)
+    assert disagreements or name == "chain-5"
 
 
 def test_a_renaming_without_a_class_image_is_refused(monkeypatch):
-    # A class missing from the index, or an index that names the wrong
-    # classes, leaves a renaming with no consistent image: refused, never
-    # used for counts.
+    # A class missing from the index, or an index that gives two classes
+    # one image, leaves a renaming that is no permutation of the classes:
+    # refused, never walked.
     matrices, fragment, _ = CHUNK_CASES["CL"]
     context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
-    assert sorted(context.renaming([1, 0])) == list(
-        range(len(context.components(context.full_mask).vmask))
-    )
+    assert sorted(context.renaming([1, 0])) == list(range(context.n_classes))
     keys, ids = context._class_index
     monkeypatch.setattr(context, "_class_index", (keys[1:], ids[1:]))
     with pytest.raises(LatticeError, match="without image"):
         context.renaming([1, 0])
-    monkeypatch.setattr(context, "_class_index", (keys, np.roll(ids, 1)))
-    with pytest.raises(LatticeError, match="no bijection"):
+    shared = ids.copy()
+    shared[1] = shared[0]
+    monkeypatch.setattr(context, "_class_index", (keys, shared))
+    with pytest.raises(LatticeError, match="no class permutation"):
         context.renaming([1, 0])
 
 
 def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
-    # Traced bytes that building components or a state space (counted or
-    # renamed), or searching its witnesses, allocates beyond what is live
-    # when it returns.  Their
-    # work grows with the premise rows, but it is done in blocks of
-    # ``_GROW_BLOCK`` entries: at premises=4 (1.2 M rows), with blocks of
-    # 4096, the largest is 0.9 MB (a state space's build), where one
-    # row-sized int64 array is 9.7 MB.
+    # Traced bytes that building components or an orbit's state space, or
+    # searching its witnesses through a class renaming, allocates beyond
+    # what is live when it returns.  Their work grows with the premise
+    # rows, but it is done in blocks of ``_GROW_BLOCK`` entries: at
+    # premises=4 (1.2 M rows), with blocks of 4096, the largest is 0.9 MB
+    # (a state space's build), where one row-sized int64 array is 9.7 MB.
     monkeypatch.setattr(lattice_module, "_GROW_BLOCK", 1 << 12)
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
     context = _VectorContext(CL.signature, spec, (b2_matrix(),))
@@ -885,22 +924,24 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
         for vmask in sorted(masks, reverse=True):
             _, extra = temporaries(context.components, vmask)
             assert extra < bound, ("components", vmask, extra)
-        sources = {}
-        for chunk in context.chunks():
-            tmask = context.chunk_mask(chunk)
-            space, extra = temporaries(StateSpace, context, tmask)
-            assert extra < bound, ("states", chunk, extra)
-            source = sources.setdefault(tmask.bit_count(), (tmask, space.keys, space.counts))
-            _, extra = temporaries(StateSpace.renamed, context, tmask, source)
-            assert extra < bound, ("renamed states", chunk, extra)
+        k = context.full_mask.bit_length()
+        for orbit in _orbits(context):
+            space, extra = temporaries(StateSpace, context, next(iter(orbit)))
+            assert extra < bound, ("states", space.tmask, extra)
             every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
             sizes = range(context.max_size + 1)
-            found, extra = temporaries(space.witnesses, every, chunk, sizes, 5)
-            assert extra < bound, ("witnesses", chunk, extra)
-            # Every (row, class) pair disagrees: the first rows are the empty
-            # set and the first four classes, each with the whole chunk.
-            first = [(), (0,), (1,), (2,), (3,)]
-            assert found == [(len(row), row, c) for row in first for c in chunk]
+            for tmask, group in orbit.items():
+                sigma = context.renaming(lattice_module._renaming(tmask, space.tmask, k))
+                for real in group:
+                    found, extra = temporaries(
+                        space.witnesses, every, real, sizes, 5, sigma
+                    )
+                    assert extra < bound, ("witnesses", real, extra)
+                    # Every (row, class) pair disagrees: the first rows are
+                    # the empty set and the first four classes, each with
+                    # the whole chunk.
+                    first = [(), (0,), (1,), (2,), (3,)]
+                    assert found == [(len(row), row, c) for row in first for c in real]
     finally:
         tracemalloc.stop()
 
@@ -961,7 +1002,8 @@ def test_whole_chunk_tally_matches_the_per_class_tally(inputs, cap):
         for bit, target in enumerate(chunk)
         if only[state] >> bit & 1
     ]
-    assert space.witnesses(only, chunk, sizes, cap) == expected
+    identity = np.arange(context.n_classes)
+    assert space.witnesses(only, chunk, sizes, cap, identity) == expected
 
 
 # The designation table as it was built before formulas were evaluated in
