@@ -45,8 +45,9 @@ witness lists after the first:
     through its component at each: the AND of its members' designation
     rows there and the OR of their variable masks.  So the walk runs on the
     rows' states, the distinct component triples, with one answer bit per
-    class in a byte per state, and a DP counts the rows on each state; over
-    CL, 1.2 M rows at ``premises=4`` fall on at most 1,136 states.  Renaming
+    class in a byte per state, and a DP counts the rows on each state
+    when a tally needs them; over CL, 1.2 M rows at ``premises=4`` fall on
+    at most 1,160 states.  Renaming
     variables maps the fragment onto itself, so masks with as many
     variables (an orbit) share the state space of the orbit's first mask,
     the others' chunks walked as their images under a class renaming (3
@@ -76,6 +77,7 @@ re-validated against the real oracles before it is reported.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -397,11 +399,18 @@ def _renaming(source: int, target: int, k: int) -> list[int]:
 # Premise-row extensions (or component words) built at once: it bounds the
 # temporaries of the count DP and the component build, not their work.
 _GROW_BLOCK = 1 << 15
-# The largest state-key space whose row counts are summed in one dense array
-# (16 MB), when it is at most 4x the entries summed: sorting wins past that.
+# The largest key space times classes whose state space is numbered first
+# and counted later, each size's (state, largest member) counts summed in a
+# dense int64 table (16 MB); past it the sorted DP numbers and counts at
+# once.  There, the last size's counts are summed in one dense array when
+# the key space fits this bound and is at most 4x the entries summed:
+# sorting wins past that.
 _DENSE_KEYS = 1 << 21
 # float64 holds every integer below this exactly.
 _FLOAT_EXACT = 1 << 53
+# The largest formula count, in bits, that a fragment may have: about
+# 315,000 decimal digits, which over one variable is depth 19.
+_COUNT_BITS = 1 << 20
 
 
 @dataclass
@@ -432,7 +441,11 @@ def _fragment_size(signature: Signature, fragment: FragmentSpec) -> int:
     """``len(enumerate_fragment(signature, fragment))`` by its level rule, in
     Python ints (over three variables it passes 2**63 at depth 5): level d
     adds, per connective of arity a, the a-tuples of formulas of depth below
-    d with a member of depth d - 1, and each constant once at depth 1."""
+    d with a member of depth d - 1, and each constant once at depth 1.
+
+    A binary connective doubles the count's bit length at every level, and
+    the time of a level grows with it, so a count past ``_COUNT_BITS`` bits
+    is refused (:class:`LatticeError`) instead of computed."""
     below, total = 0, len(fragment.variables)  # formulas of depth < d - 1, < d
     for d in range(1, fragment.max_depth + 1):
         level = sum(
@@ -442,6 +455,10 @@ def _fragment_size(signature: Signature, fragment: FragmentSpec) -> int:
         if not level:
             break
         below, total = total, total + level
+        if total.bit_length() > _COUNT_BITS:
+            raise LatticeError(
+                f"the fragment's formula count passes 2**{_COUNT_BITS} at depth {d}"
+            )
     return total
 
 
@@ -544,10 +561,27 @@ class _StateSpace:
     component.  ``keys`` holds every key a row reaches, ascending, and a
     state's id is its position there; ``ids[I]`` gives each state's
     component id at mask I, and ``counts[size, s]`` the exact number of
-    rows of ``size`` members on state s.  A DP over (state, largest member)
-    groups counts them: a group grows only by the classes above its largest
-    member, as rows do in ``combinations`` order, so it counts each row
-    once and touches no more entries than there are rows.
+    rows of ``size`` members on state s.  The walk reads only keys, ids
+    and root; counts are read by a tally and by the witness descent, so
+    only for a pair that disagrees on the space.
+
+    When ``key_space * n_classes`` fits ``_DENSE_KEYS``, the space is built
+    in two passes.  The numbering pass (:meth:`_number`), run at once,
+    finds the keys breadth first in a bitmap of the key space, which is all
+    the walk needs.  The counting pass (:meth:`_dense_counts`) runs on the
+    first read of ``counts`` or ``weights``: per size, a dense (state,
+    largest member) table, grown through int32 indexes of the numbered
+    keys, with no sort.  A space whose chunks no pair disagrees on, such
+    as every space of criterion 3's pair, is never counted.  It loses no
+    check by that: the covered-rows check guards the counts, the
+    multiplicities of the rows on the states, which nothing else reads;
+    and both passes step by the same ``steps``, so a counted space's
+    states are the ones numbered.  A count that reaches an unnumbered key,
+    or leaves a numbered state that no size counts, raises.  A larger key
+    space is numbered and counted at once by a DP over (state, largest
+    member) groups sorted by key (:meth:`_sorted_counts`).  In both, a row
+    grows only by the classes above its largest member, as rows do in
+    ``combinations`` order, so each row is counted once.
 
     One space serves every mask t' with as many variables as t.  Renaming
     the fragment's variables by a π with π(t') = t maps the fragment onto
@@ -562,9 +596,13 @@ class _StateSpace:
     """
 
     def __init__(self, context: "_VectorContext", tmask: int):
-        """The state space of ``tmask``, counted by the DP."""
+        """The state space of ``tmask``: numbered now, counted when first
+        read on a small key space, and numbered and counted at once by the
+        sorted DP on a large one."""
         self.tmask = tmask
         self.n_classes = n = context.n_classes
+        self.max_size = context.max_size
+        self.n_premise_rows = context.n_premise_rows
         masks = tuple(dict.fromkeys((context.full_mask, tmask, 0)))
         # A mask with one component (no class inside) adds nothing to a key.
         self.keyed = [
@@ -579,13 +617,150 @@ class _StateSpace:
             raise LatticeError("too many premise-set components to number in 64 bits")
         # Per mask, each extended component's transitions as key shares.
         self.steps = [c.trans.astype(np.int64) * d for c, d in zip(components, place)]
+        if self.key_space * n <= _DENSE_KEYS:
+            self.keys = keys = self._number()
+        else:
+            keys, counts = self._sorted_counts()
+            self.keys, self.counts = keys, self._checked(counts)
+        self.ids = dict.fromkeys(masks, np.zeros(len(keys), dtype=np.int64))
+        self.ids.update(zip(self.keyed, self.decode(keys)))
+        self.fresh: dict[tuple, np.ndarray] = {}
+        # The empty set's state is 0; its states after adding each class.
+        self.root = self._grown(np.zeros(1, dtype=np.intp))[0]
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """``counts[size, s]``: the rows of ``size`` members on state s."""
+        return self._checked(self._dense_counts())
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The counts as tally weights.  A chunk marks at most 8 classes
+        per row, so every partial sum of a tally is at most 8 * rows, and a
+        float64 product, faster than an int64 one, is exact below 2**53."""
+        if 8 * self.n_premise_rows < _FLOAT_EXACT:
+            return self.counts.astype(np.float64)
+        return self.counts
+
+    def _checked(self, counts: np.ndarray) -> np.ndarray:
+        """``counts`` once they cover every premise row and count every
+        state at some size."""
+        covered = int(counts.sum())
+        if covered != self.n_premise_rows:
+            raise LatticeError(
+                f"state counts cover {covered} premise rows of mask {self.tmask}, "
+                f"not {self.n_premise_rows}"
+            )
+        if not counts.any(axis=0).all():
+            raise LatticeError(f"a numbered state of mask {self.tmask} counts no row")
+        return counts
+
+    def decode(self, keys: np.ndarray) -> list[np.ndarray]:
+        """Per mask, the component ids of state ``keys``."""
+        return [keys // place % radix for place, radix in self.digits]
+
+    def _successors(self, keys: np.ndarray) -> np.ndarray:
+        """The state key of each of ``keys`` after adding each class: a
+        ``(len(keys), n_classes)`` table."""
+        return sum(step[comp] for comp, step in zip(self.decode(keys), self.steps))
+
+    def _number(self) -> np.ndarray:
+        """Every state key a row reaches, ascending.  Sets ``_index``, each
+        key's state id (-1 for a key no row reaches), and ``_inner``, a mask
+        of the states that rows of fewer than ``max_size`` members reach.
+
+        Breadth first from the empty set's key 0: level r marks, in a
+        bitmap of the key space, the successors of the keys first reached
+        at level r - 1.  A key's successors do not depend on the level, so
+        each key is grown once, at its first level; and a key of level r is
+        reached by at most r classes, so it has transitions while r is
+        below ``max_size``.  Adding a member again keeps the state, so the
+        keys reached by at most r additions are exactly the states of the
+        rows of at most r members.
+        """
+        seen = np.zeros(self.key_space, dtype=bool)
+        seen[0] = True
+        inner = seen
+        frontier = np.zeros(1, dtype=np.int64)
+        block = max(1, _GROW_BLOCK // max(1, self.n_classes))
+        for _ in range(self.max_size):
+            inner = seen.copy()
+            reached = np.zeros_like(seen)
+            for lo in range(0, len(frontier), block):
+                reached[self._successors(frontier[lo:lo + block])] = True
+            reached &= ~seen
+            seen |= reached
+            frontier = np.flatnonzero(reached)
+        keys = np.flatnonzero(seen)
+        self._index = np.full(self.key_space, -1, dtype=np.int32)
+        self._index[keys] = np.arange(len(keys), dtype=np.int32)
+        self._inner = inner[keys]
+        return keys
+
+    def _dense_counts(self) -> np.ndarray:
+        """The counting pass over the numbered states, size by size.
+
+        ``last[j, c]`` is the number of rows of the current size, below
+        ``max_size``, on the j-th inner state (``_inner``) whose largest
+        member is c.  A row grows only by the classes above its largest
+        member, as rows do in ``combinations`` order, so each state adds,
+        for each class c, its rows with largest member below c (a prefix
+        sum over ``last``) at (its successor by c, c): each row is counted
+        once, and nothing is sorted.  A successor's row in the next table is
+        read in an int32 index of the inner keys, and at the last size its
+        state id in ``_index``; a successor either index holds no id for
+        raises.
+        """
+        n, keys = self.n_classes, self.keys
+        inner = keys[self._inner]
+        counts = np.zeros((self.max_size + 1, len(keys)), dtype=np.int64)
+        counts[0, 0] = 1
+        at_inner = np.full(self.key_space, -1, dtype=np.int32)
+        at_inner[inner] = np.arange(len(inner), dtype=np.int32)
+        classes = np.arange(n)
+        block = max(1, _GROW_BLOCK // max(1, n))
+        # Rows of ``last`` with rows of the current size: the empty set's.
+        active = np.zeros(1, dtype=np.intp)
+        for size in range(1, self.max_size + 1):
+            final = size == self.max_size
+            index = self._index if final else at_inner
+            grown = np.zeros(len(keys) if final else len(inner) * n, dtype=np.int64)
+            for lo in range(0, len(active), block):
+                part = active[lo:lo + block]
+                if size == 1:
+                    # The empty set has no largest member: it adds every class.
+                    below = np.ones((1, n), dtype=np.int64)
+                else:
+                    below = last[part]
+                    below = np.cumsum(below, axis=1) - below
+                succ = index[self._successors(inner[part])]
+                if (succ < 0).any():
+                    raise LatticeError(
+                        f"a premise row of mask {self.tmask} reaches an unnumbered state"
+                    )
+                at = below != 0
+                np.add.at(grown, (succ if final else succ * n + classes)[at], below[at])
+            if final:
+                counts[size] = grown
+            else:
+                last = grown.reshape(len(inner), n)
+                sums = last.sum(axis=1)
+                counts[size, self._inner] = sums
+                active = np.flatnonzero(sums)
+        return counts
+
+    def _sorted_counts(self):
+        """The state keys and their counts per size, by a DP over (state,
+        largest member) groups sorted by key; a group grows only by the
+        classes above its largest member, so it counts each row once and
+        touches no more entries than there are rows."""
+        n = self.n_classes
         # Per size, the distinct state keys its rows reach and their counts.
         levels = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))]
         key, count = levels[0]
         last = np.full(1, -1, dtype=np.int64)
-        for size in range(1, context.max_size + 1):
-            if size == context.max_size:
+        for size in range(1, self.max_size + 1):
+            if size == self.max_size:
                 levels.append(self._grow(key, last, count, 1))
             else:
                 groups, count = self._grow(key, last, count, n)
@@ -593,30 +768,11 @@ class _StateSpace:
                 # Groups come sorted by state key: sum each run.
                 starts = _run_starts(key)
                 levels.append((key[starts], np.add.reduceat(count, starts)))
-        self.keys = keys = _distinct(np.concatenate([keys for keys, _ in levels]))
-        self.counts = counts = np.zeros((len(levels), len(keys)), dtype=np.int64)
+        keys = _distinct(np.concatenate([keys for keys, _ in levels]))
+        counts = np.zeros((len(levels), len(keys)), dtype=np.int64)
         for size, (level_keys, level_counts) in enumerate(levels):
             counts[size, np.searchsorted(keys, level_keys)] = level_counts
-        covered = int(counts.sum())
-        if covered != context.n_premise_rows:
-            raise LatticeError(
-                f"state counts cover {covered} premise rows of mask {tmask}, "
-                f"not {context.n_premise_rows}"
-            )
-        # Tally weights: a chunk marks at most 8 classes per row, so every
-        # partial sum of a tally is at most 8 * rows, and a float64 product,
-        # faster than an int64 one, is exact below 2**53.
-        exact = 8 * context.n_premise_rows < _FLOAT_EXACT
-        self.weights = counts.astype(np.float64) if exact else counts
-        self.ids = dict.fromkeys(masks, np.zeros(len(keys), dtype=np.int64))
-        self.ids.update(zip(self.keyed, self.decode(keys)))
-        self.fresh: dict[tuple, np.ndarray] = {}
-        # The empty set's state is 0; its states after adding each class.
-        self.root = self._grown(np.zeros(1, dtype=np.intp))[0]
-
-    def decode(self, keys: np.ndarray) -> list[np.ndarray]:
-        """Per mask, the component ids of state ``keys``."""
-        return [keys // place % radix for place, radix in self.digits]
+        return keys, counts
 
     def _grow(self, key, last, count, stride: int):
         """Every group grown by each class above its largest member.
@@ -667,9 +823,7 @@ class _StateSpace:
     def _grown(self, states: np.ndarray) -> np.ndarray:
         """Each of ``states`` after adding every class: a ``(len(states),
         n_classes)`` table of state ids."""
-        ids = self.decode(self.keys[states])
-        keys = sum(step[comp] for comp, step in zip(ids, self.steps))
-        return np.searchsorted(self.keys, keys)
+        return np.searchsorted(self.keys, self._successors(self.keys[states]))
 
     def tally(self, only: np.ndarray) -> np.ndarray:
         """Per size, the (row, class) pairs marked by ``only``'s bits: each
@@ -770,8 +924,10 @@ class _VectorContext:
     ):
         self.matrices = list(matrices)
         self.full_mask = (1 << len(fragment.variables)) - 1
-        self.groups = _fragment_groups(signature, fragment, self.matrices)
+        # Counted first: a count past its bound stops a depth that no group
+        # enumeration could finish.
         self.n_formulas = _fragment_size(signature, fragment)
+        self.groups = _fragment_groups(signature, fragment, self.matrices)
         bools = [m.designated_bools[v] for m, v in zip(self.matrices, self.groups.values)]
         packed = [_pack_rows(b) for b in bools]
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,28 @@ def test_compare_text_prints_a_grid_past_the_int_digit_limit(capsys):
     assert len(grid) == 1
     assert grid[0].startswith("  grid: ~10^7667 premise sets x 1135740377")
     assert "Traceback" not in out
+
+
+def test_compare_refuses_a_depth_whose_formula_count_explodes():
+    # The formula count doubles its bit length at every level of depth, so
+    # depth 99999 could never be counted: refused with exit 2 and one error
+    # line, well within the timeout.  Run in a child process, so a hang
+    # fails the test instead of stalling the suite.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "vilogic.cli", "compare", "--base", B2,
+            "--seq-a", "lr", "--seq-b", "rl",
+            "--fragment", "vars=x;depth=99999;premises=2",
+        ],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "formula count" in done.stderr
 
 
 def test_compare_meet_side_and_witness_injection(capsys):

@@ -1507,16 +1507,134 @@ def test_a_context_past_the_float_guard_tallies_in_integers(monkeypatch):
 
 
 def test_state_counts_that_miss_a_row_raise(monkeypatch):
-    original = lattice_module._group_sums
+    # A count that loses a row is refused on either path: the counting
+    # pass over a small key space, and the sorted DP's group sums with no
+    # dense key space allowed.  TINY's spaces are small enough for the
+    # counting pass, and l against r disagrees, so its counts are read.
+    original = StateSpace._dense_counts
+
+    def lossy_pass(self):
+        counts = original(self)
+        counts[-1, -1] -= 1
+        return counts
+
+    monkeypatch.setattr(StateSpace, "_dense_counts", lossy_pass)
+    with pytest.raises(LatticeError, match="premise rows of mask"):
+        compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"), TINY)
+    monkeypatch.undo()
+
+    original_sums = lattice_module._group_sums
 
     def lossy(*args):
-        keys, sums = original(*args)
+        keys, sums = original_sums(*args)
         sums[:1] -= 1
         return keys, sums
 
+    monkeypatch.setattr(lattice_module, "_DENSE_KEYS", 0)
     monkeypatch.setattr(lattice_module, "_group_sums", lossy)
     with pytest.raises(LatticeError, match="premise rows of mask"):
         compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"), TINY)
+
+
+def _counted_space():
+    """The first orbit's state space over CL, numbered for the counting
+    pass."""
+    matrices, fragment, _ = CHUNK_CASES["CL"]
+    context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
+    space = StateSpace(context, context.chunk_mask(context.chunks()[0]))
+    assert space.key_space * space.n_classes <= lattice_module._DENSE_KEYS
+    assert "counts" not in vars(space)
+    return space
+
+
+def test_a_corrupted_state_index_refuses_to_count():
+    # The counting pass reads each last-size successor's id in the
+    # numbering's index, which holds -1 for every key no row reaches.  Over
+    # CL the last key is a state that only rows of the largest size reach:
+    # with its entry lost, it is an unnumbered key to each of them.
+    space = _counted_space()
+    assert not space._inner[-1]
+    space._index[space.keys[-1]] = -1
+    with pytest.raises(LatticeError, match="unnumbered state"):
+        space.counts
+
+
+def test_a_key_the_numbering_dropped_refuses_to_count(monkeypatch):
+    # A numbering pass that loses a reached key: the rows reaching it
+    # land on an unnumbered key.  One that numbers a key no row reaches:
+    # no size counts that state.
+    original = StateSpace._number
+
+    def dropping(self):
+        keys = original(self)
+        self._index[keys[-1]] = -1
+        self._inner = self._inner[:-1]
+        return keys[:-1]
+
+    monkeypatch.setattr(StateSpace, "_number", dropping)
+    with pytest.raises(LatticeError, match="unnumbered state"):
+        _counted_space().counts
+
+    def padding(self):
+        keys = original(self)
+        extra = int(np.flatnonzero(self._index < 0)[-1])
+        at = np.searchsorted(keys, extra)
+        keys = np.insert(keys, at, extra)
+        self._inner = np.insert(self._inner, at, False)
+        self._index[keys] = np.arange(len(keys), dtype=np.int32)
+        return keys
+
+    monkeypatch.setattr(StateSpace, "_number", padding)
+    with pytest.raises(LatticeError, match="counts no row"):
+        _counted_space().counts
+
+
+@pytest.mark.parametrize("name", [*CHUNK_CASES, "figure-3", "CL-4-vars"])
+def test_numbered_states_match_the_sorted_dp(monkeypatch, name):
+    # On every orbit's first mask, the numbering and counting passes and
+    # the sorted DP, each forced through ``_DENSE_KEYS``, give the same
+    # keys, counts, component ids and root.  Figure 3's masks 1 and 3 and
+    # every mask over four variables take the sorted DP by default.
+    matrices, fragment = _renaming_case(name)
+    context = _VectorContext(matrices[0].algebra.signature, fragment, matrices)
+    for orbit in _orbits(context):
+        tmask = next(iter(orbit))
+        spaces = []
+        for dense in (1 << 62, 0):
+            monkeypatch.setattr(lattice_module, "_DENSE_KEYS", dense)
+            space = StateSpace(context, tmask)
+            assert ("counts" in vars(space)) == (dense == 0)
+            spaces.append(space)
+        numbered, counted = spaces
+        assert np.array_equal(numbered.keys, counted.keys), tmask
+        assert np.array_equal(numbered.counts, counted.counts), tmask
+        assert list(numbered.ids) == list(counted.ids)
+        for vmask, ids in counted.ids.items():
+            assert np.array_equal(numbered.ids[vmask], ids), (tmask, vmask)
+        assert np.array_equal(numbered.root, counted.root), tmask
+
+
+@pytest.mark.parametrize("a, b, passes", [("rlr", "meet", 0), ("lr", "rl", 3)])
+def test_only_a_tally_counts_a_state_space(monkeypatch, a, b, passes):
+    # Over CL at the default fragment each of the three orbits' spaces is
+    # numbered for the counting pass.  Criterion 3's pair disagrees
+    # nowhere, so no space is counted; lr and rl disagree on every orbit,
+    # so each space is counted once.
+    numbered, counted = [], []
+    for name, calls in (("_number", numbered), ("_dense_counts", counted)):
+        original = getattr(StateSpace, name)
+
+        def hooked(self, _original=original, _calls=calls):
+            _calls.append(self.tmask)
+            return _original(self)
+
+        monkeypatch.setattr(StateSpace, name, hooked)
+    towers = {s: derive_sequence(CL, s) for s in ("lr", "rl", "rlr")}
+    towers["meet"] = intersect(towers["lr"], towers["rl"])
+    verdict = compare(towers[a], towers[b], DEFAULT_FRAGMENT)
+    assert verdict.relation == ("equal" if passes == 0 else "incomparable")
+    assert len(numbered) == len(set(numbered)) == 3
+    assert len(counted) == len(set(counted)) == passes
 
 
 @pytest.mark.parametrize("space", [1 << 62, 40], ids=["argsort", "packed-sort"])
@@ -1588,6 +1706,15 @@ def test_fragment_size_is_exact_past_64_bits():
         spec = FragmentSpec(variables=("x", "y", "z"), max_depth=depth, max_premises=1)
         assert lattice_module._fragment_size(CL.signature, spec) == total
     assert total == 478_695_120_798_978_786_859_741_224 > 1 << 63
+
+
+def test_fragment_size_stops_at_its_bit_bound(monkeypatch):
+    # Over x, y and z the count has 89 bits at depth 5 and 177 at depth 6.
+    monkeypatch.setattr(lattice_module, "_COUNT_BITS", 100)
+    spec = FragmentSpec(variables=("x", "y", "z"), max_depth=5, max_premises=1)
+    assert lattice_module._fragment_size(CL.signature, spec).bit_length() == 89
+    with pytest.raises(LatticeError, match=r"passes 2\*\*100 at depth 6"):
+        lattice_module._fragment_size(CL.signature, replace(spec, max_depth=6))
 
 
 def test_compare_builds_each_oracle_tree_once(monkeypatch):
