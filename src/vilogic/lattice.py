@@ -488,7 +488,10 @@ def _fragment_groups(
     follows their first formulas.  A block of tuples takes one fancy index
     per matrix into the head's table, and is looked up in one sorted index
     of the known groups' byte keys (:func:`_index_block`), whose mask column
-    also carries the depth.  The loop stops at a level that adds no group.
+    also carries the depth.  The loop stops after a level that adds no
+    (mask, value rows) pair, whatever the depth: a connective's pair is a
+    function of its arguments' pairs, so no later level could add one, and
+    the groups left out split no class and represent none.
     """
     k = len(fragment.variables)
     dtypes = [np.min_scalar_type(len(m.algebra.elements) - 1) for m in matrices]
@@ -533,8 +536,12 @@ def _fragment_groups(
                 values = [np.concatenate([v, r[new]]) for v, r in zip(values, rows)]
                 masks = np.concatenate([masks, grown[new]])
                 parents += [(name, tuple(args[:, j].tolist())) for j in new.tolist()]
-        if len(masks) == hi:
-            break
+        if depth < fragment.max_depth:
+            pairs = _byte_keys(values, masks)
+            known = np.sort(pairs[:hi])
+            at = np.searchsorted(known, pairs[hi:])
+            if (known.take(at, mode="clip") == pairs[hi:]).all():
+                break
         lo = hi
     return _Groups(values, masks, parents)
 
@@ -1597,12 +1604,13 @@ def build_lattice(
     """Survey the transform towers over a base matrix collection.
 
     Requires ``partition_term`` to pass the partition axioms on every base
-    algebra.  Detects whether the base has an explosive premise set; that
-    choice fixes the node inventory: five towers without one, seven with,
-    plus computed meet nodes and rendered-but-uncomputed join nodes.  Every
-    node is a matrix, left, right or meet tower, so all computed pairs go
-    through one vector-engine run on one context, and each tower is walked
-    once per chunk of conclusion classes rather than once per pair.
+    algebra.  Decides exactly whether the base has an explosive premise set
+    (:attr:`MatrixOracle.antitheorem_info`, by the subalgebra that each
+    element generates); that fixes the node inventory: five towers without
+    one, seven with, plus computed meet nodes and rendered-but-uncomputed
+    join nodes.  Every node is a matrix, left, right or meet tower, so all
+    computed pairs go through one vector-engine run on one context, and each
+    tower is walked once per chunk of conclusion classes, not once per pair.
 
     ``extra_pairs`` are tower pairs compared in that same run; their
     verdicts land in ``extra_verdicts``, which neither ``render`` nor

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .formulas import FragmentSpec, Formula, Signature, enumerate_fragment
+from .formulas import FragmentSpec, Formula, Signature, enumerate_fragment, var
 
 __all__ = [
     "AntitheoremInfo",
@@ -317,23 +317,20 @@ def find_countermodel(
 
 NONE_PROVEN = "none-proven"
 WITNESS = "witness"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class AntitheoremInfo:
-    """What an oracle knows about its antitheorems.
-
-    ``none-proven`` means absence is established, ``witness`` carries a set
-    whose substitution instances entail everything, ``unknown`` means the
-    bounded analysis was inconclusive.
-    """
+    """Whether an oracle has an antitheorem, decided exactly: by generated
+    subalgebras at the matrix leaves (:attr:`MatrixOracle.antitheorem_info`).
+    ``none-proven`` means no finite set entails a variable foreign to it;
+    ``witness`` carries such a set, in the one variable ``x``."""
 
     status: str
     witness: frozenset[Formula] | None = None
 
     def __post_init__(self):
-        if self.status not in (NONE_PROVEN, WITNESS, UNKNOWN):
+        if self.status not in (NONE_PROVEN, WITNESS):
             raise ValueError(f"bad antitheorem status {self.status!r}")
         if (self.status == WITNESS) != (self.witness is not None):
             raise ValueError("witness set must accompany exactly the witness status")
@@ -352,9 +349,6 @@ class LogicOracle:
 
     label: str
     signature: Signature
-    # True when some matrix model of the relation designates less than
-    # everything.  Each tower constructor sets it from its parts.
-    has_nontrivial_model = False
 
     def __init__(self, label: str, signature: Signature):
         self.label = label
@@ -370,7 +364,12 @@ class LogicOracle:
 
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
-        return AntitheoremInfo(UNKNOWN)
+        raise NotImplementedError
+
+    @property
+    def closed_antitheorem(self) -> frozenset[Formula] | None:
+        """A variable-free antitheorem (empty when all holds), or None."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
@@ -400,6 +399,7 @@ class MatrixOracle(LogicOracle):
         mats = _check_class(matrices)
         super().__init__(label, mats[0].signature)
         self.matrices = mats
+        # True when some matrix designates less than everything.
         self.has_nontrivial_model = any(m.constrains for m in mats)
         self._masks: dict[tuple[Formula, tuple[str, ...]], tuple[int, ...]] = {}
         self._answers: dict[tuple[frozenset[Formula], Formula], bool] = {}
@@ -425,34 +425,47 @@ class MatrixOracle(LogicOracle):
 
     @cached_property
     def antitheorem_info(self) -> AntitheoremInfo:
-        """Bounded antitheorem analysis.
+        """Exact: any antitheorem yields one in x by substitution, and a set
+        in x is one exactly when no valuation into a constraining matrix
+        designates all of it.  At x = e its members take values in the
+        subalgebra that e generates, each taken by some formula in x, so one
+        exists exactly when every element of every constraining matrix
+        generates a subalgebra that leaves D."""
+        found = _undesignated_terms(self.matrices, var("x"))
+        return AntitheoremInfo(NONE_PROVEN) if found is None else AntitheoremInfo(WITNESS, found)
 
-        If some constraining matrix has a designated element closed under
-        all operations, every premise set is satisfiable there and no
-        antitheorem can exist.  Otherwise search single-variable candidate
-        sets up to depth 2 with :func:`vilogic.transforms.find_antitheorem`;
-        supersets of antitheorems are antitheorems, so testing the full
-        candidate set decides the bounded question.
-        """
-        from .transforms import find_antitheorem
+    @cached_property
+    def closed_antitheorem(self) -> frozenset[Formula] | None:
+        # The variable-free formulas take the values that the constants generate.
+        return _undesignated_terms(self.matrices, None)
 
-        for matrix in self.matrices:
-            if matrix.constrains and self._trap_element(matrix):
-                return AntitheoremInfo(NONE_PROVEN)
-        found = find_antitheorem(self, depth=2)
-        if found is not None:
-            return AntitheoremInfo(WITNESS, found)
-        return AntitheoremInfo(UNKNOWN)
 
-    @staticmethod
-    def _trap_element(matrix: FiniteMatrix) -> str | None:
-        for e in matrix.designated:
-            if all(
-                matrix.algebra.tables[name][(e,) * arity] == e
-                for name, arity in matrix.signature.connectives
-            ):
-                return e
-        return None
+def _undesignated_terms(matrices: MatrixClass, x: Formula | None) -> frozenset[Formula] | None:
+    """``x`` and, per constraining matrix and element e, the first formula in
+    x found outside D at x = e (with ``x`` None, the first variable-free one
+    per matrix), or None when some subalgebra searched lies inside D.  A
+    round applies each connective once to every tuple with a member from the
+    round before (constants while none is older), keeping the first formula
+    found for each element."""
+    found = set() if x is None else {x}
+    for matrix in (m for m in matrices if m.constrains):
+        for seed in [[(e, x)] for e in matrix.algebra.elements] if x is not None else [[]]:
+            terms, old, new = dict(seed), [], seed
+            while all(e in matrix.designated for e, _ in new):
+                reached = []
+                for name, arity in matrix.signature.connectives:
+                    shapes = [[old] * i + [new] + [old + new] * (arity - i - 1) for i in range(arity)]
+                    for shape in shapes or ([] if old else [[]]):
+                        for args in itertools.product(*shape):
+                            value = matrix.algebra.tables[name][tuple(e for e, _ in args)]
+                            if value not in terms:
+                                terms[value] = Formula(name, tuple(t for _, t in args))
+                                reached.append((value, terms[value]))
+                if not reached:
+                    return None
+                old, new = old + new, reached
+            found.add(next(t for e, t in new if e not in matrix.designated))
+    return frozenset(found)
 
 
 def is_theorem(oracle: LogicOracle, formula: Formula) -> bool:

@@ -22,10 +22,14 @@ root base.
 
 Antitheorem-hood of a finite set is decided through a fresh-variable query:
 a set entails a variable foreign to it exactly when it entails everything
-under every substitution.  A left companion never has antitheorems provided
-the base has a model that designates less than everything; when every base
-matrix designates everything the claim does not apply and the companion
-reports its antitheorem status as unknown.
+under every substitution.  Whether a tower has one at all is decided
+exactly from its matrix leaves (:attr:`MatrixOracle.antitheorem_info`, by
+generated subalgebras), which also give a variable-free antitheorem
+(``closed_antitheorem``) when there is one.  For a fresh y, a left
+companion tests ``Γ ⊢ y`` on Γ's variable-free premises alone, so it has
+an antitheorem exactly when its base has a variable-free one, which needs
+constants.  A right companion keeps its base's; a meet's witness is the
+union of its parts', all in the one variable x.
 
 The combinators keep no per-query state.  Every query to a tower passes
 through each layer once and ends in queries to its matrix leaves; the
@@ -43,17 +47,14 @@ from typing import Iterable
 
 from .formulas import (
     MAX_NESTING,
-    FragmentSpec,
     Formula,
     FormulaError,
-    enumerate_fragment,
     fresh_variable,
     var,
     vars_of_set,
 )
 from .matrices import (
     NONE_PROVEN,
-    UNKNOWN,
     WITNESS,
     AntitheoremInfo,
     LogicOracle,
@@ -67,7 +68,6 @@ __all__ = [
     "canonicalize_sequence",
     "check_sequence",
     "derive_sequence",
-    "find_antitheorem",
     "intersect",
     "is_antitheorem",
 ]
@@ -103,32 +103,6 @@ def _variable(name: str) -> Formula:
     return var(name)
 
 
-def find_antitheorem(
-    oracle: LogicOracle,
-    depth: int = 2,
-    variable: str = "x",
-) -> frozenset[Formula] | None:
-    """Bounded antitheorem search over single-variable formulas.
-
-    Any antitheorem yields one in a single variable by substitution, and
-    supersets of antitheorems are antitheorems, so the full candidate set
-    decides existence at this depth.  Returns a greedily minimized witness,
-    or None when the fragment holds none.
-    """
-    spec = FragmentSpec(variables=(variable,), max_depth=depth, max_premises=0)
-    pool = list(enumerate_fragment(oracle.signature, spec))
-    if not is_antitheorem(oracle, pool):
-        return None
-    witness = pool
-    for candidate in pool:
-        if len(witness) == 1:
-            break
-        trimmed = [f for f in witness if f != candidate]
-        if is_antitheorem(oracle, trimmed):
-            witness = trimmed
-    return frozenset(witness)
-
-
 @dataclass(frozen=True)
 class AntitheoremWitness:
     """A finite formula set in one shared variable, claimed to be an antitheorem."""
@@ -152,7 +126,6 @@ class LeftVIOracle(LogicOracle):
     def __init__(self, base: LogicOracle):
         super().__init__(_step_label(base, "l"), base.signature)
         self.base = base
-        self.has_nontrivial_model = base.has_nontrivial_model
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         allowed = conclusion.variables
@@ -163,9 +136,16 @@ class LeftVIOracle(LogicOracle):
 
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
-        if self.base.has_nontrivial_model:
+        # Γ entails a fresh y here exactly when its variable-free premises
+        # do in the base; adding x makes such a set a witness in x.
+        closed = self.base.closed_antitheorem
+        if closed is None:
             return AntitheoremInfo(NONE_PROVEN)
-        return AntitheoremInfo(UNKNOWN)
+        return AntitheoremInfo(WITNESS, closed | {_variable("x")})
+
+    @property
+    def closed_antitheorem(self) -> frozenset[Formula] | None:
+        return self.base.closed_antitheorem
 
 
 class RightVIOracle(LogicOracle):
@@ -174,7 +154,6 @@ class RightVIOracle(LogicOracle):
     def __init__(self, base: LogicOracle):
         super().__init__(_step_label(base, "r"), base.signature)
         self.base = base
-        self.has_nontrivial_model = base.has_nontrivial_model
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         variables = vars_of_set(premises)
@@ -184,10 +163,13 @@ class RightVIOracle(LogicOracle):
 
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
-        # The right companion adds no antitheorems and keeps the base's:
-        # a fresh-variable query can only succeed through the antitheorem
-        # clause, which defers to the base.
+        # A right step adds no antitheorems and keeps the base's: a fresh-variable
+        # query succeeds only through the antitheorem clause, which defers to the base.
         return self.base.antitheorem_info
+
+    @property
+    def closed_antitheorem(self) -> frozenset[Formula] | None:
+        return self.base.closed_antitheorem
 
 
 class MeetOracle(LogicOracle):
@@ -199,22 +181,23 @@ class MeetOracle(LogicOracle):
         super().__init__(f"({first.label})&({second.label})", first.signature)
         self.first = first
         self.second = second
-        self.has_nontrivial_model = first.has_nontrivial_model or second.has_nontrivial_model
 
     def _entails(self, premises: frozenset[Formula], conclusion: Formula) -> bool:
         return self.first.entails(premises, conclusion) and self.second.entails(premises, conclusion)
 
+    # An antitheorem of the meet is one of both parts, and a superset of an
+    # antitheorem is one, so the parts' witnesses merge by union.
     @property
     def antitheorem_info(self) -> AntitheoremInfo:
-        infos = (self.first.antitheorem_info, self.second.antitheorem_info)
-        if any(i.status == NONE_PROVEN for i in infos):
-            # an antitheorem of the meet is an antitheorem of both parts
+        first, second = self.first.antitheorem_info, self.second.antitheorem_info
+        if first.status == NONE_PROVEN or second.status == NONE_PROVEN:
             return AntitheoremInfo(NONE_PROVEN)
-        if all(i.status == WITNESS for i in infos):
-            shared = vars_of_set(infos[0].witness) | vars_of_set(infos[1].witness)
-            if len(shared) == 1:
-                return AntitheoremInfo(WITNESS, infos[0].witness | infos[1].witness)
-        return AntitheoremInfo(UNKNOWN)
+        return AntitheoremInfo(WITNESS, first.witness | second.witness)
+
+    @property
+    def closed_antitheorem(self) -> frozenset[Formula] | None:
+        first, second = self.first.closed_antitheorem, self.second.closed_antitheorem
+        return None if first is None or second is None else first | second
 
 
 def _step_label(base: LogicOracle, step: str) -> str:

@@ -35,6 +35,7 @@ from vilogic.presets import (
     b3_matrix,
     pwk_matrix,
 )
+from vilogic.transforms import is_antitheorem
 
 
 _acceptance_lines: list[str] = []
@@ -73,6 +74,33 @@ def definitional_antitheorem_check(
             if not oracle.entails(instance, target):
                 return False
     return True
+
+
+def find_antitheorem(
+    oracle: LogicOracle,
+    depth: int = 2,
+    variable: str = "x",
+) -> frozenset[Formula] | None:
+    """Bounded antitheorem search over single-variable formulas: the
+    reference that the exact ``antitheorem_info`` is checked against.
+
+    Any antitheorem yields one in a single variable by substitution, and
+    supersets of antitheorems are antitheorems, so the full candidate set
+    decides existence at this depth.  Returns a greedily minimized witness,
+    or None when the fragment holds none.
+    """
+    spec = FragmentSpec(variables=(variable,), max_depth=depth, max_premises=0)
+    pool = list(enumerate_fragment(oracle.signature, spec))
+    if not is_antitheorem(oracle, pool):
+        return None
+    witness = pool
+    for candidate in pool:
+        if len(witness) == 1:
+            break
+        trimmed = [f for f in witness if f != candidate]
+        if is_antitheorem(oracle, trimmed):
+            witness = trimmed
+    return frozenset(witness)
 
 
 def explain_left_of_right(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from conftest import definitional_antitheorem_check, record_acceptance
+from conftest import definitional_antitheorem_check, find_antitheorem, record_acceptance
 
 from vilogic.formulas import (
     FragmentSpec,
@@ -47,7 +47,6 @@ from vilogic.presets import (
 )
 from vilogic.transforms import (
     derive_sequence,
-    find_antitheorem,
     intersect,
     is_antitheorem,
 )

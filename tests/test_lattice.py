@@ -24,6 +24,7 @@ from vilogic.formulas import (
     enumerate_fragment,
     parse_formula,
     var,
+    vars_of_set,
 )
 from vilogic.lattice import (
     DEFAULT_FRAGMENT,
@@ -39,6 +40,7 @@ from vilogic.lattice import (
 )
 import vilogic.lattice as lattice_module
 from vilogic.matrices import (
+    WITNESS,
     FiniteAlgebra,
     FiniteMatrix,
     MatrixOracle,
@@ -53,9 +55,9 @@ from vilogic.presets import (
     pwk_matrix,
     sigma_set,
 )
-from vilogic.transforms import derive_sequence, intersect
+from vilogic.transforms import AntitheoremWitness, derive_sequence, intersect, is_antitheorem
 
-from conftest import class_row_reference
+from conftest import class_row_reference, find_antitheorem
 
 
 def P(text):
@@ -1199,16 +1201,70 @@ def test_groups_and_classes_match_the_per_formula_build(case):
     ]
     firsts = _first_positions(group_of)
     groups = lattice_module._fragment_groups(signature, spec, matrices)
-    assert [groups.formula(g) for g in range(len(firsts))] == [formulas[i] for i in firsts]
-    assert len(groups.parents) == len(firsts)
-    assert groups.masks.tolist() == [masks[i] for i in firsts]
+    # The groups built are the first ones, through a whole level.
+    built = len(groups.parents)
+    assert 0 < built <= len(firsts)
+    assert built == len(firsts) or formulas[firsts[built]].depth > formulas[firsts[built - 1]].depth
+    assert [groups.formula(g) for g in range(built)] == [formulas[i] for i in firsts[:built]]
+    assert groups.masks.tolist() == [masks[i] for i in firsts[:built]]
     for got, expected in zip(groups.values, values):
-        assert np.array_equal(got, expected[firsts])
+        assert np.array_equal(got, expected[firsts[:built]])
+    # Every later group repeats the (mask, value rows) pair of a built one.
+    pair = [key[1:] for key in group_of]
+    built_pairs = {pair[i] for i in firsts[:built]}
+    assert all(pair[i] in built_pairs for i in firsts[built:])
 
     context = _VectorContext(signature, spec, matrices)
     _assert_classes_match(
         context, formulas, masks, _designation_bools(matrices, formulas, spec.variables)
     )
+
+
+def test_group_enumeration_stops_after_a_level_that_adds_no_pair():
+    # Over CL in x the four term functions x, not(x), 0 and 1 are reached by
+    # depth 2, so level 3 adds no (mask, value rows) pair: no deeper level
+    # is built, and the classes and formula count are depth 12's.
+    signature = b2_matrix().signature
+    deep = FragmentSpec(("x",), 12, 1)
+    groups = lattice_module._fragment_groups(signature, deep, [b2_matrix()])
+    shallow = lattice_module._fragment_groups(signature, FragmentSpec(("x",), 3, 1), [b2_matrix()])
+    assert groups.parents == shallow.parents
+    assert max(groups.formula(g).depth for g in range(len(groups.parents))) == 3
+    context = _VectorContext(signature, deep, [b2_matrix()])
+    assert context.n_classes == 4
+    assert context.n_formulas == lattice_module._fragment_size(signature, deep)
+
+
+TOWER_SEQUENCES = ["".join(s) for n in range(4) for s in itertools.product("lr", repeat=n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_classes())
+def test_antitheorem_decision_holds_on_random_matrix_classes(case):
+    """The base, every tower of at most three steps, meet(l,r) and
+    meet(lr,rl): a witness is an antitheorem in x, and a tower said to have
+    none has none in the depth-3 pool in x nor by the bounded search."""
+    signature, _, matrices = case
+    base = MatrixOracle(matrices)
+    towers = {seq: derive_sequence(base, seq) for seq in TOWER_SEQUENCES}
+    oracles = list(towers.values()) + [
+        intersect(towers["l"], towers["r"]),
+        intersect(towers["lr"], towers["rl"]),
+    ]
+    # One formula per group: the depth-3 pool up to formulas with one
+    # variable set and one value row per matrix, which no tower tells apart.
+    groups = lattice_module._fragment_groups(signature, FragmentSpec(("x",), 3, 0), matrices)
+    pool = [groups.formula(g) for g in range(len(groups.parents))]
+    for oracle in oracles:
+        info = oracle.antitheorem_info
+        if info.status == WITNESS:
+            assert AntitheoremWitness(info.witness).verify(oracle), oracle
+        else:
+            assert not is_antitheorem(oracle, pool), oracle
+            assert find_antitheorem(oracle) is None, oracle
+        closed = oracle.closed_antitheorem
+        if closed is not None:
+            assert not vars_of_set(closed) and is_antitheorem(oracle, closed), oracle
 
 
 def _formulas_near(signature, variables):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import definitional_antitheorem_check, explain_left_of_right, formula_strategy
+from conftest import (
+    definitional_antitheorem_check,
+    explain_left_of_right,
+    find_antitheorem,
+    formula_strategy,
+)
 
 from vilogic.formulas import (
     MAX_NESTING,
@@ -21,13 +26,14 @@ from vilogic.formulas import (
 )
 from vilogic.matrices import (
     NONE_PROVEN,
-    UNKNOWN,
     WITNESS,
     AntitheoremInfo,
     FiniteMatrix,
+    LogicOracle,
     MatrixOracle,
     all_valuations,
     evaluate,
+    parse_matrix_text,
 )
 from vilogic.presets import (
     FULL_SIGNATURE,
@@ -45,11 +51,10 @@ from vilogic.transforms import (
     canonicalize_sequence,
     check_sequence,
     derive_sequence,
-    find_antitheorem,
     intersect,
     is_antitheorem,
 )
-from vilogic.lattice import compare, FragmentSpec as _FragmentSpec  # noqa: F401
+from vilogic.lattice import build_lattice, compare, FragmentSpec as _FragmentSpec  # noqa: F401
 
 
 def P(text):
@@ -143,23 +148,25 @@ def test_left_tower_has_no_antitheorems(cl_oracle):
     assert not is_antitheorem(left, (P("x"), P("not(x)")))
 
 
-def test_left_tower_over_an_all_designated_base_is_unknown(cl_oracle):
-    # A matrix designating everything entails every inference, so the left
-    # tower over it has antitheorems (the empty set among them) and the
-    # no-antitheorem argument, which needs a constraining model, is silent.
+def _all_designated_oracle():
     algebra = b2_matrix().algebra
-    everything = MatrixOracle(
-        (FiniteMatrix(algebra, frozenset(algebra.elements)),), label="T"
-    )
-    assert not everything.has_nontrivial_model
-    for sequence in ("l", "rl", "lr"):
+    return MatrixOracle((FiniteMatrix(algebra, frozenset(algebra.elements)),), label="T")
+
+
+def test_left_tower_over_an_all_designated_base_has_witness_x(cl_oracle):
+    # A matrix designating everything entails every inference, so every set
+    # is an antitheorem there: its variable-free antitheorem is the empty
+    # set, and the left tower's witness is {x}.
+    everything = _all_designated_oracle()
+    assert everything.closed_antitheorem == frozenset()
+    for sequence in ("", "l", "rl", "lr"):
         tower = derive_sequence(everything, sequence)
-        assert not tower.has_nontrivial_model
-        assert tower.antitheorem_info.status == UNKNOWN, sequence
+        assert tower.antitheorem_info == AntitheoremInfo(WITNESS, frozenset({P("x")})), sequence
     assert is_antitheorem(derive_sequence(everything, "l"), ())
-    # A meet with a constraining base has that base's matrix as a model.
+    # A meet with a constraining base has that base's matrix as a model,
+    # whose and/or/not terms without variables do not exist.
     meet = intersect(everything, cl_oracle)
-    assert meet.has_nontrivial_model
+    assert meet.closed_antitheorem is None
     left = derive_sequence(meet, "l")
     assert left.antitheorem_info.status == NONE_PROVEN
     assert not is_antitheorem(left, (P("x"), P("not(x)")))
@@ -172,8 +179,10 @@ def _with_witness(text):
     return oracle
 
 
-def test_meet_antitheorem_info_merges_witnesses_or_is_unknown(cl_oracle):
+def test_meet_antitheorem_info_merges_witnesses_in_x(cl_oracle):
     found = cl_oracle.antitheorem_info.witness
+    # x is outside {1} at x = 0, and not(x) at x = 1.
+    assert found == {P("x"), P("not(x)")}
     # Both sides have a witness in the one variable x: the meet has their union.
     info = intersect(cl_oracle, derive_sequence(cl_oracle, "r")).antitheorem_info
     assert info == AntitheoremInfo(WITNESS, found)
@@ -181,13 +190,76 @@ def test_meet_antitheorem_info_merges_witnesses_or_is_unknown(cl_oracle):
     info = meet.antitheorem_info
     assert info == AntitheoremInfo(WITNESS, found | {P("and(x, not(x))")})
     assert is_antitheorem(meet, info.witness)
-    # Witnesses in two variables between them give no witness for the meet.
-    assert intersect(cl_oracle, _with_witness("and(y, not(y))")).antitheorem_info.status == UNKNOWN
-    # Neither side proves absence and one side is unknown.
-    algebra = b2_matrix().algebra
-    everything = MatrixOracle((FiniteMatrix(algebra, frozenset(algebra.elements)),), label="T")
-    unknown = intersect(derive_sequence(everything, "l"), cl_oracle)
-    assert unknown.antitheorem_info == AntitheoremInfo(UNKNOWN)
+    # The left tower over an all-designated base has the witness {x}.
+    meet = intersect(derive_sequence(_all_designated_oracle(), "l"), cl_oracle)
+    assert meet.antitheorem_info == AntitheoremInfo(WITNESS, found)
+    assert is_antitheorem(meet, found)
+    # A part without antitheorems leaves the meet without them.
+    meet = intersect(cl_oracle, derive_sequence(cl_oracle, "l"))
+    assert meet.antitheorem_info == AntitheoremInfo(NONE_PROVEN)
+
+
+def test_antitheorem_statuses_accept_only_the_two_decided_ones():
+    with pytest.raises(ValueError, match="bad antitheorem status"):
+        AntitheoremInfo("unknown")
+    with pytest.raises(NotImplementedError):
+        LogicOracle("bare", FULL_SIGNATURE).antitheorem_info
+
+
+# s cycles 0 -> 1 -> 2 -> 3 -> 0 and p is the left projection, a partition
+# function: every element generates all four, so 3 is reached from each,
+# but only by s(s(s(x))) from 0, past the old depth-2 search.
+PROBE_BASE = """\
+signature: s/1, p/2
+elements: 0, 1, 2, 3
+table s: 0->1  1->2  2->3  3->0
+table p: 0,0->0  0,1->0  0,2->0  0,3->0  1,0->1  1,1->1  1,2->1  1,3->1  2,0->2  2,1->2  2,2->2  2,3->2  3,0->3  3,1->3  3,2->3  3,3->3
+designated: 0, 1, 2
+"""
+
+# The constant c takes the undesignated 0, so {c} is a variable-free
+# antitheorem and the left tower has {c, x}.
+CONSTANT_BASE = """\
+signature: c/0, n/1
+elements: 0, 1
+table c: ->0
+table n: 0->0  1->1
+designated: 1
+"""
+
+
+def test_probe_base_has_an_antitheorem_and_seven_towers():
+    matrix = parse_matrix_text(PROBE_BASE)
+    base = MatrixOracle((matrix,), label="probe")
+    info = base.antitheorem_info
+    assert info.status == WITNESS
+    assert info.witness == {parse_formula(t, matrix.signature) for t in ("x", "s(x)", "s(s(x))", "s(s(s(x)))")}
+    assert is_antitheorem(base, info.witness)
+    assert find_antitheorem(base) is None  # the old bound missed it
+    report = build_lattice(
+        matrix,
+        parse_formula("p(x, y)", matrix.signature),
+        FragmentSpec(variables=("x", "y"), max_depth=3, max_premises=4),
+    )
+    assert report.base_antitheorems == WITNESS
+    towers = [n.node_id for n in report.nodes if n.kind == "tower"]
+    assert towers == ["base", "l", "r", "lr", "rl", "rlr", "lrl"]
+    verdict = report.verdict("lrl", "rl")
+    assert (verdict.relation, verdict.disagreements) == ("strictly-below", (0, 12))
+
+
+def test_left_tower_over_a_constant_base_has_an_antitheorem():
+    matrix = parse_matrix_text(CONSTANT_BASE)
+    base = MatrixOracle((matrix,), label="c")
+    c, x = parse_formula("c", matrix.signature), var("x")
+    assert base.closed_antitheorem == {c}
+    left = derive_sequence(base, "l")
+    assert left.entails((c,), var("y"))
+    assert left.antitheorem_info == AntitheoremInfo(WITNESS, frozenset({c, x}))
+    assert is_antitheorem(left, left.antitheorem_info.witness)
+    for sequence in ("rl", "lr", "lrl"):
+        info = derive_sequence(base, sequence).antitheorem_info
+        assert info.status == WITNESS and is_antitheorem(derive_sequence(base, sequence), info.witness)
 
 
 def test_right_tower_keeps_base_antitheorems(cl_oracle):
