@@ -65,3 +65,21 @@ def test_no_unused_imports(path):
     used = _referenced_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _relative_imports(path: Path) -> dict[str, set[str]]:
+    """Module -> names imported from it, for each relative import in ``path``."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_vector_engine_sits_behind_one_entry_point():
+    # The engine reads only the term and matrix layers, and lattice reads it
+    # through its entry point and error class alone: a test that patches an
+    # engine name on lattice then raises AttributeError, not a silent pass.
+    assert set(_relative_imports(SOURCE / "vector.py")) == {"formulas", "matrices"}
+    from_vector = _relative_imports(SOURCE / "lattice.py")["vector"]
+    assert from_vector == {"LatticeError", "disagreements"}

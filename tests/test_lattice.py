@@ -36,9 +36,10 @@ from vilogic.lattice import (
     reproduce_figure,
     witness_suite,
     _oracle_tree,
-    _VectorContext,
 )
 import vilogic.lattice as lattice_module
+import vilogic.vector as vector_module
+from vilogic.vector import _VectorContext
 from vilogic.matrices import (
     WITNESS,
     FiniteAlgebra,
@@ -471,7 +472,7 @@ CHUNK_CASES = {
     "CL[and,or]": ((b2_and_or_matrix(),), XY2, [1, 1, 4]),
 }
 
-StateSpace = lattice_module._StateSpace
+StateSpace = vector_module._StateSpace
 
 
 # The set reference for the state engine: every premise row as a tuple of
@@ -577,7 +578,7 @@ def test_premise_rows_and_projections_match_a_set_reference(matrices, fragment):
 def test_sliced_projections_match_the_set_reference(
     monkeypatch, matrices, fragment, slice_rows
 ):
-    monkeypatch.setattr(lattice_module, "_GROW_BLOCK", slice_rows)
+    monkeypatch.setattr(vector_module, "_GROW_BLOCK", slice_rows)
     test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
 
 
@@ -585,7 +586,7 @@ def test_sliced_projections_match_the_set_reference(
 def test_sorted_last_level_sums_match_the_set_reference(monkeypatch, matrices, fragment):
     # These key spaces are small enough for the dense sum; with no dense
     # space allowed, every last size is summed by sorting instead.
-    monkeypatch.setattr(lattice_module, "_DENSE_KEYS", 0)
+    monkeypatch.setattr(vector_module, "_DENSE_KEYS", 0)
     test_premise_rows_and_projections_match_a_set_reference(matrices, fragment)
 
 
@@ -691,7 +692,7 @@ def test_chunked_walk_matches_the_per_class_walk(name):
         for chunk in group:
             memo = {}
             for tree in trees:
-                bits = context.chunk_answers(tree, chunk, space, memo)
+                bits = context._walk(tree, context.full_mask, chunk, space, memo)
                 assert bits.dtype == np.uint8 and bits.shape == (len(space.keys),)
                 per_row = bits[states]
                 for bit, target in enumerate(chunk):
@@ -705,7 +706,7 @@ def test_chunked_walk_matches_the_per_class_walk(name):
 @TINY_SLICES
 @pytest.mark.parametrize("name", list(CHUNK_CASES))
 def test_sliced_chunked_walk_matches_the_per_class_walk(monkeypatch, name, slice_rows):
-    monkeypatch.setattr(lattice_module, "_GROW_BLOCK", slice_rows)
+    monkeypatch.setattr(vector_module, "_GROW_BLOCK", slice_rows)
     test_chunked_walk_matches_the_per_class_walk(name)
 
 
@@ -765,7 +766,7 @@ def test_vector_walk_projects_each_mask_once_and_retires_it(
         gc.enable()
     context = contexts[0]
     assert len(verdicts) == len(pairs) and len(set(map(id, contexts))) == 1
-    walked = list(dict.fromkeys(context.chunk_mask(c) for c in context.chunks()))
+    walked = list(dict.fromkeys(int(context.rep_mask[c[0]]) for c in context.chunks()))
     first_of_orbit = {}
     for tmask in walked:
         first_of_orbit.setdefault(tmask.bit_count(), tmask)
@@ -792,7 +793,7 @@ def _orbits(context):
     """Each orbit's masks (as many variables), in order of first chunk."""
     orbits: dict[int, dict[int, list[tuple[int, ...]]]] = {}
     for chunk in context.chunks():
-        tmask = context.chunk_mask(chunk)
+        tmask = int(context.rep_mask[chunk[0]])
         orbits.setdefault(tmask.bit_count(), {}).setdefault(tmask, []).append(chunk)
     return list(orbits.values())
 
@@ -833,17 +834,18 @@ def test_renamed_state_spaces_match_the_count_dp(name):
         shared = StateSpace(context, next(iter(orbit)))
         for tmask, group in orbit.items():
             own = StateSpace(context, tmask)
-            sigma = context.renaming(lattice_module._renaming(tmask, shared.tmask, k))
+            sigma = context.renaming(vector_module._renaming(tmask, shared.tmask, k))
             assert sorted(sigma.tolist()) == identity.tolist()
             for real in group:
                 image = tuple(sigma[list(real)].tolist())
-                assert {context.chunk_mask((c,)) for c in image} == {shared.tmask}
+                assert {int(context.rep_mask[c]) for c in image} == {shared.tmask}
                 in_chunk = np.uint8((1 << len(real)) - 1)
                 memos = {}, {}
                 walks = ((image, shared, memos[0]), (real, own, memos[1]))
                 got, expected = [
                     {
-                        key: context.chunk_answers(tree, chunk, space, memo) & in_chunk
+                        key: context._walk(tree, context.full_mask, chunk, space, memo)
+                        & in_chunk
                         for key, tree in trees.items()
                     }
                     for chunk, space, memo in walks
@@ -907,7 +909,7 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
     # rows, but it is done in blocks of ``_GROW_BLOCK`` entries: at
     # premises=4 (1.2 M rows), with blocks of 4096, the largest is 0.9 MB
     # (a state space's build), where one row-sized int64 array is 9.7 MB.
-    monkeypatch.setattr(lattice_module, "_GROW_BLOCK", 1 << 12)
+    monkeypatch.setattr(vector_module, "_GROW_BLOCK", 1 << 12)
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
     context = _VectorContext(CL.signature, spec, (b2_matrix(),))
     bound = 2 << 20
@@ -933,7 +935,7 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
             every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
             sizes = range(context.max_size + 1)
             for tmask, group in orbit.items():
-                sigma = context.renaming(lattice_module._renaming(tmask, space.tmask, k))
+                sigma = context.renaming(vector_module._renaming(tmask, space.tmask, k))
                 for real in group:
                     found, extra = temporaries(
                         space.witnesses, every, real, sizes, 5, sigma
@@ -988,7 +990,7 @@ def test_whole_chunk_tally_matches_the_per_class_tally(inputs, cap):
     # row order.
     name, chunk, density, seed = inputs
     context = _tally_context(name)
-    space, (rows, states) = _tally_space(name, context.chunk_mask(chunk))
+    space, (rows, states) = _tally_space(name, int(context.rep_mask[chunk[0]]))
     rng = np.random.default_rng(seed)
     in_chunk = np.uint8((1 << len(chunk)) - 1)
     only = rng.integers(0, 256, len(space.keys), dtype=np.uint8) & in_chunk
@@ -1119,7 +1121,7 @@ def _assert_classes_match(context, formulas, masks, bools):
     )
     assert context.n_formulas == len(formulas)
     assert context.n_classes == len(reps)
-    assert [context.representative(c) for c in range(context.n_classes)] == [
+    assert [context.groups.formula(g) for g in context.rep_group.tolist()] == [
         formulas[i] for i in reps
     ]
     assert context.rep_mask.tolist() == [masks[i] for i in reps]
@@ -1163,7 +1165,7 @@ def small_fragments(draw):
     k, depth = draw(st.sampled_from(GROUP_CASES))
     spec = FragmentSpec(("x", "y", "z")[:k], depth, 1)
     signature = draw(st.sampled_from(
-        [s for s in ANY_SIGNATURES if lattice_module._fragment_size(s, spec) <= 30_000]
+        [s for s in ANY_SIGNATURES if vector_module._fragment_size(s, spec) <= 30_000]
     ))
     return signature, spec
 
@@ -1191,7 +1193,7 @@ def matrix_classes(draw):
 def test_groups_and_classes_match_the_per_formula_build(case):
     signature, spec, matrices = case
     formulas = enumerate_fragment(signature, spec)
-    assert len(formulas) == lattice_module._fragment_size(signature, spec)
+    assert len(formulas) == vector_module._fragment_size(signature, spec)
     masks = _formula_masks(formulas, spec.variables)
     values = _formula_values(matrices, formulas, spec.variables)
     # A group is the formulas of one depth, mask and value row per matrix.
@@ -1200,7 +1202,7 @@ def test_groups_and_classes_match_the_per_formula_build(case):
         for i, (f, mask) in enumerate(zip(formulas, masks))
     ]
     firsts = _first_positions(group_of)
-    groups = lattice_module._fragment_groups(signature, spec, matrices)
+    groups = vector_module._fragment_groups(signature, spec, matrices)
     # The groups built are the first ones, through a whole level.
     built = len(groups.parents)
     assert 0 < built <= len(firsts)
@@ -1226,13 +1228,13 @@ def test_group_enumeration_stops_after_a_level_that_adds_no_pair():
     # is built, and the classes and formula count are depth 12's.
     signature = b2_matrix().signature
     deep = FragmentSpec(("x",), 12, 1)
-    groups = lattice_module._fragment_groups(signature, deep, [b2_matrix()])
-    shallow = lattice_module._fragment_groups(signature, FragmentSpec(("x",), 3, 1), [b2_matrix()])
+    groups = vector_module._fragment_groups(signature, deep, [b2_matrix()])
+    shallow = vector_module._fragment_groups(signature, FragmentSpec(("x",), 3, 1), [b2_matrix()])
     assert groups.parents == shallow.parents
     assert max(groups.formula(g).depth for g in range(len(groups.parents))) == 3
     context = _VectorContext(signature, deep, [b2_matrix()])
     assert context.n_classes == 4
-    assert context.n_formulas == lattice_module._fragment_size(signature, deep)
+    assert context.n_formulas == vector_module._fragment_size(signature, deep)
 
 
 TOWER_SEQUENCES = ["".join(s) for n in range(4) for s in itertools.product("lr", repeat=n)]
@@ -1253,7 +1255,7 @@ def test_antitheorem_decision_holds_on_random_matrix_classes(case):
     ]
     # One formula per group: the depth-3 pool up to formulas with one
     # variable set and one value row per matrix, which no tower tells apart.
-    groups = lattice_module._fragment_groups(signature, FragmentSpec(("x",), 3, 0), matrices)
+    groups = vector_module._fragment_groups(signature, FragmentSpec(("x",), 3, 0), matrices)
     pool = [groups.formula(g) for g in range(len(groups.parents))]
     for oracle in oracles:
         info = oracle.antitheorem_info
@@ -1430,14 +1432,14 @@ def test_interning_wide_rows_survives_a_hash_collision(monkeypatch, name):
 
     assert context._grow_components(colliding) is None
     by_bytes = []
-    original = lattice_module._byte_keys
+    original = vector_module._byte_keys
 
     def byte_keys(*args):
         by_bytes.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lattice_module, "_row_keys", colliding)
-    monkeypatch.setattr(lattice_module, "_byte_keys", byte_keys)
+    monkeypatch.setattr(vector_module, "_row_keys", colliding)
+    monkeypatch.setattr(vector_module, "_byte_keys", byte_keys)
     got = context._full_components()
     assert by_bytes
     assert np.array_equal(got.trans, expected.trans)
@@ -1449,7 +1451,7 @@ def test_interning_wide_rows_survives_a_hash_collision(monkeypatch, name):
     def rows(*pairs):
         return np.array(pairs, dtype=np.uint64).view(np.dtype((np.void, 16))).ravel()
 
-    index_block = lattice_module._index_block
+    index_block = vector_module._index_block
     index = (rows((10, 5)), np.zeros(1, dtype=np.int64))
     ids, first, index = index_block(index, rows((7, 6), (10, 5), (7, 6)), 1)
     assert ids.tolist() == [1, 0, 1] and first.tolist() == [0]
@@ -1509,7 +1511,7 @@ def test_full_components_match_a_breadth_first_reference(monkeypatch, matrices, 
     # of 5 words round up to one frontier component each, so every level
     # spans many blocks.
     if block is not None:
-        monkeypatch.setattr(lattice_module, "_GROW_BLOCK", block)
+        monkeypatch.setattr(vector_module, "_GROW_BLOCK", block)
     context = _VectorContext(FULL_SIGNATURE, XY2_3, matrices)
     comps = context.components(context.full_mask)
     keys = []
@@ -1551,10 +1553,10 @@ def test_a_context_past_the_float_guard_tallies_in_integers(monkeypatch):
     a, b = derive_sequence(CL, "lr"), derive_sequence(CL, "rl")
     expected = class_row_reference(a, b, spec, 8)
     for guard, dtype in ((8 * 64, np.int64), (8 * 64 + 1, np.float64)):
-        monkeypatch.setattr(lattice_module, "_FLOAT_EXACT", guard)
+        monkeypatch.setattr(vector_module, "_FLOAT_EXACT", guard)
         context = _VectorContext(CL.signature, spec, (b2_matrix(),))
         assert context.n_premise_rows == 64
-        space = StateSpace(context, context.chunk_mask(context.chunks()[0]))
+        space = StateSpace(context, int(context.rep_mask[context.chunks()[0][0]]))
         assert space.weights.dtype == dtype
         assert (space.weights is space.counts) == (dtype == np.int64)
         verdict = compare(a, b, spec, max_witnesses=8)
@@ -1579,15 +1581,15 @@ def test_state_counts_that_miss_a_row_raise(monkeypatch):
         compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"), TINY)
     monkeypatch.undo()
 
-    original_sums = lattice_module._group_sums
+    original_sums = vector_module._group_sums
 
     def lossy(*args):
         keys, sums = original_sums(*args)
         sums[:1] -= 1
         return keys, sums
 
-    monkeypatch.setattr(lattice_module, "_DENSE_KEYS", 0)
-    monkeypatch.setattr(lattice_module, "_group_sums", lossy)
+    monkeypatch.setattr(vector_module, "_DENSE_KEYS", 0)
+    monkeypatch.setattr(vector_module, "_group_sums", lossy)
     with pytest.raises(LatticeError, match="premise rows of mask"):
         compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"), TINY)
 
@@ -1597,8 +1599,8 @@ def _counted_space():
     pass."""
     matrices, fragment, _ = CHUNK_CASES["CL"]
     context = _VectorContext(FULL_SIGNATURE, fragment, matrices)
-    space = StateSpace(context, context.chunk_mask(context.chunks()[0]))
-    assert space.key_space * space.n_classes <= lattice_module._DENSE_KEYS
+    space = StateSpace(context, int(context.rep_mask[context.chunks()[0][0]]))
+    assert space.key_space * space.n_classes <= vector_module._DENSE_KEYS
     assert "counts" not in vars(space)
     return space
 
@@ -1657,7 +1659,7 @@ def test_numbered_states_match_the_sorted_dp(monkeypatch, name):
         tmask = next(iter(orbit))
         spaces = []
         for dense in (1 << 62, 0):
-            monkeypatch.setattr(lattice_module, "_DENSE_KEYS", dense)
+            monkeypatch.setattr(vector_module, "_DENSE_KEYS", dense)
             space = StateSpace(context, tmask)
             assert ("counts" in vars(space)) == (dense == 0)
             spaces.append(space)
@@ -1705,7 +1707,7 @@ def test_group_sums_equal_a_dict_reference_on_both_branches(space):
     expected: dict[int, int] = {}
     for key, who in zip(keys.tolist(), owner.tolist()):
         expected[key] = expected.get(key, 0) + int(counts[who])
-    got_keys, sums = lattice_module._group_sums(keys, owner, counts, space)
+    got_keys, sums = vector_module._group_sums(keys, owner, counts, space)
     assert got_keys.tolist() == sorted(expected)
     assert sums.tolist() == [expected[key] for key in sorted(expected)]
 
@@ -1760,17 +1762,17 @@ def test_fragment_size_is_exact_past_64_bits():
     for depth in range(1, 6):
         total = 3 + 2 * total**2 + total
         spec = FragmentSpec(variables=("x", "y", "z"), max_depth=depth, max_premises=1)
-        assert lattice_module._fragment_size(CL.signature, spec) == total
+        assert vector_module._fragment_size(CL.signature, spec) == total
     assert total == 478_695_120_798_978_786_859_741_224 > 1 << 63
 
 
 def test_fragment_size_stops_at_its_bit_bound(monkeypatch):
     # Over x, y and z the count has 89 bits at depth 5 and 177 at depth 6.
-    monkeypatch.setattr(lattice_module, "_COUNT_BITS", 100)
+    monkeypatch.setattr(vector_module, "_COUNT_BITS", 100)
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=5, max_premises=1)
-    assert lattice_module._fragment_size(CL.signature, spec).bit_length() == 89
+    assert vector_module._fragment_size(CL.signature, spec).bit_length() == 89
     with pytest.raises(LatticeError, match=r"passes 2\*\*100 at depth 6"):
-        lattice_module._fragment_size(CL.signature, replace(spec, max_depth=6))
+        vector_module._fragment_size(CL.signature, replace(spec, max_depth=6))
 
 
 def test_compare_builds_each_oracle_tree_once(monkeypatch):
@@ -1791,16 +1793,31 @@ def test_compare_builds_each_oracle_tree_once(monkeypatch):
     assert len(calls) == 2 + 7
 
 
+def test_disagreements_on_hand_built_trees_match_compare():
+    # The engine's entry point takes towers as data: l and r over CL, built
+    # by hand, give compare's counts and witnesses for the real towers.
+    trees = [(("l", ("leaf", (0,))), ("r", ("leaf", (0,))))]
+    n_formulas, [(counts, only_l, only_r)] = vector_module.disagreements(
+        CL.signature, DEFAULT_FRAGMENT, [b2_matrix()], trees, 5
+    )
+    verdict = compare(derive_sequence(CL, "l"), derive_sequence(CL, "r"))
+    assert verdict.relation == "incomparable"
+    assert counts == verdict.disagreements
+    assert n_formulas == verdict.checked_conclusions
+    for got, expected in ((only_l, verdict.witnesses_ab), (only_r, verdict.witnesses_ba)):
+        assert [str(Inference(*w)) for w in got] == [str(w) for w in expected]
+
+
 def test_target_answers_memo_is_freed_without_the_cyclic_collector():
     table = []
     tree = _oracle_tree(derive_sequence(CL, "rl"), table)
     context = _VectorContext(CL.signature, TINY, table)
     chunk = context.chunks()[0]
-    space = StateSpace(context, context.chunk_mask(chunk))
+    space = StateSpace(context, int(context.rep_mask[chunk[0]]))
     gc.disable()
     try:
         memo = {}
-        result = context.chunk_answers(tree, chunk, space, memo)
+        result = context._walk(tree, context.full_mask, chunk, space, memo)
         assert memo[(tree, context.full_mask)] is result
         ref = weakref.ref(result)
         del memo, result
@@ -1896,7 +1913,7 @@ def test_reproduce_figure_builds_one_vector_context(monkeypatch, figure):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(lattice_module, "_VectorContext", Counting)
+    monkeypatch.setattr(vector_module, "_VectorContext", Counting)
     reproduce_figure(figure)
     assert len(built) == 1
 
