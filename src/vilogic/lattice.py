@@ -449,7 +449,8 @@ class LatticeReport:
     hasse_edges: tuple[tuple[str, str], ...] = ()
     formal_edges: tuple[tuple[str, str], ...] = ()
     unresolved: tuple[tuple[str, str, str], ...] = ()
-    # Verdicts of ``build_lattice``'s ``extra_pairs``; not rendered.
+    # Verdicts of ``build_lattice``'s ``extra_pairs``, in their order; not
+    # rendered.
     extra_verdicts: tuple[ComparisonVerdict, ...] = ()
 
     def verdict(self, id_a: str, id_b: str) -> ComparisonVerdict:
@@ -538,6 +539,36 @@ def _flip(verdict: ComparisonVerdict) -> ComparisonVerdict:
     )
 
 
+def _reads_only(pair: tuple[LogicOracle, LogicOracle], matrices: Sequence[FiniteMatrix]) -> bool:
+    """Whether both towers of ``pair`` read only ``matrices``."""
+    table = list(matrices)
+    for oracle in pair:
+        _oracle_tree(oracle, table)
+    return len(table) == len(matrices)
+
+
+def _split_verdicts(
+    pairs: list[tuple[LogicOracle, LogicOracle]],
+    extra_pairs: list[tuple[LogicOracle, LogicOracle]],
+    matrices: Sequence[FiniteMatrix],
+    fragment: FragmentSpec,
+    max_witnesses: int,
+) -> tuple[list[ComparisonVerdict], tuple[ComparisonVerdict, ...]]:
+    """Verdicts of ``pairs`` (over ``matrices``) and of ``extra_pairs``, from
+    one run over ``pairs`` and the extras that read only ``matrices``, then
+    one run over the other extras."""
+    on_base = [_reads_only(pair, matrices) for pair in extra_pairs]
+    shared = [pair for pair, flag in zip(extra_pairs, on_base) if flag]
+    verdicts = _vector_verdicts(pairs + shared, fragment, max_witnesses)
+    shared_verdicts = iter(verdicts[len(pairs):])
+    apart = iter(_vector_verdicts(
+        [pair for pair, flag in zip(extra_pairs, on_base) if not flag],
+        fragment, max_witnesses,
+    ))
+    extra = tuple(next(shared_verdicts if flag else apart) for flag in on_base)
+    return verdicts[:len(pairs)], extra
+
+
 def build_lattice(
     base: Sequence[FiniteMatrix] | FiniteMatrix,
     partition_term: Formula,
@@ -554,14 +585,17 @@ def build_lattice(
     element generates); that fixes the node inventory: five towers without
     one, seven with, plus computed meet nodes and rendered-but-uncomputed
     join nodes.  Every node is a matrix, left, right or meet tower, so all
-    computed pairs go through one vector-engine run on one context, and each
-    tower is walked once per chunk of conclusion classes, not once per pair.
+    computed pairs go through one vector-engine run on one context, over the
+    base's matrices, and each tower is walked once per chunk of conclusion
+    classes, not once per pair.
 
-    ``extra_pairs`` are tower pairs compared in that same run; their
-    verdicts land in ``extra_verdicts``, which neither ``render`` nor
-    ``to_json`` shows.  Their matrices join the context and may split its
-    formula classes, which can change the lattice verdicts' class-pattern
-    counts and witnesses, though never their relations.
+    ``extra_pairs`` are tower pairs over the base's signature; their
+    verdicts land in ``extra_verdicts``, in the caller's order, and neither
+    ``render`` nor ``to_json`` shows them.  A pair whose towers read only
+    the base's matrices joins the lattice run, whose context it leaves
+    unchanged.  The others share a second run of their own, so no extra
+    matrix can split a class of the base's context: the lattice verdicts,
+    counts and witnesses are those of ``build_lattice`` without extras.
     """
     _check_max_witnesses(max_witnesses)
     matrices = (base,) if isinstance(base, FiniteMatrix) else tuple(base)
@@ -575,13 +609,19 @@ def build_lattice(
             )
     extra_pairs = list(extra_pairs)
     base_oracle = MatrixOracle(matrices, label=base_label)
+    # Checked here: a pair over other matrices runs apart from the lattice
+    # pairs, where ``_vector_verdicts`` checks it only against itself.
+    if any(o.signature != base_oracle.signature for pair in extra_pairs for o in pair):
+        raise LatticeError("compared oracles must share a signature")
     if not base_oracle.has_nontrivial_model:
         return LatticeReport(
             base_label=base_label,
             fragment=fragment,
             trivial_base=True,
             base_antitheorems=NONE_PROVEN,
-            extra_verdicts=tuple(_vector_verdicts(extra_pairs, fragment, max_witnesses)),
+            extra_verdicts=_split_verdicts(
+                [], extra_pairs, matrices, fragment, max_witnesses
+            )[1],
         )
 
     info = base_oracle.antitheorem_info
@@ -657,11 +697,10 @@ def build_lattice(
         for pos, id_a in enumerate(computed_ids)
         for id_b in computed_ids[pos + 1:]
     ]
-    oracle_pairs = [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs]
-    oracle_pairs += extra_pairs
-    verdicts = _vector_verdicts(oracle_pairs, fragment, max_witnesses)
-    extra_verdicts = verdicts[len(pairs):]
-    verdicts = verdicts[:len(pairs)]
+    verdicts, extra_verdicts = _split_verdicts(
+        [(oracles[id_a], oracles[id_b]) for id_a, id_b in pairs],
+        extra_pairs, matrices, fragment, max_witnesses,
+    )
     pair_index = {pair: index for index, pair in enumerate(pairs)}
     if not no_verdict_cycles(verdicts):
         raise LatticeError("pairwise verdicts form a cycle; engine inconsistency")
@@ -740,7 +779,7 @@ def build_lattice(
         hasse_edges=tuple(hasse),
         formal_edges=tuple(formal_edges),
         unresolved=tuple(unresolved),
-        extra_verdicts=tuple(extra_verdicts),
+        extra_verdicts=extra_verdicts,
     )
 
 
@@ -996,9 +1035,11 @@ def reproduce_figure(
        matrix counterpart on the whole fragment.
 
     The extra equality claims of figures 2 and 3 (the four-step towers, and
-    in figure 3 the chain matrices) are ``build_lattice``'s extra pairs, so
-    one vector context serves the lattice and the claims.  The chain
-    matrices leave the lattice verdicts unchanged.  A formula class is a
+    in figure 3 the chain matrices) are ``build_lattice``'s extra pairs.  The
+    four-step towers read only CL, so they share the lattice's vector context
+    over CL; figure 3's chain pairs share a second one, over CL and the seven
+    chain matrices.  Both contexts have the same formula classes, so each
+    claim reads as it would beside the others.  A formula class is a
     variable set plus a designation pattern in every matrix.  Over CL, with
     two elements and {1} designated, the pattern is the term function.  Two
     formulas of one CL class therefore have the same variables and the same
@@ -1006,8 +1047,7 @@ def reproduce_figure(
     matrix is a Płonka sum of CL and one-element algebras, so every regular
     identity of CL holds in it, and the two formulas have one term function,
     hence one designation pattern, there too.  So the chain matrices split
-    no CL class, and the lattice's counts and witnesses are those of CL
-    alone.
+    no CL class.
     """
     term = pi_term()
     if figure == 1:

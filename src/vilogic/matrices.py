@@ -214,10 +214,26 @@ def _evaluate_indices(
     return table[tuple(_evaluate_indices(tables, a, valuation) for a in formula.args)]
 
 
+# Bytes one valuation grid may take.  The grid is the first array a wide
+# query allocates, and each value array evaluated over it is the size of one
+# of its k rows, so the grid bounds the query's memory to a small multiple.
+# 1 GiB admits 22 variables over two elements (0.74 GB of grid) and refuses
+# 23 (1.5 GB); 20 variables take 0.17 GB.
+_GRID_BYTES = 1 << 30
+
+
 @lru_cache(maxsize=64)
 def _valuation_grid(n: int, k: int) -> np.ndarray:
     """Row ``j`` is variable ``j``'s element position under each valuation of
-    ``itertools.product(range(n), repeat=k)``."""
+    ``itertools.product(range(n), repeat=k)``.
+
+    Raises :class:`MatrixError`, before allocating, when the grid's int64
+    entries would pass ``_GRID_BYTES``."""
+    if n**k * k * 8 > _GRID_BYTES:
+        raise MatrixError(
+            f"{k} variables over {n} elements give {n}^{k} valuations, more "
+            f"than a {_GRID_BYTES >> 20} MiB valuation grid holds"
+        )
     grid = np.indices((n,) * k).reshape(k, n**k)
     grid.flags.writeable = False
     return grid

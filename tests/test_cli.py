@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vilogic.cli as cli_module
 from vilogic.cli import main
 from vilogic.matrices import format_matrix, load_matrix_file
 from vilogic.plonka import trivial_matrix
@@ -245,6 +247,60 @@ def test_compare_refuses_a_depth_whose_formula_count_explodes():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "formula count" in done.stderr
+
+
+def _limited(argv, limit=1 << 30, timeout=60):
+    """Run the CLI in a child process whose address space is capped at
+    ``limit`` bytes, so a job the grid budget fails to refuse fails the
+    test instead of exhausting the machine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "vilogic.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def _names(k):
+    return ",".join(f"v{i}" for i in range(k))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("entails", "--matrix", B2, "--premises", _names(26), "--conclusion", "v0"),
+        (
+            "compare", "--base", B2, "--seq-a", "lr", "--seq-b", "rl",
+            "--fragment", f"vars={_names(25)};depth=1;premises=1",
+        ),
+    ],
+    ids=["entails-26-variables", "compare-25-variables"],
+)
+def test_a_valuation_grid_past_its_budget_is_refused(argv):
+    # 2^26 and 2^25 valuations: 14 GB and 6.7 GB of int64 grid.  Without the
+    # budget both died of numpy's MemoryError with exit 1, which means "NO".
+    done = _limited(argv)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "valuation grid" in done.stderr
+
+
+def test_twenty_premise_variables_still_fit_the_grid():
+    done = _limited(("entails", "--matrix", B2, "--premises", _names(20), "--conclusion", "v0"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "YES\n", "")
+
+
+def test_memory_error_exits_two_with_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 6.25 GiB")
+
+    monkeypatch.setattr(cli_module, "_cmd_entails", exhausted)
+    code, out, err = run(capsys, "entails", "--matrix", B2, "--conclusion", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 6.25 GiB\n"
 
 
 def test_compare_meet_side_and_witness_injection(capsys):

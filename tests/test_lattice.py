@@ -45,6 +45,7 @@ from vilogic.matrices import (
     FiniteAlgebra,
     FiniteMatrix,
     MatrixOracle,
+    parse_matrix_text,
 )
 from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
@@ -300,6 +301,30 @@ def test_build_lattice_refuses_an_extra_pair_of_another_signature(base, towers):
     extra = (derive_sequence(oracle, "l"), derive_sequence(oracle, "r"))
     with pytest.raises(LatticeError, match="must share a signature"):
         build_lattice(base, pi_term(), fragment=TINY, extra_pairs=[extra])
+
+
+# Three elements whose formula classes split CL's at vars=x,y;depth=2.
+SPLITTER = parse_matrix_text(
+    """
+    signature: and/2, or/2, not/1
+    elements: 0, 1, 2
+    table and: 0,0->0  0,1->2  0,2->0  1,0->1  1,1->0  1,2->1  2,0->1  2,1->1  2,2->2
+    table or: 0,0->1  0,1->0  0,2->0  1,0->1  1,1->0  1,2->1  2,0->1  2,1->2  2,2->0
+    table not: 0->2  1->1  2->1
+    designated: 2
+    """
+)
+
+
+def test_an_extra_pair_over_other_matrices_leaves_the_lattice_as_it_is():
+    oracle = MatrixOracle((SPLITTER,), label="splitter")
+    extra = (derive_sequence(oracle, "l"), derive_sequence(oracle, "r"))
+    alone = build_lattice(b2_matrix(), pi_term(), XY2, base_label="CL")
+    report = build_lattice(
+        b2_matrix(), pi_term(), XY2, base_label="CL", extra_pairs=[extra]
+    )
+    assert report.to_json() == alone.to_json()
+    assert report.extra_verdicts == (compare(*extra, XY2, max_witnesses=3),)
 
 
 def test_extra_witnesses_merge_and_agreeing_extras_are_skipped():
@@ -1906,6 +1931,8 @@ def test_reproduce_figure_json_matches_pinned_reference(figure):
 
 @pytest.mark.parametrize("figure", [2, 3])
 def test_reproduce_figure_builds_one_vector_context(monkeypatch, figure):
+    # One per matrix set: the lattice and the four-step claims over CL, and
+    # figure 3's chain claims over CL and its chain matrices.
     built = []
 
     class Counting(_VectorContext):
@@ -1915,7 +1942,13 @@ def test_reproduce_figure_builds_one_vector_context(monkeypatch, figure):
 
     monkeypatch.setattr(vector_module, "_VectorContext", Counting)
     reproduce_figure(figure)
-    assert len(built) == 1
+    base = b2_matrix()
+    chains = [
+        canonical_chain_matrix(base, seq) for seq in ("", "l", "r", "lr", "rl", "rlr", "lrl")
+    ]
+    assert chains[0] == base  # the empty sequence's chain is CL itself
+    expected = [[base]] if figure == 2 else [[base], [base, *chains[1:]]]
+    assert [context.matrices for context in built] == expected
 
 
 @pytest.mark.parametrize(
@@ -1924,8 +1957,8 @@ def test_reproduce_figure_builds_one_vector_context(monkeypatch, figure):
     ids=["x,y-depth-2", "x,y,z,w-depth-1"],
 )
 def test_figure_three_lattice_is_the_lattice_without_chain_matrices(fragment):
-    # The chain matrices share figure 3's vector context with the lattice
-    # pairs; they must not split a CL class (see reproduce_figure).
+    # The lattice pairs run on a vector context over CL alone, apart from
+    # the chain matrices' (see build_lattice and reproduce_figure).
     alone = build_lattice(b2_matrix(), pi_term(), fragment, base_label="CL")
     assert reproduce_figure(3, fragment).lattice.to_json() == alone.to_json()
 
