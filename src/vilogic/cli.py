@@ -6,7 +6,8 @@ splitting direct-system sums, checking partition terms, comparing oracles
 over a finite fragment, and running the bundled reproduction reports.
 
 Exit codes: 0 on success (YES answers, passing checks, confirmed reports),
-1 when a query answers NO or a check or report fails, 2 on input errors.
+1 when a query answers NO or a check or report fails, 2 on input errors,
+and 141 when the reader of stdout closed it.
 Output is deterministic byte for byte for fixed inputs.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -357,7 +359,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so that a closed stdout is caught below and not at
+        # interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as ``| head`` does): not an input error.
+        # Python's documented recipe: point stdout at devnull, so that the
+        # flush at exit writes nowhere and prints nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a command it killed
     except (FormulaError, MatrixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

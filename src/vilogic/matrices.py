@@ -222,21 +222,40 @@ def _evaluate_indices(
 _GRID_BYTES = 1 << 30
 
 
-@lru_cache(maxsize=64)
+# Bytes up to which a valuation grid is cached: the few-variable grids that
+# group enumeration and the oracles ask for again and again (three
+# variables over five elements take 3 KB; 13 over two, 0.85 MB).  A wider
+# grid is built for its query and freed with it, not kept for the life of
+# the process: cached, the grids of 19, 20 and 21 variables over two
+# elements held 107, 267 and 603 MB of RSS.
+_CACHED_GRID_BYTES = 1 << 20
+
+
 def _valuation_grid(n: int, k: int) -> np.ndarray:
     """Row ``j`` is variable ``j``'s element position under each valuation of
-    ``itertools.product(range(n), repeat=k)``.
+    ``itertools.product(range(n), repeat=k)``.  Read-only: a grid of at most
+    ``_CACHED_GRID_BYTES`` is shared by every caller.
 
     Raises :class:`MatrixError`, before allocating, when the grid's int64
     entries would pass ``_GRID_BYTES``."""
-    if n**k * k * 8 > _GRID_BYTES:
+    size = n**k * k * 8
+    if size > _GRID_BYTES:
         raise MatrixError(
             f"{k} variables over {n} elements give {n}^{k} valuations, more "
             f"than a {_GRID_BYTES >> 20} MiB valuation grid holds"
         )
+    if size <= _CACHED_GRID_BYTES:
+        return _cached_grid(n, k)
+    return _grid(n, k)
+
+
+def _grid(n: int, k: int) -> np.ndarray:
     grid = np.indices((n,) * k).reshape(k, n**k)
     grid.flags.writeable = False
     return grid
+
+
+_cached_grid = lru_cache(maxsize=64)(_grid)
 
 
 def _designation_masks(

@@ -62,26 +62,27 @@ class LatticeError(MatrixError):
     """A comparison or report request is invalid or internally inconsistent."""
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Bit rows packed into one byte, or beyond one byte into whole uint64 words.
+def _pack_rows(bits: np.ndarray) -> list[np.ndarray]:
+    """Bit rows (``(rows, bits)``) packed word-column-major: one contiguous
+    1-D column per word, column j holding word j of every row, so that an
+    AND or a zero test over many rows runs down whole columns instead of a
+    1-2 word inner axis.
 
-    Bits past the end of a row are 0.
+    A row of at most 8 bits is one ``uint8`` word, a longer one whole
+    ``uint64`` words; its bits past the last one (the padding, in its last
+    word) are 0.  Every packed designation array of the engine, and every
+    component row built from them, is such a list of columns.
     """
     packed = np.packbits(bits, axis=1)
-    if packed.shape[1] == 1:
-        return packed
-    padded = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return padded.view(np.uint64)
+    if packed.shape[1] > 1:
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    return list(np.ascontiguousarray(packed.T))
 
 
-def _nonzero_rows(words: np.ndarray) -> np.ndarray:
-    """Per packed row: is any bit set?
-
-    Tested word column by word column: over the few words of a row that is
-    several times faster than ``any(axis=1)``.
-    """
-    out = words[:, 0] != 0
-    for column in words.T[1:]:
+def _nonzero_rows(words: list[np.ndarray]) -> np.ndarray:
+    """Per packed row (``words``, its columns): is any bit set?"""
+    out = words[0] != 0
+    for column in words[1:]:
         out |= column != 0
     return out
 
@@ -94,23 +95,27 @@ def _byte_mask(bools: np.ndarray) -> np.ndarray:
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _row_keys(conj: list[np.ndarray], masks: np.ndarray):
-    """One ``uint64`` key per component row (``conj`` per matrix, ``masks``):
-    its word columns mixed (xor, multiply, fold the high bits down), so
-    equal rows get equal keys but distinct rows may share one."""
+def _row_keys(conj: list[list[np.ndarray]], masks: np.ndarray):
+    """One ``uint64`` key per component row (``conj``, per matrix its word
+    columns, and ``masks``): its words mixed column by column (xor,
+    multiply, fold the high bits down), so equal rows get equal keys but
+    distinct rows may share one."""
     key = np.zeros(len(masks), dtype=np.uint64)
-    for column in [c[:, j] for c in conj for j in range(c.shape[1])] + [masks]:
+    for column in [column for c in conj for column in c] + [masks]:
         key ^= column
         key *= _MIX
         key ^= key >> np.uint64(29)
     return key
 
 
-def _byte_keys(conj: list[np.ndarray], masks: np.ndarray):
-    """One ``np.void`` key per row: its packed designation rows' bytes
-    (``conj``, per matrix; padding bits are 0) and its variable mask, equal
-    exactly when the rows are."""
-    parts = [c.view(np.uint8) for c in conj]
+def _byte_keys(columns: list, masks: np.ndarray):
+    """One ``np.void`` key per row: the bytes of its entries in ``columns``
+    (per array, its columns: a list as :func:`_pack_rows` returns, or the
+    rows of a 2-D array; padding bits are 0) and of its variable mask,
+    equal exactly when the rows are."""
+    # Row-major bytes: a copy of word columns, none of a transposed
+    # row-major array.
+    parts = [np.ascontiguousarray(np.transpose(c)).view(np.uint8) for c in columns]
     rows = np.hstack(parts + [masks.reshape(-1, 1).view(np.uint8)])
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
@@ -141,6 +146,17 @@ def _index_block(index: tuple[np.ndarray, np.ndarray], keys: np.ndarray, known: 
         np.insert(index_ids, at[new], run_ids[new]),
     )
     return ids, first[rank], merged
+
+
+def _append(store: np.ndarray, size: int, new: np.ndarray) -> None:
+    """Write ``new`` after the first ``size`` entries (along axis 0) of
+    ``store``.  A store too short grows in place to twice its length, or
+    as much as it needs: a reallocation, so the known entries are neither
+    copied by numpy nor held twice.  No view of ``store`` may be alive."""
+    end = size + len(new)
+    if end > len(store):
+        store.resize((max(end, 2 * len(store)),) + store.shape[1:], refcheck=False)
+    store[size:end] = new
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -193,8 +209,9 @@ def _renaming(source: int, target: int, k: int) -> list[int]:
     return perm
 
 
-# Premise-row extensions (or component words) built at once: it bounds the
-# temporaries of the count DP and the component build, not their work.
+# Premise-row extensions built at once, and a quarter of the column entries
+# a component block holds: it bounds the temporaries of the count DP and the
+# component build, not their work.
 _GROW_BLOCK = 1 << 15
 # The largest key space times classes whose state space is numbered first
 # and counted later, each size's (state, largest member) counts summed in a
@@ -307,7 +324,9 @@ def _fragment_groups(
     parents: list[tuple[str, tuple[int, ...] | None]] = [
         (v, None) for v in fragment.variables
     ]
-    keys = _byte_keys(values, masks)
+    # Value rows are row-major (a fancy index gathers whole rows), so their
+    # byte keys read them transposed.
+    keys = _byte_keys([v.T for v in values], masks)
     order = np.argsort(keys)
     index = (keys[order], order)
     # Tuples evaluated at once: a block's rows hold about ``_GROW_BLOCK`` words.
@@ -330,14 +349,13 @@ def _fragment_groups(
                     for table, v in zip(tables, values)
                 ]
                 grown = np.bitwise_or.reduce(masks[args], axis=0)
-                _, new, index = _index_block(
-                    index, _byte_keys(rows, grown + (depth << k)), len(masks)
-                )
+                keys = _byte_keys([r.T for r in rows], grown + (depth << k))
+                _, new, index = _index_block(index, keys, len(masks))
                 values = [np.concatenate([v, r[new]]) for v, r in zip(values, rows)]
                 masks = np.concatenate([masks, grown[new]])
                 parents += [(name, tuple(args[:, j].tolist())) for j in new.tolist()]
         if depth < fragment.max_depth:
-            pairs = _byte_keys(values, masks)
+            pairs = _byte_keys([v.T for v in values], masks)
             known = np.sort(pairs[:hi])
             at = np.searchsorted(known, pairs[hi:])
             if (known.take(at, mode="clip") == pairs[hi:]).all():
@@ -350,12 +368,14 @@ def _fragment_groups(
 class _Components:
     """What the walk reads of premise sets at one variable mask I: per
     component, the AND per matrix of the packed designation rows of the
-    members inside I (``conj``) and the OR of their variable masks
-    (``vmask``).  Component 0 is the empty set's.  ``trans[a, c]`` is a's
-    component after adding class c (a itself for c outside I), for every
-    component first reached with fewer than ``max_size`` members."""
+    members inside I (``conj``, per matrix its word columns as
+    :func:`_pack_rows` lays them out: ``conj[m][j][a]`` is word j of
+    component a's row) and the OR of their variable masks (``vmask``).
+    Component 0 is the empty set's.  ``trans[a, c]`` is a's component after
+    adding class c (a itself for c outside I), for every component first
+    reached with fewer than ``max_size`` members."""
 
-    conj: list[np.ndarray]
+    conj: list[list[np.ndarray]]
     vmask: np.ndarray
     trans: np.ndarray
 
@@ -745,7 +765,7 @@ class _VectorContext:
         self._class_index = (keys[reps][by_key], by_key)
         self.rep_mask = self.groups.masks[reps].astype(np.min_scalar_type(self.full_mask))
         self.rep_bools = [b[reps] for b in bools]
-        self.rep_packed = [p[reps] for p in packed]
+        self.rep_packed = [_pack_rows(b) for b in self.rep_bools]
         self.rep_not_packed = [_pack_rows(~b) for b in self.rep_bools]
         self.all_designated = [not m.constrains for m in self.matrices]
 
@@ -785,7 +805,8 @@ class _VectorContext:
         # ``local`` is read only at kept ids.
         inside = (self.rep_mask | vmask) == vmask
         trans = np.where(inside, local[full.trans[rows]], local[rows, None])
-        return _Components([c[ids] for c in full.conj], full.vmask[ids], trans)
+        conj = [[column.take(ids) for column in c] for c in full.conj]
+        return _Components(conj, full.vmask[ids], trans)
 
     def _full_components(self) -> _Components:
         """The full mask's components, keyed by :func:`_row_keys`.  Every
@@ -803,42 +824,50 @@ class _VectorContext:
         a component with another row.  Each block of candidates is looked
         up in one sorted index of the known components' keys, kept across
         blocks (:func:`_index_block`); new components are numbered in the
-        order of their first candidate."""
+        order of their first candidate, and appended to stores that grow in
+        place (:func:`_append`), so no block copies the known ones again."""
         n = self.n_classes
-        conj = [_pack_rows(np.ones((1, b.shape[1]), dtype=bool)) for b in self.rep_bools]
+        # Stores that grow in place: per matrix its word columns, the
+        # masks, and the transitions of the components grown so far.
+        conj = [
+            [column.copy() for column in _pack_rows(np.ones((1, b.shape[1]), dtype=bool))]
+            for b in self.rep_bools
+        ]
         masks = np.zeros(1, dtype=self.rep_mask.dtype)
+        trans = np.zeros((0, n), dtype=np.int32)
+        columns = [c for cs in conj for c in cs] + [masks]
         index = (key_of(conj, masks), np.zeros(1, dtype=np.int64))
-        trans = []
-        # Frontier components grown at once, so that a block's rows hold
-        # about ``_GROW_BLOCK`` words.  Each level's frontier is the id
-        # range of the components the level before it found.
-        words = sum(p.shape[1] for p in self.rep_packed) + 1
-        step = max(1, _GROW_BLOCK // (words * max(1, n)))
-        start, stop = 0, 1
+        # Frontier components grown at once: a block's candidate columns,
+        # its keys included, hold about 4 * ``_GROW_BLOCK`` entries (1 MB of
+        # words), so each numpy call runs down thousands of candidates.
+        # Each level's frontier is the id range of the components the level
+        # before it found.
+        step = max(1, 4 * _GROW_BLOCK // ((len(columns) + 1) * max(1, n)))
+        size, start, stop = 1, 0, 1
         for _ in range(self.max_size):
             for lo in range(start, stop, step):
-                block = slice(lo, min(lo + step, stop))
+                hi = min(lo + step, stop)
+                # Per word column: the block's components times the classes.
                 grown = [
-                    (c[block, None] & p).reshape(-1, p.shape[1])
-                    for c, p in zip(conj, self.rep_packed)
+                    [np.bitwise_and.outer(c[lo:hi], p).ravel() for c, p in zip(cs, ps)]
+                    for cs, ps in zip(conj, self.rep_packed)
                 ]
-                grown_mask = (masks[block, None] | self.rep_mask).ravel()
-                keys = key_of(grown, grown_mask)
-                ids, new, index = _index_block(index, keys, len(masks))
-                # ``take`` on axis 0: fancy indexing of 2-D rows is far slower.
-                conj = [
-                    np.concatenate([c, g.take(new, axis=0)]) for c, g in zip(conj, grown)
-                ]
-                masks = np.concatenate([masks, grown_mask[new]])
-                if not np.array_equal(masks[ids], grown_mask) or not all(
-                    np.array_equal(c.take(ids, axis=0), g) for c, g in zip(conj, grown)
-                ):
+                grown_mask = np.bitwise_or.outer(masks[lo:hi], self.rep_mask).ravel()
+                ids, new, index = _index_block(index, key_of(grown, grown_mask), size)
+                candidates = [g for gs in grown for g in gs] + [grown_mask]
+                for c, g in zip(columns, candidates):
+                    _append(c, size, g.take(new))
+                size += len(new)
+                if not all(np.array_equal(c.take(ids), g) for c, g in zip(columns, candidates)):
                     return None
-                trans.append(ids.reshape(-1, n).astype(np.int32))
-            start, stop = stop, len(masks)
-        if not trans:
-            trans.append(np.zeros((1, n), dtype=np.int32))
-        return _Components(conj, masks, np.vstack(trans))
+                _append(trans, lo, ids.reshape(-1, n))
+            start, stop = stop, size
+        for c in columns:
+            c.resize(size, refcheck=False)
+        # With no level grown (no premises), one row of the zeros that
+        # ``resize`` fills in.
+        trans.resize((max(1, start), n), refcheck=False)
+        return _Components(conj, masks, trans)
 
     def renaming(self, perm: Sequence[int]) -> np.ndarray:
         """Each class's image when variable i is renamed to ``perm[i]`` (σ
@@ -880,7 +909,11 @@ class _VectorContext:
         built and ANDed across the leaf's matrices on the components at
         vmask, then read for every state.
 
-        Packed rows carry padding bits past the last valuation.  They are 0
+        One scalar AND per word column per target: ``conj`` and
+        ``rep_not_packed`` are laid out as :func:`_pack_rows` says, so a
+        word of every component is one contiguous column, and a component
+        fails a target when any of its words meets the target's
+        undesignated word.  The padding bits of a row's last word are 0
         in every row, the empty set's component included, so they never
         change an answer or tell two components apart.
         """
@@ -888,9 +921,12 @@ class _VectorContext:
         fails = np.zeros(len(comps.vmask), dtype=np.uint8)
         for m in matrix_ids:
             conj, rep_not = comps.conj[m], self.rep_not_packed[m]
+            met = np.empty_like(conj[0])
             for bit, target in enumerate(chunk):
-                bad = _nonzero_rows(conj & rep_not[target])
-                fails |= bad.view(np.uint8) << np.uint8(bit)
+                np.bitwise_and(conj[0], rep_not[0][target], out=met)
+                for column, words in zip(conj[1:], rep_not[1:]):
+                    met |= column & words[target]
+                fails |= (met != 0).view(np.uint8) << np.uint8(bit)
         return np.invert(fails).take(space.ids[vmask])
 
     def fresh_answers(self, tree, vmask: int, space: _StateSpace) -> np.ndarray:

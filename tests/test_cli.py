@@ -293,6 +293,43 @@ def test_twenty_premise_variables_still_fit_the_grid():
     assert (done.returncode, done.stdout, done.stderr) == (0, "YES\n", "")
 
 
+# Prints a first line, waits until the reader has closed its stdout (poll
+# reports POLLERR on a pipe whose read end is gone), then runs the CLI on
+# its arguments, so every byte the command writes meets the closed pipe.
+_CLOSED_STDOUT_CHILD = """
+import select, sys
+print("first line", flush=True)
+poll = select.poll()
+poll.register(sys.stdout.fileno(), 0)
+poll.poll(60_000)
+from vilogic.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line():
+    # As ``vilogic compare ... | head -1``: the reader is gone, which is no
+    # input error (exit 2), and nothing may be printed at shutdown either.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    argv = ["compare", "--base", B2, "--seq-a", "lr", "--seq-b", "rl"]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CLOSED_STDOUT_CHILD, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert child.stdout.readline() == b"first line\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert (code, err) == (141, b"")
+
+
 def test_memory_error_exits_two_with_one_error_line(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError("Unable to allocate 6.25 GiB")

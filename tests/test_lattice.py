@@ -531,7 +531,10 @@ def _engine_component(context, vmask, comp):
     comps = context.components(vmask)
     conj = []
     for m, rows in enumerate(context.rep_bools):
-        bits = np.unpackbits(comps.conj[m][comp].view(np.uint8))[: rows.shape[1]]
+        # Packed word-column-major: component comp's words are entry comp
+        # of each word column.
+        words = np.array([column[comp] for column in comps.conj[m]])
+        bits = np.unpackbits(words.view(np.uint8))[: rows.shape[1]]
         conj.append(tuple(bits.astype(bool).tolist()))
     return tuple(conj), int(comps.vmask[comp])
 
@@ -699,7 +702,7 @@ def test_chunked_walk_matches_the_per_class_walk(name):
         # Only a group's last chunk may be short.
         assert all(len(chunk) == 8 for chunk in group[:-1])
     if name == "chain-5":
-        assert context.rep_not_packed[0].shape[1] > 1
+        assert len(context.rep_not_packed[0]) > 1  # word columns
     if name == "constant":
         assert 0 in groups
 
@@ -934,11 +937,17 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
     # rows, but it is done in blocks of ``_GROW_BLOCK`` entries: at
     # premises=4 (1.2 M rows), with blocks of 4096, the largest is 0.9 MB
     # (a state space's build), where one row-sized int64 array is 9.7 MB.
+    # Figure 3's chain context, CL and six chain matrices at its own
+    # fragment, has rows of 9 word columns (two for each 5-element matrix,
+    # 65 bytes) where CL's are one byte: its component candidates take 7 MB
+    # of columns, so building a whole level of them at once breaks the
+    # bound too.
     monkeypatch.setattr(vector_module, "_GROW_BLOCK", 1 << 12)
     spec = FragmentSpec(variables=("x", "y", "z"), max_depth=2, max_premises=4)
-    context = _VectorContext(CL.signature, spec, (b2_matrix(),))
+    cl = _VectorContext(CL.signature, spec, (b2_matrix(),))
+    chain = _VectorContext(CL.signature, DEFAULT_FRAGMENT, _figure_three_matrices())
     bound = 2 << 20
-    assert context.n_premise_rows * 8 > 4 * bound
+    assert cl.n_premise_rows * 8 > 4 * bound
 
     def temporaries(method, *args):
         tracemalloc.reset_peak()
@@ -949,30 +958,37 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
 
     tracemalloc.start()
     try:
-        masks = sorted(set(context.rep_mask.tolist()) | {0})
-        for vmask in sorted(masks, reverse=True):
-            _, extra = temporaries(context.components, vmask)
-            assert extra < bound, ("components", vmask, extra)
-        k = context.full_mask.bit_length()
-        for orbit in _orbits(context):
-            space, extra = temporaries(StateSpace, context, next(iter(orbit)))
-            assert extra < bound, ("states", space.tmask, extra)
-            every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
-            sizes = range(context.max_size + 1)
-            for tmask, group in orbit.items():
-                sigma = context.renaming(vector_module._renaming(tmask, space.tmask, k))
-                for real in group:
-                    found, extra = temporaries(
-                        space.witnesses, every, real, sizes, 5, sigma
-                    )
-                    assert extra < bound, ("witnesses", real, extra)
-                    # Every (row, class) pair disagrees: the first rows are
-                    # the empty set and the first four classes, each with
-                    # the whole chunk.
-                    first = [(), (0,), (1,), (2,), (3,)]
-                    assert found == [(len(row), row, c) for row in first for c in real]
+        for context in (cl, chain):
+            masks = sorted(set(context.rep_mask.tolist()) | {0})
+            for vmask in sorted(masks, reverse=True):
+                _, extra = temporaries(context.components, vmask)
+                assert extra < bound, ("components", vmask, extra)
+            k = context.full_mask.bit_length()
+            for orbit in _orbits(context):
+                space, extra = temporaries(StateSpace, context, next(iter(orbit)))
+                assert extra < bound, ("states", space.tmask, extra)
+                every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
+                sizes = range(context.max_size + 1)
+                for tmask, group in orbit.items():
+                    sigma = context.renaming(vector_module._renaming(tmask, space.tmask, k))
+                    for real in group:
+                        found, extra = temporaries(
+                            space.witnesses, every, real, sizes, 5, sigma
+                        )
+                        assert extra < bound, ("witnesses", real, extra)
+                        # Every (row, class) pair disagrees: the first rows
+                        # are the empty set and the first four classes,
+                        # each with the whole chunk.
+                        first = [(), (0,), (1,), (2,), (3,)]
+                        assert found == [
+                            (len(row), row, c) for row in first for c in real
+                        ]
     finally:
         tracemalloc.stop()
+    comps = chain.components(chain.full_mask)
+    assert [len(columns) for columns in comps.conj] == [1, 1, 1, 1, 1, 2, 2]
+    row_bytes = sum(column.itemsize for columns in comps.conj for column in columns)
+    assert len(comps.trans) * chain.n_classes * row_bytes > 3 * bound
 
 
 # Tallies and witness searches on random disagreements over real state

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from vilogic.matrices import (
     load_matrix_file,
     parse_matrix_text,
 )
+import vilogic.matrices as matrices_module
 from vilogic.plonka import canonical_chain_matrix
 from vilogic.presets import (
     FULL_SIGNATURE,
@@ -478,3 +481,24 @@ def test_masks_reject_formulas_outside_the_signature():
         MatrixOracle(and_or).entails((P("x"),), P("or(x, not(y))"))
     with pytest.raises(MatrixError):
         entails((b2_matrix(),), (app("and", var("x")),), var("x"))
+
+
+def test_a_wide_valuation_grid_goes_with_its_query(monkeypatch):
+    # A 20-variable query over two elements builds a 168 MB grid.  Kept in
+    # a cache, it held that memory for the life of the process; it must be
+    # freed with the query, while few-variable grids stay cached.
+    built = []
+    original = matrices_module._valuation_grid
+
+    def spy(n, k):
+        grid = original(n, k)
+        built.append(((n, k), weakref.ref(grid)))
+        return grid
+
+    monkeypatch.setattr(matrices_module, "_valuation_grid", spy)
+    names = [var(f"v{i}") for i in range(20)]
+    assert entails([b2_matrix()], names, names[0])
+    gc.collect()
+    assert {shape for shape, _ in built} == {(2, 20)}
+    assert all(ref() is None for _, ref in built)
+    assert original(2, 3) is original(2, 3)
