@@ -23,16 +23,19 @@ oracle calls, and interpreted structurally: a left step intersects the
 premise projection mask with the conclusion's variable mask, a right step
 adds the variable-coverage test and the fresh-variable (explosive premise
 set) branch, and matrix leaves reduce to bit tests against per-valuation
-designation sets.  The outer loop runs over chunks of at most 8 conclusion
+designation sets.  The outer loop runs over chunks of up to 64 conclusion
 classes with one variable mask, so a subtree is walked once per chunk
 however many pairs contain it, and one memo per chunk, shared by every
 pair, holds each subtree's answers.  A chunk reads a premise row at three
 masks only (:class:`_VectorContext`), through its component at each, so
 the walk runs on the rows' states, the distinct component triples, with
-one answer bit per class in a byte per state.  Over CL, 1.2 M rows at
-``premises=4`` fall on at most 1,160 states.  Masks with as many variables
-(an orbit) share one state space (:class:`_StateSpace`): 3 spaces instead
-of 7 over three variables, 4 instead of 15 over four.
+one answer bit per class in one word per state.  The word rule: a chunk's
+answers travel in the narrowest unsigned integer that holds one bit per
+class (:func:`_word`: ``uint8`` up to 8 classes, then ``uint16``,
+``uint32`` or ``uint64``).  Over CL, 1.2 M rows at ``premises=4`` fall on
+at most 1,160 states.  Masks with as many variables (an orbit) share one
+state space (:class:`_StateSpace`): 3 spaces instead of 7 over three
+variables, 4 instead of 15 over four.
 
 Witnesses come in premise-row order (ascending size, then combination
 order), then conclusion order.  Each chunk is tallied per pair and side on
@@ -46,7 +49,7 @@ overall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -87,9 +90,19 @@ def _nonzero_rows(words: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _byte_mask(bools: np.ndarray) -> np.ndarray:
-    """0xFF where ``bools`` is True, 0x00 elsewhere: one answer for every bit."""
-    return bools.view(np.uint8) * np.uint8(0xFF)
+# The most conclusion classes a chunk holds: one bit each in a ``uint64``.
+_CHUNK = 64
+
+
+def _word(width: int) -> type:
+    """The narrowest unsigned integer type that holds ``width`` (at most 64) bits."""
+    return (np.uint8, np.uint16, np.uint32, np.uint64)[max(0, (width - 1).bit_length() - 3)]
+
+
+def _word_mask(bools: np.ndarray, word: type) -> np.ndarray:
+    """Every bit of ``word`` set where ``bools`` is True, none elsewhere:
+    one answer for every class of a chunk."""
+    return bools.astype(word) * word(np.iinfo(word).max)
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -246,12 +259,16 @@ class _Groups:
     values: list[np.ndarray]
     masks: np.ndarray
     parents: list[tuple[str, tuple[int, ...] | None]]
+    # Each group's formula once built: witnesses share their subformulas.
+    built: dict[int, Formula] = field(default_factory=dict, compare=False, repr=False)
 
     def formula(self, g: int) -> Formula:
-        head, args = self.parents[g]
-        if args is None:
-            return var(head)
-        return Formula(head, tuple(self.formula(a) for a in args))
+        if g not in self.built:
+            head, args = self.parents[g]
+            self.built[g] = var(head) if args is None else Formula(
+                head, tuple(self.formula(a) for a in args)
+            )
+        return self.built[g]
 
 
 def _fragment_size(signature: Signature, fragment: FragmentSpec) -> int:
@@ -331,9 +348,11 @@ def _fragment_groups(
     index = (keys[order], order)
     # Tuples evaluated at once: a block's rows hold about ``_GROW_BLOCK`` words.
     step = max(1, 8 * _GROW_BLOCK // sum(v.shape[1] for v in values))
-    lo = 0
+    # ``values`` and ``masks`` are stores that grow in place (:func:`_append`):
+    # their first ``size`` entries are the known groups.
+    size, lo = k, 0
     for depth in range(1, fragment.max_depth + 1):
-        hi = len(masks)
+        hi = size
         for name, arity in signature.connectives:
             if arity:
                 blocks = _argument_tuples(arity, lo, hi, step)
@@ -350,17 +369,21 @@ def _fragment_groups(
                 ]
                 grown = np.bitwise_or.reduce(masks[args], axis=0)
                 keys = _byte_keys([r.T for r in rows], grown + (depth << k))
-                _, new, index = _index_block(index, keys, len(masks))
-                values = [np.concatenate([v, r[new]]) for v, r in zip(values, rows)]
-                masks = np.concatenate([masks, grown[new]])
+                _, new, index = _index_block(index, keys, size)
+                for store, r in zip(values, rows):
+                    _append(store, size, r[new])
+                _append(masks, size, grown[new])
+                size += len(new)
                 parents += [(name, tuple(args[:, j].tolist())) for j in new.tolist()]
         if depth < fragment.max_depth:
-            pairs = _byte_keys([v.T for v in values], masks)
+            pairs = _byte_keys([v[:size].T for v in values], masks[:size])
             known = np.sort(pairs[:hi])
             at = np.searchsorted(known, pairs[hi:])
             if (known.take(at, mode="clip") == pairs[hi:]).all():
                 break
         lo = hi
+    for store in values + [masks]:
+        store.resize((size,) + store.shape[1:], refcheck=False)
     return _Groups(values, masks, parents)
 
 
@@ -456,10 +479,11 @@ class _StateSpace:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The counts as tally weights.  A chunk marks at most 8 classes
-        per row, so every partial sum of a tally is at most 8 * rows, and a
-        float64 product, faster than an int64 one, is exact below 2**53."""
-        if 8 * self.n_premise_rows < _FLOAT_EXACT:
+        """The counts as tally weights.  A chunk marks at most ``_CHUNK``
+        classes per row, so every partial sum of a tally is at most 64 *
+        rows, and a float64 product, faster than an int64 one, is exact
+        below 2**53."""
+        if _CHUNK * self.n_premise_rows < _FLOAT_EXACT:
             return self.counts.astype(np.float64)
         return self.counts
 
@@ -648,8 +672,15 @@ class _StateSpace:
 
     def tally(self, only: np.ndarray) -> np.ndarray:
         """Per size, the (row, class) pairs marked by ``only``'s bits: each
-        state's rows times its set bits, exact in either dtype."""
-        return self.weights @ np.bitwise_count(only)
+        state's rows times its set bits, exact in either dtype.
+
+        With int64 weights, 64 bits times 2**60 rows would wrap, so each
+        byte lane is tallied alone (at most 8 * rows, below 2**63) and the
+        lanes are summed as Python ints, in an object array."""
+        if self.weights.dtype == np.float64:
+            return self.weights @ np.bitwise_count(only)
+        lanes = np.bitwise_count(only.reshape(-1, 1).view(np.uint8))
+        return (self.counts @ lanes).sum(axis=1, dtype=object)
 
     def witnesses(self, only: np.ndarray, real: tuple[int, ...], sizes, cap: int, order):
         """``(size, members, class)`` for every bit of ``only`` set on the
@@ -918,7 +949,8 @@ class _VectorContext:
         change an answer or tell two components apart.
         """
         comps = self.components(vmask)
-        fails = np.zeros(len(comps.vmask), dtype=np.uint8)
+        word = _word(len(chunk))
+        fails = np.zeros(len(comps.vmask), dtype=word)
         for m in matrix_ids:
             conj, rep_not = comps.conj[m], self.rep_not_packed[m]
             met = np.empty_like(conj[0])
@@ -926,17 +958,19 @@ class _VectorContext:
                 np.bitwise_and(conj[0], rep_not[0][target], out=met)
                 for column, words in zip(conj[1:], rep_not[1:]):
                     met |= column & words[target]
-                fails |= (met != 0).view(np.uint8) << np.uint8(bit)
+                fails |= np.left_shift(met != 0, word(bit), dtype=word)
         return np.invert(fails).take(space.ids[vmask])
 
-    def fresh_answers(self, tree, vmask: int, space: _StateSpace) -> np.ndarray:
+    def fresh_answers(self, tree, vmask: int, space: _StateSpace, word) -> np.ndarray:
         """Answers for a conclusion variable foreign to the whole fragment.
 
-        One byte per state, 0xFF or 0x00, so it serves every class of a
-        chunk at once.  The result is cached on ``space``: never write into
-        it.
+        One ``word`` per state, all bits set or none, so it serves every
+        class of a chunk at once.  The result is cached on ``space`` for
+        every chunk of that word (a narrower one ORed into a wider answer
+        would set only its own bits): never write into it.
         """
-        cached = space.fresh.get((tree, vmask))
+        key = (tree, vmask, word)
+        cached = space.fresh.get(key)
         if cached is not None:
             return cached
         tag = tree[0]
@@ -946,20 +980,21 @@ class _VectorContext:
             for m in tree[1]:
                 if not self.all_designated[m]:
                     satisfiable |= _nonzero_rows(comps.conj[m])
-            out = _byte_mask(~satisfiable).take(space.ids[vmask])
+            out = _word_mask(~satisfiable, word).take(space.ids[vmask])
         elif tag == "l":
-            out = self.fresh_answers(tree[1], 0, space)
+            out = self.fresh_answers(tree[1], 0, space, word)
         elif tag == "r":
-            out = self.fresh_answers(tree[1], vmask, space)
+            out = self.fresh_answers(tree[1], vmask, space, word)
         else:
-            out = self.fresh_answers(tree[1][0], vmask, space) & self.fresh_answers(
-                tree[1][1], vmask, space
+            out = self.fresh_answers(tree[1][0], vmask, space, word) & self.fresh_answers(
+                tree[1][1], vmask, space, word
             )
-        space.fresh[(tree, vmask)] = out
+        space.fresh[key] = out
         return out
 
     def chunks(self) -> list[tuple[int, ...]]:
-        """Conclusion classes grouped by variable mask, at most 8 per group.
+        """Conclusion classes grouped by variable mask, at most ``_CHUNK``
+        (64) per group, so a group's answers fit one word per state.
 
         Classes ascend within a group.  Groups of one mask follow each
         other, and masks come in the order of their first class, so their
@@ -969,9 +1004,9 @@ class _VectorContext:
         for target, tmask in enumerate(self.rep_mask.tolist()):
             by_mask.setdefault(tmask, []).append(target)
         return [
-            tuple(targets[i:i + 8])
+            tuple(targets[i:i + _CHUNK])
             for targets in by_mask.values()
-            for i in range(0, len(targets), 8)
+            for i in range(0, len(targets), _CHUNK)
         ]
 
     def _walk(
@@ -980,9 +1015,10 @@ class _VectorContext:
         """Answers of tree ``node`` for a chunk of conclusion classes, with
         premises read at ``vmask`` (the full mask at the root).
 
-        One ``uint8`` per state of ``space``, whose mask every class of
-        ``chunk`` has; bit i answers class ``chunk[i]``, and bits past the
-        chunk's length are meaningless.  ``memo`` holds the answers of
+        One word per state of ``space``, whose mask every class of
+        ``chunk`` has, of the narrowest type that holds the chunk
+        (:func:`_word`); bit i answers class ``chunk[i]``, and bits past
+        the chunk's length are meaningless.  ``memo`` holds the answers of
         every (subtree, premise mask) walked for this chunk; pass the same
         dict for every tree walked for it.
         """
@@ -1002,9 +1038,10 @@ class _VectorContext:
             out = self._walk(node[1], vmask & tmask, chunk, space, memo)
         elif tag == "r":
             covered = (self.components(vmask).vmask & tmask) == tmask
-            out = _byte_mask(covered).take(space.ids[vmask])
+            word = _word(len(chunk))
+            out = _word_mask(covered, word).take(space.ids[vmask])
             out &= self._walk(node[1], vmask, chunk, space, memo)
-            out |= self.fresh_answers(node[1], vmask, space)
+            out |= self.fresh_answers(node[1], vmask, space, word)
         else:
             out = self._walk(node[1][0], vmask, chunk, space, memo) & self._walk(
                 node[1][1], vmask, chunk, space, memo
@@ -1042,17 +1079,18 @@ def disagreements(
     for orbit in orbits.values():
         space = None  # the last orbit's states go before the next are built
         space = _StateSpace(context, orbit[0][0])
-        sigmas = {
-            tmask: context.renaming(_renaming(tmask, space.tmask, k))
-            for tmask in dict.fromkeys(tmask for tmask, _ in orbit)
-        }
+        # The leader's σ is the identity: no renaming to look up.
+        sigmas = {space.tmask: np.arange(context.n_classes)}
+        for tmask, _ in orbit:
+            if tmask not in sigmas:
+                sigmas[tmask] = context.renaming(_renaming(tmask, space.tmask, k))
         for tmask, real in orbit:
             sigma = sigmas[tmask]
             chunk = tuple(sigma[list(real)].tolist())
             memo: dict = {}
             # Witnesses per (disagreement bytes, sizes): pairs share them.
             searched: dict = {}
-            in_chunk = np.uint8((1 << len(chunk)) - 1)
+            in_chunk = _word(len(chunk))((1 << len(chunk)) - 1)
             for (tree_a, tree_b), count, sides in zip(trees, counts, found):
                 ans_a = context._walk(tree_a, context.full_mask, chunk, space, memo)
                 ans_b = context._walk(tree_b, context.full_mask, chunk, space, memo)

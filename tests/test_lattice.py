@@ -500,6 +500,13 @@ CHUNK_CASES = {
 StateSpace = vector_module._StateSpace
 
 
+def _chunk_word(width):
+    """The unsigned type a chunk of ``width`` classes answers in: the
+    narrowest of 8, 16, 32 and 64 bits that holds a bit per class."""
+    words = (np.uint8, np.uint16, np.uint32, np.uint64)
+    return next(w for w in words if width <= 8 * w().itemsize)
+
+
 # The set reference for the state engine: every premise row as a tuple of
 # class ids, in the engine's row order, and its component at a mask computed
 # from its members: the AND of their designation rows inside the mask, per
@@ -694,13 +701,13 @@ def test_chunked_walk_matches_the_per_class_walk(name):
     assert sorted(c for chunk in chunks for c in chunk) == list(range(context.n_classes))
     groups: dict[int, list[tuple[int, ...]]] = {}
     for chunk in chunks:
-        assert 1 <= len(chunk) <= 8 and list(chunk) == sorted(chunk)
+        assert 1 <= len(chunk) <= 64 and list(chunk) == sorted(chunk)
         assert len({masks[c] for c in chunk}) == 1
         groups.setdefault(masks[chunk[0]], []).append(chunk)
     assert sorted(sum(map(len, g)) for g in groups.values()) == group_sizes
     for group in groups.values():
         # Only a group's last chunk may be short.
-        assert all(len(chunk) == 8 for chunk in group[:-1])
+        assert all(len(chunk) == 64 for chunk in group[:-1])
     if name == "chain-5":
         assert len(context.rep_not_packed[0]) > 1  # word columns
     if name == "constant":
@@ -721,7 +728,8 @@ def test_chunked_walk_matches_the_per_class_walk(name):
             memo = {}
             for tree in trees:
                 bits = context._walk(tree, context.full_mask, chunk, space, memo)
-                assert bits.dtype == np.uint8 and bits.shape == (len(space.keys),)
+                assert bits.dtype == _chunk_word(len(chunk))
+                assert bits.shape == (len(space.keys),)
                 per_row = bits[states]
                 for bit, target in enumerate(chunk):
                     expected = _reference_walk(
@@ -867,7 +875,7 @@ def test_renamed_state_spaces_match_the_count_dp(name):
             for real in group:
                 image = tuple(sigma[list(real)].tolist())
                 assert {int(context.rep_mask[c]) for c in image} == {shared.tmask}
-                in_chunk = np.uint8((1 << len(real)) - 1)
+                in_chunk = _chunk_word(len(real))((1 << len(real)) - 1)
                 memos = {}, {}
                 walks = ((image, shared, memos[0]), (real, own, memos[1]))
                 got, expected = [
@@ -967,11 +975,12 @@ def test_vector_context_temporaries_stay_within_two_slices(monkeypatch):
             for orbit in _orbits(context):
                 space, extra = temporaries(StateSpace, context, next(iter(orbit)))
                 assert extra < bound, ("states", space.tmask, extra)
-                every = np.full(len(space.keys), 0xFF, dtype=np.uint8)
                 sizes = range(context.max_size + 1)
                 for tmask, group in orbit.items():
                     sigma = context.renaming(vector_module._renaming(tmask, space.tmask, k))
                     for real in group:
+                        word = _chunk_word(len(real))
+                        every = np.full(len(space.keys), np.iinfo(word).max, dtype=word)
                         found, extra = temporaries(
                             space.witnesses, every, real, sizes, 5, sigma
                         )
@@ -1033,8 +1042,9 @@ def test_whole_chunk_tally_matches_the_per_class_tally(inputs, cap):
     context = _tally_context(name)
     space, (rows, states) = _tally_space(name, int(context.rep_mask[chunk[0]]))
     rng = np.random.default_rng(seed)
-    in_chunk = np.uint8((1 << len(chunk)) - 1)
-    only = rng.integers(0, 256, len(space.keys), dtype=np.uint8) & in_chunk
+    word = _chunk_word(len(chunk))
+    in_chunk = word((1 << len(chunk)) - 1)
+    only = rng.integers(0, in_chunk, len(space.keys), dtype=word, endpoint=True) & in_chunk
     only[rng.random(len(only)) >= density] = 0
     by_size = space.counts @ np.bitwise_count(only)
     assert int(by_size.sum()) == sum(int(only[state]).bit_count() for state in states)
@@ -1348,8 +1358,9 @@ def test_a_mask_with_no_class_inside_expands_to_one_broadcast_value():
     for tmask in set(context.rep_mask.tolist()):
         space = StateSpace(context, tmask)
         assert len(space.keys) > 1 and not space.ids[0].any()
-        fresh = context.fresh_answers(("leaf", (0,)), 0, space)
+        fresh = context.fresh_answers(("leaf", (0,)), 0, space, np.uint64)
         assert fresh.shape == (len(space.keys),) and len(set(fresh.tolist())) == 1
+        assert fresh.dtype == np.uint64
 
 
 def test_compare_at_four_premises_matches_pinned_scale_reference():
@@ -1587,13 +1598,13 @@ def test_float_tallies_equal_the_integer_products(monkeypatch):
 
 
 def test_a_context_past_the_float_guard_tallies_in_integers(monkeypatch):
-    # TINY at premises=50 has 2**6 rows: a guard at 8 * 64 sends every tally
+    # TINY at premises=50 has 2**6 rows: a guard at 64 * 64 sends every tally
     # to the int64 counts, one above it to float64, and the verdicts agree
     # with the set reference either way.
     spec = replace(TINY, max_premises=50)
     a, b = derive_sequence(CL, "lr"), derive_sequence(CL, "rl")
     expected = class_row_reference(a, b, spec, 8)
-    for guard, dtype in ((8 * 64, np.int64), (8 * 64 + 1, np.float64)):
+    for guard, dtype in ((64 * 64, np.int64), (64 * 64 + 1, np.float64)):
         monkeypatch.setattr(vector_module, "_FLOAT_EXACT", guard)
         context = _VectorContext(CL.signature, spec, (b2_matrix(),))
         assert context.n_premise_rows == 64
@@ -1603,6 +1614,124 @@ def test_a_context_past_the_float_guard_tallies_in_integers(monkeypatch):
         verdict = compare(a, b, spec, max_witnesses=8)
         got = (verdict.disagreements, verdict.witnesses_ab, verdict.witnesses_ba)
         assert got == expected
+
+
+# CL at depth 3 over three variables: 25,652 premise rows at two premises,
+# and a full mask of 166 classes, more than two chunks hold.
+XYZ3 = FragmentSpec(variables=("x", "y", "z"), max_depth=3, max_premises=2)
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_case():
+    """The XYZ3 context over CL, and the trees of its towers."""
+    towers = {s: derive_sequence(CL, s) for s in ("l", "r", "lr", "rl", "rlr")}
+    towers["meet"] = intersect(towers["lr"], towers["rl"])
+    table = []
+    trees = {key: _oracle_tree(tower, table) for key, tower in towers.items()}
+    return _VectorContext(CL.signature, XYZ3, table), towers, trees
+
+
+def test_chunks_of_64_classes_match_the_per_class_reference():
+    # The full mask's 166 classes walk as chunks of 64, 64 and 38, in
+    # uint64 words; each two-variable mask's 16 classes in uint16, each
+    # one-variable mask's 4 in uint8.  Every answer bit of every full-mask
+    # chunk, bit 63 included, equals the per-class walk on the rows' own
+    # components, and each pair's counts and first witnesses equal those
+    # that the per-class walk gives over all 25,652 rows, in row order and
+    # then class order.  (The class row reference would enumerate the
+    # fragment's 2,781,264 formulas and query the towers 11.6 M times.)
+    context, towers, trees = _wide_case()
+    full, n = context.full_mask, context.n_classes
+    assert context.n_premise_rows == 25_652
+    widths: dict[int, list[int]] = {}
+    for chunk in context.chunks():
+        widths.setdefault(int(context.rep_mask[chunk[0]]), []).append(len(chunk))
+    assert widths == {1: [4], 2: [4], 4: [4], 3: [16], 5: [16], 6: [16], 7: [64, 64, 38]}
+
+    rows = _reference_rows(context)
+    cache: dict[int, tuple] = {}
+
+    def arrays(vmask):
+        if vmask not in cache:
+            cache[vmask] = _reference_arrays(context, rows, vmask)
+        return cache[vmask]
+
+    masks = context.rep_mask.tolist()
+    # Per tower, (classes, rows): does the row entail the class?
+    answers = {
+        key: np.array([
+            _reference_walk(context, arrays, tree, full, c, masks[c]) for c in range(n)
+        ])
+        for key, tree in trees.items()
+    }
+
+    space = StateSpace(context, full)
+    _, states = _row_states(context, space)
+    for chunk in context.chunks():
+        if masks[chunk[0]] != full:
+            continue
+        memo: dict = {}
+        for key, tree in trees.items():
+            bits = context._walk(tree, full, chunk, space, memo)
+            assert bits.dtype == np.uint64
+            per_row = bits[states]
+            for bit, target in enumerate(chunk):
+                got = (per_row >> bit) & 1 == 1
+                assert np.array_equal(got, answers[key][target]), (key, target)
+    # A fresh answer is one word per state, all bits or none, for the word
+    # asked: a byte's 0xFF would answer only 8 classes of a 64-class chunk.
+    narrow = context.fresh_answers(trees["r"], full, space, np.uint8)
+    wide = context.fresh_answers(trees["r"], full, space, np.uint64)
+    assert narrow.dtype == np.uint8 and wide.dtype == np.uint64
+    assert set(wide.tolist()) == {0, 2**64 - 1}
+    assert np.array_equal(wide != 0, narrow == 0xFF)
+
+    formula, rep = context.groups.formula, context.rep_group.tolist()
+
+    def first(only, cap):
+        row_ids, targets = np.nonzero(only.T)  # row order, then class order
+        return tuple(
+            Inference(tuple(formula(rep[c]) for c in rows[r]), formula(rep[t]))
+            for r, t in zip(row_ids[:cap].tolist(), targets[:cap].tolist())
+        )
+
+    top = [chunk[-1] for chunk in context.chunks() if len(chunk) == 64]
+    for a, b in (("lr", "rl"), ("rlr", "meet"), ("l", "r")):
+        differ = answers[a] != answers[b]
+        sides = differ & answers[a], differ & answers[b]
+        verdict = compare(towers[a], towers[b], XYZ3, max_witnesses=8)
+        assert verdict.disagreements == tuple(int(side.sum()) for side in sides), (a, b)
+        assert (verdict.witnesses_ab, verdict.witnesses_ba) == tuple(
+            first(side, 8) for side in sides
+        ), (a, b)
+        if a == "lr":
+            # The last class of each full chunk (bit 63) disagrees somewhere.
+            assert differ[top].any(axis=1).all()
+
+
+def test_a_64_class_integer_tally_sums_its_byte_lanes_exactly(monkeypatch):
+    # With no float tally allowed, the tally multiplies int64 counts by
+    # each state's set bits.  Three states of about 2**58 rows each (their
+    # total under the 2**60 row guard), with all 64 bits of a chunk set,
+    # tally past 2**63: a plain int64 product wraps, and the tally, summed
+    # per byte lane as Python ints, does not.
+    monkeypatch.setattr(vector_module, "_FLOAT_EXACT", 0)
+    context, _, _ = _wide_case()
+    space = StateSpace(context, context.full_mask)
+    big = [(1 << 58) - 1, (1 << 58) + 12_345, 3 << 57]
+    assert sum(big) < 1 << 60
+    counts = np.zeros((context.max_size + 1, len(space.keys)), dtype=np.int64)
+    counts[2, [1, 4, 9]] = big
+    vars(space)["counts"] = counts
+    assert space.weights is counts
+    only = np.zeros(len(space.keys), dtype=np.uint64)
+    only[[1, 4, 9, 11]] = np.uint64(2**64 - 1)
+    expected = [0, 0, 64 * sum(big)]
+    tally = space.tally(only)
+    assert tally.tolist() == expected
+    assert int(tally.sum()) == 64 * sum(big) > 1 << 63
+    assert np.flatnonzero(tally).tolist() == [2]
+    assert (counts @ np.bitwise_count(only)).tolist() != expected
 
 
 def test_state_counts_that_miss_a_row_raise(monkeypatch):
